@@ -15,9 +15,8 @@ from pathlib import Path
 
 from . import evalkit, synth
 from .config import ConfigError, PipelineConfig, load_config
-from .logio import TslEncodingError, TslParseError, parse_log
-from .pipeline import PipelineError, load_gait_model_or_default, process_log, run_pipeline
-from .floors import cluster_floors, segment_trajectory
+from .pipeline import PipelineError, process_corpus, run_pipeline
+from .floors import cluster_floors
 from .stepdetect import StrideFeatures
 from .stride import Gait, GaitTrainingError, save_gait_model, train_gait_model
 
@@ -34,8 +33,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         overrides["turn.epsilon_rad"] = str(args.epsilon)
     if getattr(args, "window", None) is not None:
         overrides["turn.window_min"] = str(args.window)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
     cfg = load_config(getattr(args, "config", None), overrides)
     floors = getattr(args, "floors", None)
     if floors is not None and floors != "auto":
@@ -56,7 +53,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, default=None, help="turning window minimum, points")
     p.add_argument("--floors", default=None, help="floor count K, or 'auto'")
     p.add_argument("--gait-model", default=None, help="gait model file")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -93,36 +89,42 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig):
-    """(trajectory, segments, truth) triples for every log with a truth sidecar."""
-    gait_model = load_gait_model_or_default(cfg)
-    corpus = []
+def _truth_path(log_path: Path) -> Path:
+    """The sidecar ``synth.write_corpus`` writes: ``<stem>.truth.json`` beside the log."""
+    return log_path.with_name(f"{log_path.stem}.truth.json")
+
+
+def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig) -> tuple[list | None, int]:
+    """(trajectory, segments, truth) triples for every log with a ``<stem>.truth.json``.
+
+    Returns (None, exit code) when there is no such pair (2) or when a paired
+    log failed to process (1); ``process_corpus`` has logged why.
+    """
+    paths = []
     for log_path in sorted(input_dir.glob("*.tsl")):
-        truth_path = log_path.with_suffix("").with_suffix(".truth.json")
-        if not truth_path.exists():
-            truth_path = log_path.parent / (log_path.stem + ".truth.json")
-        if not truth_path.exists():
+        if _truth_path(log_path).exists():
+            paths.append(log_path)
+        else:
             logger.warning("no truth sidecar for %s, skipping", log_path.name)
-            continue
-        log = parse_log(log_path.read_bytes(), source_id=log_path.stem)
-        item = process_log(log, cfg, gait_model)
-        segments = segment_trajectory(
-            item.trajectory, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters
-        )
-        truth = synth.GroundTruth.from_json(json.loads(truth_path.read_text(encoding="utf-8")))
-        corpus.append((item.trajectory, segments, truth))
-    if not corpus:
-        raise PipelineError(f"no (.tsl, .truth.json) pairs in {input_dir}")
-    return corpus
+    if not paths:
+        logger.error("fatal: no (.tsl, .truth.json) pairs in %s", input_dir)
+        return None, EXIT_FATAL
+    reports, processed = process_corpus(paths, cfg)
+    if any(r.error is not None for r in reports):
+        return None, EXIT_ERROR
+    corpus = []
+    for path in paths:
+        item = processed[path.name]
+        truth = synth.GroundTruth.from_json(json.loads(_truth_path(path).read_text(encoding="utf-8")))
+        corpus.append((item.trajectory, item.segments, truth))
+    return corpus, EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    try:
-        corpus = _load_eval_corpus(Path(args.input), cfg)
-    except PipelineError as exc:
-        logger.error("fatal: %s", exc)
-        return EXIT_FATAL
+    corpus, code = _load_eval_corpus(Path(args.input), cfg)
+    if corpus is None:
+        return code
 
     all_segments = [seg for _, segments, _ in corpus for seg in segments]
     assignment = cluster_floors(all_segments, cut=cfg.floor.cut, floor_count=cfg.floors_override)
@@ -135,16 +137,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 truths.append(true_floor)
     floor_acc = evalkit.score_floors(predicted, truths)
 
-    tp = n_det = n_tru = 0
-    for traj, segments, truth in corpus:
-        detected = evalkit.interior_turning_points(traj, segments, cfg.turn)
-        score = evalkit.score_turnings(detected, truth.corner_points, args.match_radius)
-        tp += score.true_positives
-        n_det += score.detected
-        n_tru += score.truth
-    precision = tp / n_det if n_det else 1.0
-    recall = tp / n_tru if n_tru else 1.0
-    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    precision, recall, f = evalkit.corpus_turning_prf(corpus, cfg.turn, args.match_radius)
 
     result = {
         "floor_accuracy": floor_acc,
@@ -181,11 +174,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     eps_grid = _parse_grid(args.epsilon_grid, float)
     win_grid = _parse_grid(args.window_grid, int)
-    try:
-        corpus = _load_eval_corpus(Path(args.input), cfg)
-    except PipelineError as exc:
-        logger.error("fatal: %s", exc)
-        return EXIT_FATAL
+    corpus, code = _load_eval_corpus(Path(args.input), cfg)
+    if corpus is None:
+        return code
     rows = evalkit.sweep(
         corpus, eps_grid, win_grid,
         match_radius=args.match_radius, min_subtraj_len_m=cfg.turn.min_subtraj_len_m,
@@ -285,9 +276,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("config: %s", exc)
         return EXIT_FATAL
-    except (TslParseError, TslEncodingError) as exc:
-        logger.error("parse: %s", exc)
-        return EXIT_ERROR
 
 
 if __name__ == "__main__":

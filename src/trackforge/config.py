@@ -25,7 +25,6 @@ class PipelineConfig:
     heading: HeadingConfig = field(default_factory=HeadingConfig)
     floor: FloorConfig = field(default_factory=FloorConfig)
     turn: TurningConfig = field(default_factory=TurningConfig)
-    seed: int = 0
     floors_override: int | None = None   # fixed floor count instead of the cut
     gait_model_path: str | None = None
 
@@ -52,7 +51,6 @@ _KEYS = {
     "turn.epsilon_rad": ("turn", "epsilon_rad", float, _POSITIVE),
     "turn.window_min": ("turn", "window_min", int, lambda v: v >= 1),
     "turn.min_len_m": ("turn", "min_subtraj_len_m", float, _POSITIVE),
-    "seed": (None, "seed", int, lambda v: True),
 }
 
 
@@ -80,10 +78,7 @@ def apply_entries(cfg: PipelineConfig, entries: dict[str, str]) -> PipelineConfi
             raise ConfigError(f"config key {key} has unparsable value {raw!r}") from None
         if not valid(value):
             raise ConfigError(f"config key {key} = {value} is out of range")
-        if section is None:
-            setattr(cfg, name, value)
-        else:
-            setattr(cfg, section, replace(getattr(cfg, section), **{name: value}))
+        setattr(cfg, section, replace(getattr(cfg, section), **{name: value}))
     if cfg.step.pace_floor > cfg.step.pace_ceiling:
         raise ConfigError("step.pace_floor must not exceed step.pace_ceiling")
     return cfg

@@ -22,6 +22,21 @@ from .pdr import PdrTrajectory
 from .synth import GroundTruth
 
 
+Corpus = Sequence[tuple[PdrTrajectory, Sequence[TrajectorySegment], GroundTruth]]
+
+
+def prf(tp: int, detected: int, truth: int) -> tuple[float, float, float]:
+    """(precision, recall, F) from match counts.
+
+    Empty detected counts as vacuous precision 1.0 (and likewise for empty
+    truth and recall) so parameter sweeps never divide by zero.
+    """
+    precision = tp / detected if detected else 1.0
+    recall = tp / truth if truth else 1.0
+    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f
+
+
 @dataclass(frozen=True)
 class TurningScore:
     precision: float
@@ -38,11 +53,7 @@ def score_turnings(
     truth: Sequence[tuple[float, float]] | np.ndarray,
     match_radius: float = 2.0,
 ) -> TurningScore:
-    """Greedy nearest-first one-to-one matching within ``match_radius``.
-
-    Empty detected counts as vacuous precision 1.0 (and likewise for empty
-    truth and recall) so parameter sweeps never divide by zero.
-    """
+    """Greedy nearest-first one-to-one matching within ``match_radius``."""
     if match_radius <= 0:
         raise ValueError("match_radius must be positive")
     det = np.asarray(detected, dtype=float).reshape(-1, 2)
@@ -65,10 +76,7 @@ def score_turnings(
         used_t.add(j)
         tp += 1
 
-    precision = tp / len(det) if len(det) else 1.0
-    recall = tp / len(tru) if len(tru) else 1.0
-    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return TurningScore(precision, recall, f, match_radius, tp, len(det), len(tru))
+    return TurningScore(*prf(tp, len(det), len(tru)), match_radius, tp, len(det), len(tru))
 
 
 def segment_truth_floor(segment: TrajectorySegment, truth: GroundTruth) -> int | None:
@@ -109,6 +117,20 @@ def interior_turning_points(
     return out
 
 
+def corpus_turning_prf(
+    corpus: Corpus, cfg: TurningConfig, match_radius: float = 2.0
+) -> tuple[float, float, float]:
+    """Micro-averaged turning (precision, recall, F): counts pool across trajectories."""
+    tp = n_det = n_tru = 0
+    for traj, segments, truth in corpus:
+        detected = interior_turning_points(traj, segments, cfg)
+        score = score_turnings(detected, truth.corner_points, match_radius)
+        tp += score.true_positives
+        n_det += score.detected
+        n_tru += score.truth
+    return prf(tp, n_det, n_tru)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     epsilon: float
@@ -119,7 +141,7 @@ class SweepRow:
 
 
 def sweep(
-    corpus: Sequence[tuple[PdrTrajectory, Sequence[TrajectorySegment], GroundTruth]],
+    corpus: Corpus,
     epsilon_grid: Sequence[float],
     window_grid: Sequence[int],
     match_radius: float = 2.0,
@@ -130,8 +152,8 @@ def sweep(
     ``corpus`` holds already-processed trajectories with their floor segments
     and ground truths; only the turning stage depends on the swept parameters,
     so re-running it per cell is equivalent to re-running the whole pipeline.
-    Counts pool across trajectories (micro-average); rows come back ordered by
-    (epsilon, window).
+    Scores are micro-averaged (``corpus_turning_prf``); rows come back ordered
+    by (epsilon, window).
     """
     if not epsilon_grid or not window_grid:
         raise ValueError("sweep grids must be non-empty")
@@ -141,17 +163,7 @@ def sweep(
             cfg = TurningConfig(
                 epsilon_rad=float(eps), window_min=int(win), min_subtraj_len_m=min_subtraj_len_m
             )
-            tp = n_det = n_tru = 0
-            for traj, segments, truth in corpus:
-                detected = interior_turning_points(traj, segments, cfg)
-                score = score_turnings(detected, truth.corner_points, match_radius)
-                tp += score.true_positives
-                n_det += score.detected
-                n_tru += score.truth
-            precision = tp / n_det if n_det else 1.0
-            recall = tp / n_tru if n_tru else 1.0
-            f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-            rows.append(SweepRow(float(eps), int(win), precision, recall, f))
+            rows.append(SweepRow(float(eps), int(win), *corpus_turning_prf(corpus, cfg, match_radius)))
     return rows
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .floors import TrajectorySegment
-from .pdr import WIFI_MATCH_WINDOW_S, PdrPoint, PdrTrajectory, WifiBatch
+from .pdr import PdrPoint, PdrTrajectory, WifiBatch
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,6 @@ class ChainVertex:
     y: float
     t: float
     rss: dict[str, int] | None
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainVertex):
-            return NotImplemented
-        return (
-            self.origin_index == other.origin_index
-            and self.x == other.x
-            and self.y == other.y
-            and self.t == other.t
-            and self.rss == other.rss
-        )
 
 
 @dataclass(frozen=True)
@@ -183,44 +172,20 @@ def build_chain_graph(
 
     Edge vectors are the position differences between consecutive vertices
     (the telescoped sum of the per-step motion vectors in between). Each
-    vertex's RSS feature is the nearest WiFi burst within 5 s, if any.
+    vertex's RSS feature is the burst its point's ``wifi_ref`` names: the
+    nearest one within 5 s, as ``pdr.integrate`` annotated it.
     """
     if len(vertices) < 2:
         return None
-    batch_times = np.array([b.time for b in wifi_batches])
-
-    def rss_for(t: float) -> dict[str, int] | None:
-        if len(batch_times) == 0:
-            return None
-        pos = int(np.searchsorted(batch_times, t))
-        best = None
-        for idx in (pos - 1, pos):
-            if 0 <= idx < len(batch_times):
-                d = abs(batch_times[idx] - t)
-                if best is None or d < best[0]:
-                    best = (d, idx)
-        if best is None or best[0] > WIFI_MATCH_WINDOW_S:
-            return None
-        return wifi_batches[best[1]].rss_map()
-
     vs = []
     for v in vertices:
         p = points[v]
-        vs.append(ChainVertex(origin_index=v, x=p.x, y=p.y, t=p.t, rss=rss_for(p.t)))
+        rss = None if p.wifi_ref is None else wifi_batches[p.wifi_ref].rss_map()
+        vs.append(ChainVertex(origin_index=v, x=p.x, y=p.y, t=p.t, rss=rss))
     edges = tuple(
         ChainEdge(dx=b.x - a.x, dy=b.y - a.y) for a, b in zip(vs, vs[1:])
     )
     return ChainGraph(floor=floor, vertices=tuple(vs), edges=edges)
-
-
-def featurize_segment(
-    traj: PdrTrajectory,
-    segment: TrajectorySegment,
-    cfg: TurningConfig = TurningConfig(),
-) -> list[ChainGraph]:
-    """Turning points -> frequent-turning split -> chain graphs, in order."""
-    graphs, _ = featurize_segment_report(traj, segment, cfg)
-    return graphs
 
 
 def featurize_segment_report(
@@ -228,7 +193,10 @@ def featurize_segment_report(
     segment: TrajectorySegment,
     cfg: TurningConfig = TurningConfig(),
 ) -> tuple[list[ChainGraph], int]:
-    """featurize_segment plus the number of dropped sub-trajectories."""
+    """Turning points -> frequent-turning split -> chain graphs, in order.
+
+    Also returns the number of dropped sub-trajectories.
+    """
     start, stop = segment.point_range
     points = traj.points[start:stop]
     if len(points) < 2:

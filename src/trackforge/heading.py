@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .logio import SensorLog, SensorSample
-from .stepdetect import Step
+from .logio import SensorLog, SensorSample, nearest_index
+from .stepdetect import Step, moving_average
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +46,6 @@ class AttitudeState:
     roll: float
     pitch: float
     yaw: float
-    last_update_time: float
     mag_trust: bool
 
 
@@ -118,27 +117,6 @@ def tilt_compensated_yaw(gravity: np.ndarray, mag: np.ndarray) -> float | None:
     return math.atan2(s, c)
 
 
-def estimate_yaw(state: AttitudeState, mag: np.ndarray) -> float:
-    """Compass yaw for one magnetometer sample given the current attitude.
-
-    Falls back to the state's previous yaw when the sample is rejected (zero
-    field) or the pose is gimbal-locked.
-    """
-    yaw = tilt_compensated_yaw(state.gravity_vec, np.asarray(mag, dtype=float))
-    return state.yaw if yaw is None else yaw
-
-
-def _nearest_indices(src_times: np.ndarray, query_times: np.ndarray) -> np.ndarray:
-    """Index of the nearest src time per query; ties resolve to the earlier one."""
-    pos = np.searchsorted(src_times, query_times)
-    pos = np.clip(pos, 1, len(src_times) - 1) if len(src_times) > 1 else np.zeros_like(pos)
-    left = np.abs(query_times - src_times[pos - 1]) if len(src_times) > 1 else None
-    if len(src_times) == 1:
-        return np.zeros(len(query_times), dtype=int)
-    right = np.abs(src_times[pos] - query_times)
-    return np.where(left <= right, pos - 1, pos)
-
-
 def _increment_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation with degenerate-window conventions: two flat series
     agree (1.0), one flat against one moving disagrees (0.0)."""
@@ -176,12 +154,12 @@ def track_attitude(
     if gyro:
         gyro_t = np.array([s.app_timestamp for s in gyro])
         gyro_v = np.array([s.values for s in gyro])
-        gyro_idx = _nearest_indices(gyro_t, times)
+        gyro_idx = nearest_index(gyro_t, times)
     magn_v = None
     if magn:
         magn_t = np.array([s.app_timestamp for s in magn])
         magn_v = np.array([s.values for s in magn])
-        magn_idx = _nearest_indices(magn_t, times)
+        magn_idx = nearest_index(magn_t, times)
 
     norm0 = float(np.linalg.norm(accel_v[0]))
     gravity = accel_v[0] / norm0 if norm0 > 1e-9 else np.array([0.0, 0.0, 1.0])
@@ -233,7 +211,6 @@ def track_attitude(
                 roll=roll,
                 pitch=pitch,
                 yaw=yaw,
-                last_update_time=float(t),
                 mag_trust=mag_trust,
             )
         )
@@ -298,12 +275,7 @@ def _smoothed_gravity(states: Sequence[AttitudeState], times: np.ndarray) -> np.
     win = max(1, int(round(0.5 / dt)) | 1)
     if win <= 1:
         return grav
-    half = win // 2
-    csum = np.concatenate([np.zeros((1, 3)), np.cumsum(grav, axis=0)])
-    idx = np.arange(len(grav))
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half + 1, len(grav))
-    smoothed = (csum[hi] - csum[lo]) / (hi - lo)[:, None]
+    smoothed = moving_average(grav, win)
     norms = np.linalg.norm(smoothed, axis=1, keepdims=True)
     norms[norms < 1e-12] = 1.0
     return smoothed / norms

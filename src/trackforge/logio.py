@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 _BSSID_RE = re.compile(r"^[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}$")
 
 _IMU_TAGS = {"ACCE": "accel", "GYRO": "gyro", "MAGN": "magn"}
@@ -171,6 +173,28 @@ def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
         source_id=source_id,
         skipped_records=skipped,
     )
+
+
+def nearest_index(src_times, query_times, max_gap: float | None = None) -> np.ndarray:
+    """Index of the nearest ``src_times`` sample for each query time.
+
+    ``src_times`` must be sorted ascending. Equally near samples, duplicate
+    timestamps included, resolve to the lowest index: the answer is
+    ``np.argmin(np.abs(src_times - q))``. The index is -1 when there is no
+    sample, or when the nearest one lies farther than ``max_gap``.
+    """
+    src = np.asarray(src_times, dtype=float)
+    query = np.asarray(query_times, dtype=float)
+    if len(src) == 0:
+        return np.full(query.shape, -1, dtype=int)
+    pos = np.searchsorted(src, query)
+    below = src[np.maximum(pos - 1, 0)]
+    above = src[np.minimum(pos, len(src) - 1)]
+    nearest = np.where(np.abs(query - below) <= np.abs(above - query), below, above)
+    idx = np.searchsorted(src, nearest)  # first sample holding that time
+    if max_gap is not None:
+        idx[np.abs(nearest - query) > max_gap] = -1
+    return idx
 
 
 def _fmt(x: float) -> str:

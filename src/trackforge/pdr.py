@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .logio import SensorLog, WifiObservation
+from .logio import SensorLog, WifiObservation, nearest_index
 from .stepdetect import Step
 
 WIFI_BATCH_GAP_S = 0.5   # observations closer than this belong to one scan burst
@@ -51,7 +51,6 @@ class PdrPoint:
 @dataclass
 class PdrTrajectory:
     points: list[PdrPoint]
-    step_vectors: list[tuple[float, float]]  # points[k+1] - points[k], exact
     wifi_batches: list[WifiBatch] = field(default_factory=list)
     source_id: str = ""
 
@@ -71,46 +70,15 @@ def pdr_update(prev: tuple[float, float], stride_m: float, theta_rad: float) -> 
 
 def group_wifi_batches(wifi: Sequence[WifiObservation]) -> list[WifiBatch]:
     """Group time-sorted observations into scan bursts (gap < 0.5 s)."""
-    batches: list[WifiBatch] = []
-    current: list[WifiObservation] = []
+    groups: list[list[WifiObservation]] = []
     for obs in wifi:
-        if current and obs.app_timestamp - current[-1].app_timestamp >= WIFI_BATCH_GAP_S:
-            times = [o.app_timestamp for o in current]
-            batches.append(WifiBatch(time=sum(times) / len(times), observations=tuple(current)))
-            current = []
-        current.append(obs)
-    if current:
-        times = [o.app_timestamp for o in current]
-        batches.append(WifiBatch(time=sum(times) / len(times), observations=tuple(current)))
-    return batches
-
-
-def _nearest_baro(baro_times: np.ndarray, baro_values: np.ndarray, t: float) -> float | None:
-    if len(baro_times) == 0:
-        return None
-    pos = int(np.searchsorted(baro_times, t))
-    best = None
-    for idx in (pos - 1, pos):
-        if 0 <= idx < len(baro_times):
-            d = abs(baro_times[idx] - t)
-            if best is None or d < best[0]:  # strict: ties keep the earlier sample
-                best = (d, idx)
-    return float(baro_values[best[1]])
-
-
-def _nearest_batch(batch_times: np.ndarray, t: float) -> int | None:
-    if len(batch_times) == 0:
-        return None
-    pos = int(np.searchsorted(batch_times, t))
-    best = None
-    for idx in (pos - 1, pos):
-        if 0 <= idx < len(batch_times):
-            d = abs(batch_times[idx] - t)
-            if best is None or d < best[0]:
-                best = (d, idx)
-    if best is None or best[0] > WIFI_MATCH_WINDOW_S:
-        return None
-    return int(best[1])
+        if groups and obs.app_timestamp - groups[-1][-1].app_timestamp < WIFI_BATCH_GAP_S:
+            groups[-1].append(obs)
+        else:
+            groups.append([obs])
+    return [
+        WifiBatch(time=sum(o.app_timestamp for o in g) / len(g), observations=tuple(g)) for g in groups
+    ]
 
 
 def integrate(steps: Sequence[Step], log: SensorLog) -> PdrTrajectory:
@@ -123,32 +91,26 @@ def integrate(steps: Sequence[Step], log: SensorLog) -> PdrTrajectory:
         if s.stride_m is None or s.heading_rad is None:
             raise ValueError("steps must have stride_m and heading_rad filled")
 
-    baro_times = np.array([s.app_timestamp for s in log.baro])
-    baro_values = np.array([s.values[0] for s in log.baro])
-    batches = group_wifi_batches(log.wifi)
-    batch_times = np.array([b.time for b in batches])
-
     origin_t = log.accel[0].app_timestamp if log.accel else 0.0
+    xy = [(0.0, 0.0)]
+    for step in steps:
+        xy.append(pdr_update(xy[-1], step.stride_m, step.heading_rad))
+    times = [origin_t] + [step.peak_time for step in steps]
 
-    def make_point(x: float, y: float, t: float, step_index: int) -> PdrPoint:
-        return PdrPoint(
+    baro_values = [s.values[0] for s in log.baro]
+    baro_idx = nearest_index([s.app_timestamp for s in log.baro], times)
+    batches = group_wifi_batches(log.wifi)
+    wifi_idx = nearest_index([b.time for b in batches], times, WIFI_MATCH_WINDOW_S)
+
+    points = [
+        PdrPoint(
             x=x,
             y=y,
             t=t,
-            step_index=step_index,
-            baro_hpa=_nearest_baro(baro_times, baro_values, t),
-            wifi_ref=_nearest_batch(batch_times, t),
+            step_index=k - 1,
+            baro_hpa=float(baro_values[b]) if b >= 0 else None,
+            wifi_ref=int(w) if w >= 0 else None,
         )
-
-    points = [make_point(0.0, 0.0, origin_t, -1)]
-    vectors: list[tuple[float, float]] = []
-    for k, step in enumerate(steps):
-        x, y = pdr_update((points[-1].x, points[-1].y), step.stride_m, step.heading_rad)
-        points.append(make_point(x, y, step.peak_time, k))
-        # stored as the as-integrated position difference so the telescoping
-        # identity point[k+1] - point[k] == step_vectors[k] is bitwise
-        vectors.append((x - points[-2].x, y - points[-2].y))
-
-    return PdrTrajectory(
-        points=points, step_vectors=vectors, wifi_batches=batches, source_id=log.source_id
-    )
+        for k, ((x, y), t, b, w) in enumerate(zip(xy, times, baro_idx, wifi_idx))
+    ]
+    return PdrTrajectory(points=points, wifi_batches=batches, source_id=log.source_id)

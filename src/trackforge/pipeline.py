@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -66,17 +67,7 @@ class RunReport:
 
     def to_json(self) -> dict:
         return {
-            "files": [
-                {
-                    "name": f.name,
-                    "steps": f.steps,
-                    "segments": f.segments,
-                    "graphs": f.graphs,
-                    "dropped_subtrajectories": f.dropped_subtrajectories,
-                    "error": f.error,
-                }
-                for f in self.files
-            ],
+            "files": [asdict(f) for f in self.files],
             "floor_count": self.floor_count,
             "floor_pressures": self.floor_pressures,
             "totals": self.totals(),
@@ -110,6 +101,36 @@ def load_gait_model_or_default(cfg: PipelineConfig) -> GaitModel:
     return default_gait_model()
 
 
+def process_corpus(
+    paths: Sequence[Path], cfg: PipelineConfig
+) -> tuple[list[FileReport], dict[str, ProcessedLog]]:
+    """Parse -> ``process_log`` -> floor segments for each log file, in order.
+
+    A file that fails is logged and its error recorded in its FileReport; the
+    other files go on. Returns one report per path and the processed logs by
+    file name. What a failed file means is up to the caller.
+    """
+    gait_model = load_gait_model_or_default(cfg)
+    reports: list[FileReport] = []
+    processed: dict[str, ProcessedLog] = {}
+    for path in paths:
+        report = FileReport(name=path.name)
+        reports.append(report)
+        try:
+            log = parse_log(path.read_bytes(), source_id=path.stem)
+            item = process_log(log, cfg, gait_model)
+            item.segments = segment_trajectory(
+                item.trajectory, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters
+            )
+            processed[path.name] = item
+            report.steps = len(item.steps)
+            report.segments = len(item.segments)
+        except Exception as exc:  # recorded per-file; the corpus continues
+            logger.error("failed to process %s: %s", path.name, exc)
+            report.error = str(exc)
+    return reports, processed
+
+
 def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineConfig) -> RunReport:
     """Process every ``*.tsl`` file under input_dir into chain-graph documents.
 
@@ -123,26 +144,7 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
     if not files:
         raise PipelineError(f"no .tsl files in {input_dir}")
     output_dir.mkdir(parents=True, exist_ok=True)
-
-    gait_model = load_gait_model_or_default(cfg)
-    reports: list[FileReport] = []
-    processed: dict[str, ProcessedLog] = {}
-
-    for path in files:
-        report = FileReport(name=path.name)
-        reports.append(report)
-        try:
-            log = parse_log(path.read_bytes(), source_id=path.stem)
-            item = process_log(log, cfg, gait_model)
-            item.segments = segment_trajectory(
-                item.trajectory, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters
-            )
-            processed[path.name] = item
-            report.steps = len(item.steps)
-            report.segments = len(item.segments)
-        except Exception as exc:  # recorded per-file; the run continues
-            logger.error("failed to process %s: %s", path.name, exc)
-            report.error = str(exc)
+    reports, processed = process_corpus(files, cfg)
 
     if not processed:
         raise PipelineError("no input file could be processed")

@@ -103,16 +103,20 @@ class Step:
 
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with shrinking edge windows (constant-preserving)."""
-    if window <= 1:
-        return np.asarray(values, dtype=float).copy()
+    """Centered moving average with shrinking edge windows (constant-preserving).
+
+    Averages along axis 0, so an ``(n, 3)`` input smooths each column.
+    """
     values = np.asarray(values, dtype=float)
+    if window <= 1:
+        return values.copy()
     n = len(values)
     half = window // 2
-    csum = np.concatenate(([0.0], np.cumsum(values)))
+    csum = np.concatenate([np.zeros((1,) + values.shape[1:]), np.cumsum(values, axis=0)])
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    counts = (hi - lo).reshape((n,) + (1,) * (values.ndim - 1))
+    return (csum[hi] - csum[lo]) / counts
 
 
 def magnitude_series(
@@ -134,7 +138,6 @@ def detect_steps(
     times: np.ndarray,
     magnitudes: np.ndarray,
     cfg: StepConfig = StepConfig(),
-    state: AdaptiveThresholds | None = None,
 ) -> list[Step]:
     """Detect steps on a smoothed (time, magnitude) series.
 
@@ -147,8 +150,7 @@ def detect_steps(
     magnitudes = np.asarray(magnitudes, dtype=float)
     if len(times) == 0:
         return []
-    if state is None:
-        state = AdaptiveThresholds.from_config(cfg)
+    state = AdaptiveThresholds.from_config(cfg)
 
     peaks, _ = find_peaks(magnitudes, prominence=cfg.min_prominence)
     valleys, _ = find_peaks(-magnitudes, prominence=cfg.min_prominence)

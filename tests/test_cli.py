@@ -46,6 +46,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_seed_is_not_a_config_key(self, tmp_path):
+        path = tmp_path / "tf.conf"
+        path.write_text("seed = 3\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
     def test_pace_floor_ceiling_consistency(self, tmp_path):
         path = tmp_path / "tf.conf"
         path.write_text("step.pace_floor = 3.0\n")
@@ -126,6 +132,38 @@ class TestEvalCommand:
         report = json.loads((run_out / "report.json").read_text())
         assert report["floor_count"] == 3
         assert report["totals"]["errors"] == 0
+
+    def test_dotted_stem_scored_against_its_own_truth(self, tmp_path):
+        # a.b.tsl must be scored against a.b.truth.json, never a.truth.json
+        corpus = tmp_path / "dotted"
+        straight = WalkScript(
+            source_id="a", seed=31,
+            segments=[WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=20)],
+        )
+        corners = WalkScript(
+            source_id="a.b", seed=21,
+            segments=[
+                WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=h, steps=18)
+                for h in (0.0, 1.5, 0.1, 1.6)
+            ],
+        )
+        write_corpus([straight, corners], corpus)
+        out = tmp_path / "eval"
+        assert main(["eval", "--input", str(corpus), "--output", str(out)]) == 0
+        turning = json.loads((out / "eval.json").read_text())["turning"]
+        assert (turning["precision"], turning["recall"]) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_failed_log_exits_1(self, command, straight_corpus, tmp_path, caplog):
+        corpus = tmp_path / "wifi-only"
+        corpus.mkdir()
+        for p in straight_corpus.glob("*"):
+            (corpus / p.name).write_bytes(p.read_bytes())
+        (corpus / "radio.tsl").write_text("WIFI;0.5;0.5;net;aa:bb:cc:00:00:01;2412;-50\n")
+        (corpus / "radio.truth.json").write_bytes((straight_corpus / "walk.truth.json").read_bytes())
+        argv = [command, "--input", str(corpus), "--output", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "radio.tsl" in caplog.text
 
     def test_missing_truth_fatal(self, tmp_path):
         lonely = tmp_path / "lonely"

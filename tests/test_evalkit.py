@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from trackforge.evalkit import (
     SweepRow,
+    prf,
     score_floors,
     score_turnings,
     sweep,
@@ -62,6 +63,15 @@ class TestScoreTurnings:
         assert 0.0 <= s.f_measure <= 1.0
         assert s.true_positives <= min(len(detected), len(truth)) or not detected or not truth
         assert s.f_measure <= (s.precision + s.recall) / 2 + 1e-12
+
+
+class TestPrf:
+    def test_counts_to_ratios(self):
+        assert prf(2, 4, 2) == (0.5, 1.0, pytest.approx(2 / 3))
+
+    def test_vacuous_and_zero(self):
+        assert prf(0, 0, 0) == (1.0, 1.0, 1.0)
+        assert prf(0, 3, 2) == (0.0, 0.0, 0.0)
 
 
 class TestScoreFloors:

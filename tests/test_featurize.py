@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from trackforge.featurize import (
     TurningConfig,
     build_chain_graph,
     detect_turning_points,
-    featurize_segment,
+    featurize_segment_report,
     split_frequent_turnings,
 )
 from trackforge.floors import segment_trajectory
@@ -195,9 +196,12 @@ class TestBuildChainGraph:
             assert e.dy == b.y - a.y
 
     def test_rss_from_nearest_batch_within_window(self):
-        pts = make_points(l_shape())
         obs = (WifiObservation(0.1, 0.1, "x", "aa:bb:cc:00:00:01", 2412, -48),)
         batches = [WifiBatch(time=0.1, observations=obs)]
+        pts = make_points(l_shape())
+        # as pdr.integrate annotates: the burst is 0.1 s from the first point
+        # and ~10 s from the last, outside the 5 s window
+        pts[0] = replace(pts[0], wifi_ref=0)
         graph = build_chain_graph(pts, [0, len(pts) - 1], batches, floor=1)
         assert graph.vertices[0].rss == {"aa:bb:cc:00:00:01": -48}
         assert graph.vertices[1].rss is None  # last point is ~10 s away
@@ -223,7 +227,7 @@ class TestFeaturizeSegment:
             segments=[WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=20)],
         )
         traj, segments, _ = self._traj_for(script)
-        graphs = featurize_segment(traj, segments[0], TurningConfig())
+        graphs = featurize_segment_report(traj, segments[0], TurningConfig())[0]
         assert len(graphs) == 1
         assert len(graphs[0].vertices) == 2
         assert len(graphs[0].edges) == 1
@@ -240,7 +244,7 @@ class TestFeaturizeSegment:
         )
         traj, segments, truth = self._traj_for(script)
         assert len(segments) == 1
-        graphs = featurize_segment(traj, segments[0], TurningConfig())
+        graphs = featurize_segment_report(traj, segments[0], TurningConfig())[0]
         assert len(graphs) == 1
         assert len(graphs[0].vertices) == 5  # two ends + three corners
         corner_positions = np.array(truth.corner_points)
@@ -256,5 +260,5 @@ class TestFeaturizeSegment:
         )
         traj, segments, _ = self._traj_for(script)
         segments[0].floor = 7
-        graphs = featurize_segment(traj, segments[0], TurningConfig())
+        graphs = featurize_segment_report(traj, segments[0], TurningConfig())[0]
         assert graphs[0].floor == 7

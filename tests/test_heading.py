@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from trackforge.heading import (
     GRAVITY,
-    AttitudeState,
     HeadingConfig,
-    estimate_yaw,
     motion_direction,
     rotate_by_gyro,
     tilt_compensated_yaw,
@@ -99,8 +97,6 @@ class TestTiltCompensatedYaw:
 
     def test_zero_field_rejected(self):
         assert tilt_compensated_yaw(FLAT, np.zeros(3)) is None
-        state = AttitudeState(FLAT, 0.0, 0.0, 0.73, 0.0, True)
-        assert estimate_yaw(state, np.zeros(3)) == pytest.approx(0.73)
 
     @given(st.floats(min_value=-math.pi, max_value=math.pi))
     @settings(max_examples=60, deadline=None)

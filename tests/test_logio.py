@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from trackforge.logio import (
     TslParseError,
     WifiObservation,
     graphs_to_document,
+    nearest_index,
     parse_chain_graphs,
     parse_log,
     serialize_log,
@@ -183,3 +185,34 @@ class TestChainGraphDocuments:
         write_chain_graphs([graph], out)
         parsed = parse_chain_graphs(out.read_bytes())
         assert parsed == [graph]
+
+
+# quarter-unit grids make duplicate timestamps and exact ties common
+_grid_times = st.lists(st.integers(-20, 20), max_size=12).map(lambda v: sorted(0.25 * x for x in v))
+
+
+class TestNearestIndex:
+    @given(
+        src=_grid_times,
+        query=st.lists(st.integers(-100, 100).map(lambda x: 0.125 * x), max_size=12),
+        max_gap=st.one_of(st.none(), st.integers(0, 12).map(lambda x: 0.25 * x)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_argmin_oracle(self, src, query, max_gap):
+        src_a = np.array(src, dtype=float)
+        expected = []
+        for q in query:
+            if not src:
+                expected.append(-1)
+                continue
+            dist = np.abs(src_a - q)
+            k = int(np.argmin(dist))
+            expected.append(-1 if max_gap is not None and dist[k] > max_gap else k)
+        assert nearest_index(src, query, max_gap).tolist() == expected
+
+    def test_tie_and_duplicates_resolve_to_lowest_index(self):
+        src = [1.0, 1.0, 2.0, 3.0, 3.0]
+        assert nearest_index(src, [1.5, 2.5, 9.0, -4.0]).tolist() == [0, 2, 3, 0]
+
+    def test_empty_source_gives_minus_one(self):
+        assert nearest_index([], [0.0, 1.0]).tolist() == [-1, -1]

@@ -70,7 +70,6 @@ class TestIntegrate:
         traj = integrate([], minimal_log())
         assert len(traj.points) == 1
         assert (traj.points[0].x, traj.points[0].y) == (0.0, 0.0)
-        assert traj.step_vectors == []
 
     def test_point_count_and_ordering(self):
         specs = [(1.0 + 0.5 * k, 0.7, 0.1 * k) for k in range(8)]
@@ -79,15 +78,6 @@ class TestIntegrate:
         times = [p.t for p in traj.points]
         assert times == sorted(times)
         assert [p.step_index for p in traj.points] == list(range(-1, 8))
-
-    def test_telescoping_is_bitwise(self):
-        rng = np.random.default_rng(7)
-        specs = [(1.0 + 0.5 * k, float(rng.uniform(0.4, 1.0)), float(rng.uniform(-3, 3)))
-                 for k in range(50)]
-        traj = integrate(make_steps(specs), minimal_log(4000))
-        for (a, b, v) in zip(traj.points, traj.points[1:], traj.step_vectors):
-            assert b.x - a.x == v[0]
-            assert b.y - a.y == v[1]
 
     def test_endpoint_equals_refold_of_updates(self):
         rng = np.random.default_rng(8)

@@ -62,6 +62,14 @@ class TestMovingAverage:
         sm = moving_average(x, 5)
         assert sm[5] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n,window", [(0, 5), (1, 5), (7, 3), (40, 1), (40, 5), (40, 51)])
+    def test_columns_match_one_dimensional_bitwise(self, n, window):
+        x = np.random.default_rng(n + window).normal(size=(n, 3))
+        sm = moving_average(x, window)
+        assert sm.shape == (n, 3)
+        for c in range(3):
+            assert np.array_equal(sm[:, c], moving_average(x[:, c], window))
+
 
 class TestDetectSteps:
     def test_constant_signal_no_steps(self):
