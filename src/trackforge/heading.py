@@ -12,6 +12,10 @@ Earth-horizontal linear acceleration over the step window, disambiguated to
 the half-axis at an acute angle to the phone yaw. All angles are wrapped to
 [-pi, pi]; headings share one magnetic-frame convention: yaw 0 when the
 horizontal field lies along phone +y, +pi/2 when along phone +x.
+
+The per-sample loops work on Python floats, but every 3-element dot product
+and norm stays on ``ndarray.dot``: BLAS may fuse its multiply-adds, so a
+scalar sum could round differently and change the output bits.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .stepdetect import Step, moving_average
 logger = logging.getLogger(__name__)
 
 GRAVITY = 9.80665  # m/s^2, value the quasi-static gate compares against
+_FLAT_STD = 1e-12  # a correlation window with a smaller std is flat
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,18 @@ def wrap_angle(x: float) -> float:
     return math.atan2(math.sin(x), math.cos(x))
 
 
+def _cross(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
+    """``np.cross`` of two 3-vectors: the same products and differences, in floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a float vector, which is sqrt(v . v)."""
+    return math.sqrt(v.dot(v))
+
+
 def rotate_by_gyro(v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
     """Rotate an Earth-fixed vector expressed in the phone frame.
 
@@ -69,16 +87,25 @@ def rotate_by_gyro(v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
     -|omega|*dt about the omega axis in phone coordinates (dv/dt = -omega x v).
     Renormalized to keep unit length under long integrations.
     """
-    angle = float(np.linalg.norm(omega)) * dt
+    rate = _norm(omega)
+    angle = rate * dt
     if angle < 1e-15:
         return v
-    axis = omega / np.linalg.norm(omega)
+    axis = omega / rate
     c, s = math.cos(-angle), math.sin(-angle)
-    rotated = v * c + np.cross(axis, v) * s + axis * np.dot(axis, v) * (1.0 - c)
-    return rotated / np.linalg.norm(rotated)
+    d = float(axis.dot(v))
+    k = 1.0 - c
+    (v0, v1, v2), (a0, a1, a2) = v.tolist(), axis.tolist()
+    x0, x1, x2 = _cross((a0, a1, a2), (v0, v1, v2))
+    rotated = np.array((
+        v0 * c + x0 * s + a0 * d * k,
+        v1 * c + x1 * s + a1 * d * k,
+        v2 * c + x2 * s + a2 * d * k,
+    ))
+    return rotated / _norm(rotated)
 
 
-def roll_pitch(gravity: np.ndarray) -> tuple[float, float]:
+def roll_pitch(gravity: Sequence[float]) -> tuple[float, float]:
     gx, gy, gz = gravity
     return math.atan2(gy, gz), math.atan2(-gx, math.hypot(gy, gz))
 
@@ -89,13 +116,13 @@ def _horizontal_basis(gravity: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     forward = phone +y projected onto the plane normal to gravity. Degenerate
     (returns None) when gravity is along phone +y.
     """
-    f = np.array([0.0, 1.0, 0.0]) - gravity[1] * gravity
-    norm = np.linalg.norm(f)
+    g0, g1, g2 = gravity.tolist()
+    f = np.array((0.0 - g1 * g0, 1.0 - g1 * g1, 0.0 - g1 * g2))
+    norm = _norm(f)
     if norm < 1e-9:
         return None
     e1 = f / norm
-    e2 = np.cross(e1, gravity)
-    return e1, e2
+    return e1, np.array(_cross(e1.tolist(), (g0, g1, g2)))
 
 
 def tilt_compensated_yaw(gravity: np.ndarray, mag: np.ndarray) -> float | None:
@@ -104,14 +131,15 @@ def tilt_compensated_yaw(gravity: np.ndarray, mag: np.ndarray) -> float | None:
     Returns None for a zero/vertical field or a gimbal-locked pose (caller
     retains the previous yaw).
     """
-    if float(np.linalg.norm(mag)) < 1e-12:
+    mag = np.asarray(mag, dtype=float)
+    if _norm(mag) < 1e-12:
         return None
     basis = _horizontal_basis(gravity)
     if basis is None:
         return None
     e1, e2 = basis
-    c = float(np.dot(mag, e1))
-    s = float(np.dot(mag, e2))
+    c = float(mag.dot(e1))
+    s = float(mag.dot(e2))
     if math.hypot(c, s) < 1e-12:
         return None
     return math.atan2(s, c)
@@ -123,12 +151,68 @@ def _increment_correlation(a: np.ndarray, b: np.ndarray) -> float:
     if len(a) < 3:
         return 1.0
     sa, sb = float(np.std(a)), float(np.std(b))
-    flat = 1e-12
+    flat = _FLAT_STD
     if sa < flat and sb < flat:
         return 1.0
     if sa < flat or sb < flat:
         return 0.0
     return float(np.corrcoef(a, b)[0, 1])
+
+
+def _window_moments(x: np.ndarray, n: int, rel: float) -> tuple[float, float, np.ndarray, bool | None]:
+    """Two-pass std of one series, the bound on its mean error, its deviations,
+    and whether it is flat (None: too close to the flatness test to tell).
+
+    Any summation order gives a mean within ``dev`` of the exact one and a
+    std in [s (1 - r), (s + dev) (1 + r)], s the exact std and r ~ n eps;
+    NumPy's ``std`` and this estimate both lie in that envelope.
+    """
+    mean = float(x.sum()) / n
+    d = x - mean
+    ss = float(d.dot(d))
+    std = math.sqrt(ss / n)
+    dev = (n + 2) * _EPS * (abs(mean) + 2.0 * math.sqrt(ss))  # |mean| + 2 sqrt(ss) >= max |x|
+    flat = None
+    if (std + dev) * (1.0 + rel) < _FLAT_STD:
+        flat = True
+    elif std * (1.0 - rel) - dev >= _FLAT_STD:
+        flat = False
+    return std, dev, d, flat
+
+
+def _gate_estimate(a: np.ndarray, b: np.ndarray, gate: float) -> bool | None:
+    """``_increment_correlation(a, b) > gate`` from a two-pass estimate, or None
+    when the window is too close to the flatness test or to the gate to tell.
+
+    Both this Pearson estimate and ``np.corrcoef`` are within
+    (n + 6) eps + (ea + eb)^2 of the exact correlation, where ea, eb are the
+    mean errors relative to each std. The two are within twice that of each
+    other, and the margin doubles it again.
+    """
+    n = len(a)
+    rel = (n + 8) * _EPS
+    sa, dev_a, da, flat_a = _window_moments(a, n, rel)
+    sb, dev_b, db, flat_b = _window_moments(b, n, rel)
+    if flat_a is None or flat_b is None:
+        return None
+    if flat_a or flat_b:
+        return (1.0 if flat_a and flat_b else 0.0) > gate
+    corr = float(da.dot(db)) / (n * sa * sb)  # np.corrcoef's clip to [-1, 1] is within the margin
+    shift = dev_a / (sa * (1.0 - rel) - dev_a) + dev_b / (sb * (1.0 - rel) - dev_b)
+    margin = 4.0 * ((n + 8) * _EPS + shift * shift)
+    if corr - gate > margin:
+        return True
+    if gate - corr > margin:
+        return False
+    return None
+
+
+def _mag_trusted(a: np.ndarray, b: np.ndarray, gate: float) -> bool:
+    """The trust gate on one window of (gyro, magnetometer) yaw increments."""
+    trusted = _gate_estimate(a, b, gate)
+    if trusted is None:
+        trusted = _increment_correlation(a.copy(), b.copy()) > gate
+    return trusted
 
 
 def track_attitude(
@@ -150,61 +234,68 @@ def track_attitude(
     times = np.array([s.app_timestamp for s in accel])
     accel_v = np.array([s.values for s in accel])
 
-    gyro_v = gyro_t = None
     if gyro:
         gyro_t = np.array([s.app_timestamp for s in gyro])
         gyro_v = np.array([s.values for s in gyro])
         gyro_idx = nearest_index(gyro_t, times)
-    magn_v = None
     if magn:
         magn_t = np.array([s.app_timestamp for s in magn])
         magn_v = np.array([s.values for s in magn])
         magn_idx = nearest_index(magn_t, times)
 
-    norm0 = float(np.linalg.norm(accel_v[0]))
+    norm0 = _norm(accel_v[0])
     gravity = accel_v[0] / norm0 if norm0 > 1e-9 else np.array([0.0, 0.0, 1.0])
 
     yaw = 0.0
     mag_trust = True
-    # trailing (time, gyro yaw increment, mag yaw increment) for the trust gate
-    history: list[tuple[float, float, float]] = []
+    # trust-gate window: fixes[:, start:m] hold each fix's time, gyro yaw
+    # increment and mag yaw increment, for the fixes within corr_window_s
+    fixes = np.empty((3, 64))
+    start = m = 0
     prev_mag_yaw: float | None = None
     states: list[AttitudeState] = []
 
-    for k, t in enumerate(times):
-        dt = float(t - times[k - 1]) if k > 0 else 0.0
-        omega = gyro_v[gyro_idx[k]] if gyro_v is not None else np.zeros(3)
-        if dt > 0 and gyro_v is not None:
+    no_rotation = np.zeros(3)
+    t_prev = None
+    for k in range(len(times)):
+        t = float(times[k])
+        dt = t - t_prev if t_prev is not None else 0.0
+        t_prev = t
+        omega = gyro_v[gyro_idx[k]] if gyro else no_rotation
+        if dt > 0 and gyro:
             gravity = rotate_by_gyro(gravity, omega, dt)
 
         a = accel_v[k]
-        norm = float(np.linalg.norm(a))
+        norm = _norm(a)
         if abs(norm - GRAVITY) <= cfg.g_tol and norm > 1e-9:
             gravity = a / norm
 
-        gyro_rate = float(np.dot(omega, gravity))
-        mag_yaw = None
-        if magn_v is not None:
-            mag_yaw = tilt_compensated_yaw(gravity, magn_v[magn_idx[k]])
+        gyro_rate = float(omega.dot(gravity))
+        mag_yaw = tilt_compensated_yaw(gravity, magn_v[magn_idx[k]]) if magn else None
 
         if mag_yaw is not None:
-            mag_inc = wrap_angle(mag_yaw - prev_mag_yaw) if prev_mag_yaw is not None else 0.0
-            history.append((float(t), gyro_rate * dt, mag_inc))
+            if m == fixes.shape[1]:  # full: move the window to the front, with room to grow
+                kept = fixes[:, start:m]
+                fixes = np.empty((3, max(64, 2 * kept.shape[1])))
+                fixes[:, : m - start] = kept
+                m -= start
+                start = 0
+            fixes[0, m] = t
+            fixes[1, m] = gyro_rate * dt
+            fixes[2, m] = wrap_angle(mag_yaw - prev_mag_yaw) if prev_mag_yaw is not None else 0.0
+            m += 1
             prev_mag_yaw = mag_yaw
-            while history and history[0][0] < t - cfg.corr_window_s:
-                history.pop(0)
-            if len(history) >= 3:
-                corr = _increment_correlation(
-                    np.array([h[1] for h in history]), np.array([h[2] for h in history])
-                )
-                mag_trust = corr > cfg.corr_gate
+            while start < m and fixes[0, start] < t - cfg.corr_window_s:
+                start += 1
+            if m - start >= 3:
+                mag_trust = _mag_trusted(fixes[1, start:m], fixes[2, start:m], cfg.corr_gate)
 
         if mag_trust and mag_yaw is not None:
             yaw = mag_yaw
         else:
             yaw = wrap_angle(yaw + gyro_rate * dt)
 
-        roll, pitch = roll_pitch(gravity)
+        roll, pitch = roll_pitch(gravity.tolist())
         states.append(
             AttitudeState(
                 gravity_vec=gravity.copy(),
@@ -297,18 +388,21 @@ def step_headings(
     accel_v = np.array([s.values for s in log.accel])
     grav = _smoothed_gravity(states, times)
 
+    # a sample in several consecutive step windows is projected once
+    projected: dict[int, np.ndarray | None] = {}
     prev_heading: float | None = None
     for step in steps:
         lookback = min(step.pace, 2.5 * max(step.valley_time - step.peak_time, 1e-3))
         lo = int(np.searchsorted(times, step.peak_time - lookback, side="right"))
         hi = int(np.searchsorted(times, step.valley_time, side="right"))
         state = states[step.peak_index]
+        projected = {k: xy for k, xy in projected.items() if lo <= k < hi}
         window = []
         for k in range(lo, hi):
-            linear = accel_v[k] - GRAVITY * grav[k]
-            flat = earth_horizontal(linear, grav[k], states[k].yaw)
-            if flat is not None:
-                window.append(flat)
+            if k not in projected:
+                projected[k] = earth_horizontal(accel_v[k] - GRAVITY * grav[k], grav[k], states[k].yaw)
+            if projected[k] is not None:
+                window.append(projected[k])
         est = motion_direction(np.array(window) if window else np.empty((0, 2)), state.yaw, cfg)
         if est.low_confidence:
             step.heading_rad = prev_heading if prev_heading is not None else est.phone_yaw

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .featurize import ChainGraph, featurize_segment_report
-from .floors import TrajectorySegment, cluster_floors, segment_trajectory
+from .floors import FloorClusteringError, TrajectorySegment, cluster_floors, segment_trajectory
 from .heading import step_headings
 from .logio import SensorLog, parse_log, write_chain_graphs
 from .pdr import PdrTrajectory, integrate
@@ -55,6 +55,7 @@ class RunReport:
     files: list[FileReport]
     floor_count: int = 0
     floor_pressures: list[float] = field(default_factory=list)
+    error: str | None = None  # why the run stopped before writing graphs
 
     def totals(self) -> dict[str, int]:
         return {
@@ -66,12 +67,20 @@ class RunReport:
         }
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "files": [asdict(f) for f in self.files],
             "floor_count": self.floor_count,
             "floor_pressures": self.floor_pressures,
             "totals": self.totals(),
         }
+        if self.error is not None:
+            doc["error"] = self.error
+        return doc
+
+    def write(self, output_dir: Path) -> None:
+        (output_dir / "report.json").write_text(
+            json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
 
 def process_log(log: SensorLog, cfg: PipelineConfig, gait_model: GaitModel) -> ProcessedLog:
@@ -136,7 +145,11 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
 
     Unreadable files are recorded and skipped; an empty directory or zero
     parsable files raises PipelineError. Writes one ``<stem>.graphs.json`` per
-    parsed input plus ``report.json`` into output_dir.
+    parsed input plus ``report.json`` into output_dir. A corpus without floor
+    segments has no floors and zero graphs. When floor clustering fails (a log
+    without barometer data beside logs with it), only ``report.json`` is
+    written, with the per-file reports and the error, and PipelineError is
+    raised.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir)
@@ -149,8 +162,19 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
     if not processed:
         raise PipelineError("no input file could be processed")
 
+    run_report = RunReport(files=reports)
     all_segments = [seg for name in sorted(processed) for seg in processed[name].segments]
-    assignment = cluster_floors(all_segments, cut=cfg.floor.cut, floor_count=cfg.floors_override)
+    if all_segments:
+        try:
+            assignment = cluster_floors(all_segments, cut=cfg.floor.cut, floor_count=cfg.floors_override)
+        except FloorClusteringError as exc:
+            run_report.error = f"floor clustering failed: {exc}"
+            run_report.write(output_dir)
+            raise PipelineError(run_report.error) from exc
+        run_report.floor_count = assignment.floor_count
+        run_report.floor_pressures = assignment.cluster_pressures
+    else:
+        logger.warning("no log has a floor segment: no floors to cluster")
 
     for name in sorted(processed):
         item = processed[name]
@@ -163,12 +187,5 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
         report.graphs = len(graphs)
         write_chain_graphs(graphs, output_dir / f"{Path(name).stem}.graphs.json")
 
-    run_report = RunReport(
-        files=reports,
-        floor_count=assignment.floor_count,
-        floor_pressures=assignment.cluster_pressures,
-    )
-    (output_dir / "report.json").write_text(
-        json.dumps(run_report.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    run_report.write(output_dir)
     return run_report

@@ -94,6 +94,47 @@ class TestRunCommand:
         errors = [f for f in report["files"] if f["error"]]
         assert len(errors) == 1 and errors[0]["name"] == "broken.tsl"
 
+    def test_no_floor_segments_exit_0(self, straight_corpus, tmp_path):
+        # the first 2 s of the walk hold too few steps for a floor segment
+        lines = (straight_corpus / "walk.tsl").read_text().splitlines(keepends=True)
+        t0 = min(float(ln.split(";")[1]) for ln in lines if not ln.startswith("%"))
+        short = tmp_path / "short"
+        short.mkdir()
+        (short / "walk.tsl").write_text(
+            "".join(ln for ln in lines if ln.startswith("%") or float(ln.split(";")[1]) < t0 + 2.0)
+        )
+        out = tmp_path / "out4"
+        assert main(["run", "--input", str(short), "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["floor_count"] == 0 and report["floor_pressures"] == []
+        assert report["totals"]["segments"] == 0 and report["totals"]["graphs"] == 0
+        assert "error" not in report
+        assert parse_chain_graphs((out / "walk.graphs.json").read_text()) == []
+
+    def test_barometer_missing_in_one_log_exit_2_with_report(self, tmp_path):
+        # the barometer-less floor-1 segment joins the floor-1 cluster, whose
+        # mean pressure turns NaN and cannot be ordered against floor 2
+        corpus = tmp_path / "mixed-baro"
+        write_corpus([
+            WalkScript(source_id="two-floors", seed=41, segments=[
+                WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
+                WalkSegmentSpec(floor=2, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
+            ]),
+            WalkScript(source_id="no-baro", seed=42, segments=[
+                WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
+            ]),
+        ], corpus)
+        log = corpus / "no-baro.tsl"
+        log.write_text("".join(ln for ln in log.read_text().splitlines(keepends=True) if not ln.startswith("PRES")))
+        out = tmp_path / "out5"
+        assert main(["run", "--input", str(corpus), "--output", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert [f["name"] for f in report["files"]] == ["no-baro.tsl", "two-floors.tsl"]
+        assert all(f["error"] is None and f["segments"] > 0 for f in report["files"])
+        assert "not strictly decreasing" in report["error"]
+        assert report["floor_count"] == 0
+        assert not list(out.glob("*.graphs.json"))
+
 
 class TestSynthCommand:
     def test_script_rendering(self, tmp_path):

@@ -5,16 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trackforge import heading
 from trackforge.heading import (
     GRAVITY,
+    AttitudeState,
     HeadingConfig,
+    _cross,
+    _gate_estimate,
+    _increment_correlation,
+    _mag_trusted,
     motion_direction,
+    roll_pitch,
     rotate_by_gyro,
     tilt_compensated_yaw,
     track_attitude,
     wrap_angle,
 )
-from trackforge.logio import SensorSample
+from trackforge.logio import SensorSample, nearest_index
 
 
 def imu_stream(times, rows):
@@ -174,3 +181,263 @@ class TestGravityRotation:
         # rotating the phone about x tips measured gravity toward +y
         v = rotate_by_gyro(FLAT.copy(), np.array([0.5, 0.0, 0.0]), 0.1)
         assert v[1] > 0
+
+
+# -- reference: the per-sample NumPy attitude loop that track_attitude replaced --
+
+def _ref_rotate_by_gyro(v, omega, dt):
+    angle = float(np.linalg.norm(omega)) * dt
+    if angle < 1e-15:
+        return v
+    axis = omega / np.linalg.norm(omega)
+    c, s = math.cos(-angle), math.sin(-angle)
+    rotated = v * c + np.cross(axis, v) * s + axis * np.dot(axis, v) * (1.0 - c)
+    return rotated / np.linalg.norm(rotated)
+
+
+def _ref_tilt_compensated_yaw(gravity, mag):
+    if float(np.linalg.norm(mag)) < 1e-12:
+        return None
+    f = np.array([0.0, 1.0, 0.0]) - gravity[1] * gravity
+    norm = np.linalg.norm(f)
+    if norm < 1e-9:
+        return None
+    e1 = f / norm
+    e2 = np.cross(e1, gravity)
+    c = float(np.dot(mag, e1))
+    s = float(np.dot(mag, e2))
+    if math.hypot(c, s) < 1e-12:
+        return None
+    return math.atan2(s, c)
+
+
+def _ref_track_attitude(accel, gyro, magn, cfg=HeadingConfig(), windows=None):
+    times = np.array([s.app_timestamp for s in accel])
+    accel_v = np.array([s.values for s in accel])
+    gyro_v = None
+    if gyro:
+        gyro_v = np.array([s.values for s in gyro])
+        gyro_idx = nearest_index(np.array([s.app_timestamp for s in gyro]), times)
+    magn_v = None
+    if magn:
+        magn_v = np.array([s.values for s in magn])
+        magn_idx = nearest_index(np.array([s.app_timestamp for s in magn]), times)
+
+    norm0 = float(np.linalg.norm(accel_v[0]))
+    gravity = accel_v[0] / norm0 if norm0 > 1e-9 else np.array([0.0, 0.0, 1.0])
+    yaw = 0.0
+    mag_trust = True
+    history = []
+    prev_mag_yaw = None
+    states = []
+    for k, t in enumerate(times):
+        dt = float(t - times[k - 1]) if k > 0 else 0.0
+        omega = gyro_v[gyro_idx[k]] if gyro_v is not None else np.zeros(3)
+        if dt > 0 and gyro_v is not None:
+            gravity = _ref_rotate_by_gyro(gravity, omega, dt)
+        a = accel_v[k]
+        norm = float(np.linalg.norm(a))
+        if abs(norm - GRAVITY) <= cfg.g_tol and norm > 1e-9:
+            gravity = a / norm
+        gyro_rate = float(np.dot(omega, gravity))
+        mag_yaw = None
+        if magn_v is not None:
+            mag_yaw = _ref_tilt_compensated_yaw(gravity, magn_v[magn_idx[k]])
+        if mag_yaw is not None:
+            mag_inc = wrap_angle(mag_yaw - prev_mag_yaw) if prev_mag_yaw is not None else 0.0
+            history.append((float(t), gyro_rate * dt, mag_inc))
+            prev_mag_yaw = mag_yaw
+            while history and history[0][0] < t - cfg.corr_window_s:
+                history.pop(0)
+            if len(history) >= 3:
+                a, b = np.array([h[1] for h in history]), np.array([h[2] for h in history])
+                if windows is not None:
+                    windows.append((a.tobytes(), b.tobytes()))
+                corr = _increment_correlation(a, b)
+                mag_trust = corr > cfg.corr_gate
+        if mag_trust and mag_yaw is not None:
+            yaw = mag_yaw
+        else:
+            yaw = wrap_angle(yaw + gyro_rate * dt)
+        roll, pitch = roll_pitch(gravity)
+        states.append(AttitudeState(gravity.copy(), roll, pitch, yaw, mag_trust))
+    return states
+
+
+def _bits(state):
+    return (state.gravity_vec.tobytes(), np.array([state.roll, state.pitch, state.yaw]).tobytes(), state.mag_trust)
+
+
+def _turning_phone(seed, n=600, gimbal=False, dyadic=False):
+    """A tilted, turning phone at jittered 100 Hz (or exactly 128 Hz, where a
+    fix can lie exactly one correlation window back): accel near g (some
+    samples snap, some do not), gyro and magnetometer on their own clocks, a
+    compass that follows the gyro for the first half and wanders for the
+    second, and a few zero-field magnetometer samples."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(1, n + 1) / 128.0 if dyadic else np.cumsum(rng.uniform(0.008, 0.012, n))
+    rate = 0.8 * np.sin(0.9 * t) + rng.normal(0, 0.05, n)
+    psi = np.concatenate([[0.0], np.cumsum(rate[1:] * np.diff(t))])
+    psi[n // 2:] += rng.normal(0, 0.3, n - n // 2)
+    if gimbal:
+        accel = np.tile([0.0, GRAVITY, 0.0], (n, 1))
+    else:
+        tilt = np.column_stack([0.2 * np.sin(0.5 * t), 0.3 * np.cos(0.4 * t), np.ones(n)])
+        tilt /= np.linalg.norm(tilt, axis=1, keepdims=True)
+        accel = tilt * (GRAVITY + rng.normal(0, 0.4, (n, 1)))
+    gyro = np.column_stack([rng.normal(0, 0.05, n), rng.normal(0, 0.05, n), rate])
+    magn = np.column_stack([-25 * np.sin(psi), 25 * np.cos(psi), np.full(n, 40.0)])
+    magn[rng.choice(n, 5, replace=False)] = 0.0
+    t_gyro = t + rng.uniform(-0.004, 0.004, n)
+    t_magn = t[::2] if dyadic else t[::2] + 0.003
+    return imu_stream(t, accel), imu_stream(t_gyro, gyro), imu_stream(t_magn, magn[::2])
+
+
+class TestAttitudeReference:
+    """track_attitude gives bit-for-bit the states of the per-sample NumPy loop."""
+
+    @pytest.mark.parametrize("mode", ["gyro+magn", "no-gyro", "no-magn", "gimbal-lock"])
+    @pytest.mark.parametrize("seed,dyadic", [(3, False), (8, True)])
+    def test_bitwise_equal_to_reference(self, mode, seed, dyadic):
+        accel, gyro, magn = _turning_phone(seed, gimbal=mode == "gimbal-lock", dyadic=dyadic)
+        if mode == "no-gyro":
+            gyro = ()
+        if mode == "no-magn":
+            magn = ()
+        ref = _ref_track_attitude(accel, gyro, magn)
+        new = track_attitude(accel, gyro, magn)
+        assert len(new) == len(ref)
+        assert [_bits(s) for s in new] == [_bits(s) for s in ref]
+        if mode == "gyro+magn":
+            trusted = sum(s.mag_trust for s in new)
+            assert 0 < trusted < len(new)  # the gate decided both ways
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_gate_sees_the_reference_windows(self, dyadic, monkeypatch):
+        accel, gyro, magn = _turning_phone(4, n=900, dyadic=dyadic)
+        seen = []
+        gate = heading._mag_trusted
+
+        def recording(a, b, corr_gate):
+            seen.append((a.tobytes(), b.tobytes()))
+            return gate(a, b, corr_gate)
+
+        monkeypatch.setattr(heading, "_mag_trusted", recording)
+        track_attitude(accel, gyro, magn)
+        expected = []
+        _ref_track_attitude(accel, gyro, magn, windows=expected)
+        assert len(seen) > 800
+        assert seen == expected
+
+    def test_window_keeps_a_fix_exactly_one_window_back(self):
+        # three compass fixes, the first exactly corr_window_s before the last:
+        # a full window against a flat (gyro-less) series, so trust is lost
+        t = np.arange(1, 131) / 128.0
+        accel = imu_stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
+        field = np.zeros((len(t), 3))
+        for k, yaw in ((0, 0.0), (64, 0.3), (128, 0.9)):
+            field[k] = (25 * math.sin(yaw), 25 * math.cos(yaw), 40.0)
+        magn = imu_stream(t, field)
+        states = track_attitude(accel, (), magn)
+        assert [s.mag_trust for s in states[126:]] == [True, True, False, False]
+        assert [_bits(s) for s in states] == [_bits(s) for s in _ref_track_attitude(accel, (), magn)]
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+        st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+        st.floats(0.0, 0.05),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rotate_by_gyro_bitwise(self, v, omega, dt):
+        v, omega = np.array(v), np.array(omega)
+        with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 gives NaN on both sides
+            new, ref = rotate_by_gyro(v, omega, dt), _ref_rotate_by_gyro(v, omega, dt)
+        assert new.tobytes() == ref.tobytes()
+
+    @given(
+        st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+        st.lists(st.floats(-60, 60), min_size=3, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tilt_compensated_yaw_bitwise(self, g, mag):
+        g, mag = np.array(g), np.array(mag)
+        assert repr(tilt_compensated_yaw(g, mag)) == repr(_ref_tilt_compensated_yaw(g, mag))
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_cross_bitwise(self, xs):
+        a, b = np.array(xs[:3]), np.array(xs[3:])
+        assert np.array(_cross(a.tolist(), b.tolist())).tobytes() == np.cross(a, b).tobytes()
+
+
+def _window_pair(kind, n, seed, gate, offset):
+    """(gyro increments, magnetometer increments) of one trust-gate window."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-0.05, 0.05, 2)
+    if kind == "flat":
+        return np.full(n, base[0]), np.full(n, base[1])
+    if kind == "one-flat":
+        return np.full(n, base[0]), base[1] + rng.normal(0, 0.01, n)
+    if kind == "near-flat":
+        std = 10.0 ** rng.uniform(-13, -11)
+        return base[0] + rng.normal(0, std, n), base[1] + rng.normal(0, 10.0 ** rng.uniform(-13, -1), n)
+    # near the gate: correlation gate + offset, offset within 1e-12
+    x = rng.normal(0, 1, n)
+    x -= x.mean()
+    y = rng.normal(0, 1, n)
+    y -= y.mean()
+    y -= (x @ y) / (x @ x) * x
+    r = min(max(gate + offset, -1.0), 1.0)
+    b = r * x / np.linalg.norm(x) + math.sqrt(1.0 - r * r) * y / np.linalg.norm(y)
+    return 0.01 * x + base[0], 0.02 * b + base[1]
+
+
+class TestTrustGate:
+    """The two-pass gate estimate decides as _increment_correlation does, or abstains."""
+
+    def test_two_flat_series_agree(self):
+        a, b = np.full(10, 0.01), np.zeros(10)
+        assert _increment_correlation(a, b) == 1.0
+        assert _gate_estimate(a, b, 0.8) is True
+        assert _gate_estimate(a, b, 1.0) is False
+
+    def test_one_flat_series_disagrees(self):
+        a, b = np.zeros(10), np.sin(np.arange(10.0))
+        assert _increment_correlation(a, b) == 0.0
+        assert _increment_correlation(b, a) == 0.0
+        assert _gate_estimate(a, b, 0.8) is False
+        assert _gate_estimate(b, a, -0.5) is True
+
+    @given(
+        st.sampled_from(["flat", "one-flat", "near-flat", "near-gate"]),
+        st.integers(3, 150),
+        st.integers(0, 2**32 - 1),
+        st.floats(-1.0, 1.0),
+        st.floats(-1e-12, 1e-12),
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_decision_as_reference(self, kind, n, seed, gate, offset, swap):
+        a, b = _window_pair(kind, n, seed, gate, offset)
+        if swap:
+            a, b = b, a
+        expected = _increment_correlation(a, b) > gate
+        estimate = _gate_estimate(a, b, gate)
+        assert estimate is None or estimate == expected
+        assert _mag_trusted(a, b, gate) == expected
+
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(3, 150))
+    @settings(max_examples=200, deadline=None)
+    def test_all_equal_windows_take_the_cheap_path(self, x, y, n):
+        a, b = np.full(n, x), np.full(n, y)
+        assert _gate_estimate(a, b, 0.8) is (_increment_correlation(a, b) > 0.8)
+
+    def test_no_gyro_attitude_never_falls_back(self, monkeypatch):
+        accel, _, magn = _turning_phone(5)
+
+        def fail(a, b):
+            raise AssertionError("fell back to _increment_correlation")
+
+        monkeypatch.setattr(heading, "_increment_correlation", fail)
+        states = track_attitude(accel, (), magn)
+        assert not any(s.mag_trust for s in states[300:])  # flat gyro vs moving compass
