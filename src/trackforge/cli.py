@@ -15,8 +15,7 @@ from pathlib import Path
 
 from . import evalkit, synth
 from .config import ConfigError, PipelineConfig, load_config
-from .pipeline import PipelineError, process_corpus, run_pipeline
-from .floors import cluster_floors
+from .pipeline import PipelineError, RunReport, process_corpus, run_pipeline
 from .stepdetect import StrideFeatures
 from .stride import Gait, GaitTrainingError, save_gait_model, train_gait_model
 
@@ -56,12 +55,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    try:
-        report = run_pipeline(args.input, args.output, cfg)
-    except PipelineError as exc:
-        logger.error("fatal: %s", exc)
-        return EXIT_FATAL
+    report = run_pipeline(args.input, args.output, _config_from_args(args))
     totals = report.totals()
     print(
         f"processed {len(report.files)} file(s): {totals['steps']} steps, "
@@ -94,11 +88,13 @@ def _truth_path(log_path: Path) -> Path:
     return log_path.with_name(f"{log_path.stem}.truth.json")
 
 
-def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig) -> tuple[list | None, int]:
-    """(trajectory, segments, truth) triples for every log with a ``<stem>.truth.json``.
+def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig) -> tuple[RunReport, list] | None:
+    """The corpus report and (trajectory, segments, truth) triples, floors
+    numbered, for every log with a ``<stem>.truth.json``.
 
-    Returns (None, exit code) when there is no such pair (2) or when a paired
-    log failed to process (1); ``process_corpus`` has logged why.
+    Raises PipelineError when there is no such pair or floor clustering
+    failed. Returns None when a paired log failed to process;
+    ``process_corpus`` has logged why.
     """
     paths = []
     for log_path in sorted(input_dir.glob("*.tsl")):
@@ -107,27 +103,26 @@ def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig) -> tuple[list | None
         else:
             logger.warning("no truth sidecar for %s, skipping", log_path.name)
     if not paths:
-        logger.error("fatal: no (.tsl, .truth.json) pairs in %s", input_dir)
-        return None, EXIT_FATAL
-    reports, processed = process_corpus(paths, cfg)
-    if any(r.error is not None for r in reports):
-        return None, EXIT_ERROR
+        raise PipelineError(f"no (.tsl, .truth.json) pairs in {input_dir}")
+    report, processed = process_corpus(paths, cfg)
+    if any(r.error is not None for r in report.files):
+        return None
+    if report.error is not None:
+        raise PipelineError(report.error)
     corpus = []
     for path in paths:
         item = processed[path.name]
         truth = synth.GroundTruth.from_json(json.loads(_truth_path(path).read_text(encoding="utf-8")))
         corpus.append((item.trajectory, item.segments, truth))
-    return corpus, EXIT_OK
+    return report, corpus
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    corpus, code = _load_eval_corpus(Path(args.input), cfg)
-    if corpus is None:
-        return code
-
-    all_segments = [seg for _, segments, _ in corpus for seg in segments]
-    assignment = cluster_floors(all_segments, cut=cfg.floor.cut, floor_count=cfg.floors_override)
+    loaded = _load_eval_corpus(Path(args.input), cfg)
+    if loaded is None:
+        return EXIT_ERROR
+    report, corpus = loaded
     predicted, truths = [], []
     for _, segments, truth in corpus:
         for seg in segments:
@@ -141,7 +136,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     result = {
         "floor_accuracy": floor_acc,
-        "floor_count": assignment.floor_count,
+        "floor_count": report.floor_count,
         "segments_scored": len(predicted),
         "turning": {
             "epsilon": cfg.turn.epsilon_rad,
@@ -152,7 +147,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         },
     }
     print(
-        f"floors: {assignment.floor_count}, accuracy {floor_acc:.3f} over {len(predicted)} segments; "
+        f"floors: {report.floor_count}, accuracy {floor_acc:.3f} over {len(predicted)} segments; "
         f"turning P={precision:.3f} R={recall:.3f} F={f:.3f} "
         f"(eps={cfg.turn.epsilon_rad}, t={cfg.turn.window_min})"
     )
@@ -174,11 +169,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     eps_grid = _parse_grid(args.epsilon_grid, float)
     win_grid = _parse_grid(args.window_grid, int)
-    corpus, code = _load_eval_corpus(Path(args.input), cfg)
-    if corpus is None:
-        return code
+    loaded = _load_eval_corpus(Path(args.input), cfg)
+    if loaded is None:
+        return EXIT_ERROR
     rows = evalkit.sweep(
-        corpus, eps_grid, win_grid,
+        loaded[1], eps_grid, win_grid,
         match_radius=args.match_radius, min_subtraj_len_m=cfg.turn.min_subtraj_len_m,
     )
     out = Path(args.output)
@@ -275,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         logger.error("config: %s", exc)
+        return EXIT_FATAL
+    except PipelineError as exc:
+        logger.error("fatal: %s", exc)
         return EXIT_FATAL
 
 

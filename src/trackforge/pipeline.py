@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -54,7 +55,7 @@ class FileReport:
 class RunReport:
     files: list[FileReport]
     floor_count: int = 0
-    floor_pressures: list[float] = field(default_factory=list)
+    floor_pressures: list[float | None] = field(default_factory=list)  # None: no barometer data
     error: str | None = None  # why the run stopped before writing graphs
 
     def totals(self) -> dict[str, int]:
@@ -112,19 +113,21 @@ def load_gait_model_or_default(cfg: PipelineConfig) -> GaitModel:
 
 def process_corpus(
     paths: Sequence[Path], cfg: PipelineConfig
-) -> tuple[list[FileReport], dict[str, ProcessedLog]]:
-    """Parse -> ``process_log`` -> floor segments for each log file, in order.
+) -> tuple[RunReport, dict[str, ProcessedLog]]:
+    """Parse -> ``process_log`` -> floor segments for each log file, in order,
+    then number the floors over all their segments.
 
     A file that fails is logged and its error recorded in its FileReport; the
-    other files go on. Returns one report per path and the processed logs by
-    file name. What a failed file means is up to the caller.
+    other files go on. Without floor segments there are no floors; when
+    clustering fails, the report's ``error`` says why and no segment has a
+    floor. Returns the report and the processed logs by file name.
     """
     gait_model = load_gait_model_or_default(cfg)
-    reports: list[FileReport] = []
+    run_report = RunReport(files=[])
     processed: dict[str, ProcessedLog] = {}
     for path in paths:
         report = FileReport(name=path.name)
-        reports.append(report)
+        run_report.files.append(report)
         try:
             log = parse_log(path.read_bytes(), source_id=path.stem)
             item = process_log(log, cfg, gait_model)
@@ -137,7 +140,19 @@ def process_corpus(
         except Exception as exc:  # recorded per-file; the corpus continues
             logger.error("failed to process %s: %s", path.name, exc)
             report.error = str(exc)
-    return reports, processed
+
+    segments = [seg for item in processed.values() for seg in item.segments]
+    if not segments:
+        logger.warning("no log has a floor segment: no floors to cluster")
+        return run_report, processed
+    try:
+        assignment = cluster_floors(segments, cut=cfg.floor.cut, floor_count=cfg.floors_override)
+    except FloorClusteringError as exc:
+        run_report.error = f"floor clustering failed: {exc}"
+    else:
+        run_report.floor_count = assignment.floor_count
+        run_report.floor_pressures = [None if math.isnan(p) else p for p in assignment.cluster_pressures]
+    return run_report, processed
 
 
 def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineConfig) -> RunReport:
@@ -145,11 +160,9 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
 
     Unreadable files are recorded and skipped; an empty directory or zero
     parsable files raises PipelineError. Writes one ``<stem>.graphs.json`` per
-    parsed input plus ``report.json`` into output_dir. A corpus without floor
-    segments has no floors and zero graphs. When floor clustering fails (a log
-    without barometer data beside logs with it), only ``report.json`` is
-    written, with the per-file reports and the error, and PipelineError is
-    raised.
+    parsed input plus ``report.json`` into output_dir. When floor clustering
+    fails, only ``report.json`` is written, with the error, and PipelineError
+    is raised.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir)
@@ -157,35 +170,24 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
     if not files:
         raise PipelineError(f"no .tsl files in {input_dir}")
     output_dir.mkdir(parents=True, exist_ok=True)
-    reports, processed = process_corpus(files, cfg)
-
+    run_report, processed = process_corpus(files, cfg)
     if not processed:
         raise PipelineError("no input file could be processed")
+    if run_report.error is not None:
+        run_report.write(output_dir)
+        raise PipelineError(run_report.error)
 
-    run_report = RunReport(files=reports)
-    all_segments = [seg for name in sorted(processed) for seg in processed[name].segments]
-    if all_segments:
-        try:
-            assignment = cluster_floors(all_segments, cut=cfg.floor.cut, floor_count=cfg.floors_override)
-        except FloorClusteringError as exc:
-            run_report.error = f"floor clustering failed: {exc}"
-            run_report.write(output_dir)
-            raise PipelineError(run_report.error) from exc
-        run_report.floor_count = assignment.floor_count
-        run_report.floor_pressures = assignment.cluster_pressures
-    else:
-        logger.warning("no log has a floor segment: no floors to cluster")
-
-    for name in sorted(processed):
-        item = processed[name]
-        report = next(r for r in reports if r.name == name)
+    for report in run_report.files:
+        if report.error is not None:
+            continue
+        item = processed[report.name]
         graphs: list[ChainGraph] = []
         for seg in item.segments:
             seg_graphs, dropped = featurize_segment_report(item.trajectory, seg, cfg.turn)
             graphs.extend(seg_graphs)
             report.dropped_subtrajectories += dropped
         report.graphs = len(graphs)
-        write_chain_graphs(graphs, output_dir / f"{Path(name).stem}.graphs.json")
+        write_chain_graphs(graphs, output_dir / f"{Path(report.name).stem}.graphs.json")
 
     run_report.write(output_dir)
     return run_report

@@ -12,7 +12,7 @@ to the signal energy of the current carrier/placement.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,37 +40,25 @@ class StepConfig:
 class AdaptiveThresholds:
     """Mutable detector state: current thresholds plus the (jerk, pace) buffer."""
 
+    cfg: StepConfig
     jerk_threshold: float
     pace_threshold: float
-    buffer: deque = field(default_factory=deque)
-    buffer_capacity: int = 10
-    jerk_floor: float = 0.6
-    pace_floor: float = 0.2
-    pace_ceiling: float = 2.0
-    update_ratio: float = 0.5
+    buffer: deque  # bounded by cfg.buffer_capacity
 
     @classmethod
     def from_config(cls, cfg: StepConfig) -> "AdaptiveThresholds":
-        return cls(
-            jerk_threshold=cfg.jerk_init,
-            pace_threshold=cfg.pace_init,
-            buffer=deque(maxlen=cfg.buffer_capacity),
-            buffer_capacity=cfg.buffer_capacity,
-            jerk_floor=cfg.jerk_floor,
-            pace_floor=cfg.pace_floor,
-            pace_ceiling=cfg.pace_ceiling,
-            update_ratio=cfg.update_ratio,
-        )
+        return cls(cfg, cfg.jerk_init, cfg.pace_init, deque(maxlen=cfg.buffer_capacity))
 
     def accept(self, jerk: float, pace: float) -> None:
         """Push an accepted step's stats and re-derive both thresholds."""
+        cfg = self.cfg
         self.buffer.append((jerk, pace))
         jerks = [j for j, _ in self.buffer]
         paces = [p for _, p in self.buffer]
-        self.jerk_threshold = max(self.jerk_floor, self.update_ratio * sum(jerks) / len(jerks))
+        self.jerk_threshold = max(cfg.jerk_floor, cfg.update_ratio * sum(jerks) / len(jerks))
         self.pace_threshold = min(
-            self.pace_ceiling,
-            max(self.pace_floor, self.update_ratio * sum(paces) / len(paces)),
+            cfg.pace_ceiling,
+            max(cfg.pace_floor, cfg.update_ratio * sum(paces) / len(paces)),
         )
 
 

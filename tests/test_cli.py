@@ -21,6 +21,49 @@ def straight_corpus(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def short_corpus(straight_corpus, tmp_path_factory):
+    """The first 2 s of the straight walk: too few steps for a floor segment."""
+    lines = (straight_corpus / "walk.tsl").read_text().splitlines(keepends=True)
+    t0 = min(float(ln.split(";")[1]) for ln in lines if not ln.startswith("%"))
+    short = tmp_path_factory.mktemp("short")
+    (short / "walk.tsl").write_text(
+        "".join(ln for ln in lines if ln.startswith("%") or float(ln.split(";")[1]) < t0 + 2.0)
+    )
+    (short / "walk.truth.json").write_bytes((straight_corpus / "walk.truth.json").read_bytes())
+    return short
+
+
+@pytest.fixture(scope="module")
+def mixed_baro_corpus(tmp_path_factory):
+    """A two-floor walk plus a one-floor walk without barometer records.
+
+    The barometer-less floor-1 segment joins the floor-1 cluster, whose mean
+    pressure turns NaN and cannot be ordered against floor 2.
+    """
+    corpus = tmp_path_factory.mktemp("mixed-baro")
+    write_corpus([
+        WalkScript(source_id="two-floors", seed=41, segments=[
+            WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
+            WalkSegmentSpec(floor=2, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
+        ]),
+        WalkScript(source_id="no-baro", seed=42, segments=[
+            WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
+        ]),
+    ], corpus)
+    _write_without_pres(corpus / "no-baro.tsl", corpus / "no-baro.tsl")
+    return corpus
+
+
+def _write_without_pres(src, dst):
+    lines = src.read_text().splitlines(keepends=True)
+    dst.write_text("".join(ln for ln in lines if not ln.startswith("PRES")))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestConfig:
     def test_defaults_load(self):
         cfg = load_config()
@@ -94,46 +137,42 @@ class TestRunCommand:
         errors = [f for f in report["files"] if f["error"]]
         assert len(errors) == 1 and errors[0]["name"] == "broken.tsl"
 
-    def test_no_floor_segments_exit_0(self, straight_corpus, tmp_path):
-        # the first 2 s of the walk hold too few steps for a floor segment
-        lines = (straight_corpus / "walk.tsl").read_text().splitlines(keepends=True)
-        t0 = min(float(ln.split(";")[1]) for ln in lines if not ln.startswith("%"))
-        short = tmp_path / "short"
-        short.mkdir()
-        (short / "walk.tsl").write_text(
-            "".join(ln for ln in lines if ln.startswith("%") or float(ln.split(";")[1]) < t0 + 2.0)
-        )
+    def test_no_floor_segments_exit_0(self, short_corpus, tmp_path):
         out = tmp_path / "out4"
-        assert main(["run", "--input", str(short), "--output", str(out)]) == 0
+        assert main(["run", "--input", str(short_corpus), "--output", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["floor_count"] == 0 and report["floor_pressures"] == []
         assert report["totals"]["segments"] == 0 and report["totals"]["graphs"] == 0
         assert "error" not in report
         assert parse_chain_graphs((out / "walk.graphs.json").read_text()) == []
 
-    def test_barometer_missing_in_one_log_exit_2_with_report(self, tmp_path):
-        # the barometer-less floor-1 segment joins the floor-1 cluster, whose
-        # mean pressure turns NaN and cannot be ordered against floor 2
-        corpus = tmp_path / "mixed-baro"
-        write_corpus([
-            WalkScript(source_id="two-floors", seed=41, segments=[
-                WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
-                WalkSegmentSpec(floor=2, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
-            ]),
-            WalkScript(source_id="no-baro", seed=42, segments=[
-                WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
-            ]),
-        ], corpus)
-        log = corpus / "no-baro.tsl"
-        log.write_text("".join(ln for ln in log.read_text().splitlines(keepends=True) if not ln.startswith("PRES")))
+    def test_barometer_missing_in_one_log_exit_2_with_report(self, mixed_baro_corpus, tmp_path):
         out = tmp_path / "out5"
-        assert main(["run", "--input", str(corpus), "--output", str(out)]) == 2
+        assert main(["run", "--input", str(mixed_baro_corpus), "--output", str(out)]) == 2
         report = json.loads((out / "report.json").read_text())
         assert [f["name"] for f in report["files"]] == ["no-baro.tsl", "two-floors.tsl"]
         assert all(f["error"] is None and f["segments"] > 0 for f in report["files"])
         assert "not strictly decreasing" in report["error"]
         assert report["floor_count"] == 0
         assert not list(out.glob("*.graphs.json"))
+
+    @pytest.mark.parametrize("copy_original", [False, True], ids=["only-log", "beside-original"])
+    def test_barometerless_floor_pressure_is_null(self, copy_original, tmp_path):
+        # one floor cluster holds a log without PRES records: its mean pressure
+        # is unknown, and with a single cluster nothing has to be ordered
+        corpus = tmp_path / "no-pres"
+        write_corpus([WalkScript(source_id="two-floors", seed=41, segments=[
+            WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
+            WalkSegmentSpec(floor=2, gait=Gait.NORMAL, heading_rad=0.0, steps=15),
+        ])], corpus)
+        original = corpus / "two-floors.tsl"
+        _write_without_pres(original, corpus / "two-floors-no-pres.tsl")
+        if not copy_original:
+            original.unlink()
+        out = tmp_path / "out6"
+        assert main(["run", "--input", str(corpus), "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        assert report["floor_count"] == 1 and report["floor_pressures"] == [None]
 
 
 class TestSynthCommand:
@@ -205,6 +244,18 @@ class TestEvalCommand:
         argv = [command, "--input", str(corpus), "--output", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "radio.tsl" in caplog.text
+
+    def test_no_floor_segments_exit_0(self, short_corpus, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval", "--input", str(short_corpus), "--output", str(out)]) == 0
+        result = json.loads((out / "eval.json").read_text())
+        assert result["floor_count"] == 0 and result["segments_scored"] == 0
+
+    @pytest.mark.parametrize("command", ["run", "eval", "sweep"])
+    def test_floor_clustering_failure_exit_2(self, command, mixed_baro_corpus, tmp_path, caplog):
+        argv = [command, "--input", str(mixed_baro_corpus), "--output", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "fatal: floor clustering failed" in caplog.text
 
     def test_missing_truth_fatal(self, tmp_path):
         lonely = tmp_path / "lonely"
