@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .logio import SensorLog, SensorSample, nearest_index
+from .logio import SensorLog, SensorStream, nearest_index
 from .stepdetect import Step, moving_average
 
 logger = logging.getLogger(__name__)
@@ -216,9 +216,9 @@ def _mag_trusted(a: np.ndarray, b: np.ndarray, gate: float) -> bool:
 
 
 def track_attitude(
-    accel: Sequence[SensorSample],
-    gyro: Sequence[SensorSample],
-    magn: Sequence[SensorSample],
+    accel: SensorStream,
+    gyro: SensorStream,
+    magn: SensorStream,
     cfg: HeadingConfig = HeadingConfig(),
 ) -> list[AttitudeState]:
     """Attitude state per accelerometer sample.
@@ -231,17 +231,9 @@ def track_attitude(
     if not gyro:
         logger.warning("no gyro stream: attitude tracking degraded to quasi-static updates")
 
-    times = np.array([s.app_timestamp for s in accel])
-    accel_v = np.array([s.values for s in accel])
-
-    if gyro:
-        gyro_t = np.array([s.app_timestamp for s in gyro])
-        gyro_v = np.array([s.values for s in gyro])
-        gyro_idx = nearest_index(gyro_t, times)
-    if magn:
-        magn_t = np.array([s.app_timestamp for s in magn])
-        magn_v = np.array([s.values for s in magn])
-        magn_idx = nearest_index(magn_t, times)
+    times, accel_v = accel.app_timestamp, accel.values
+    gyro_v, gyro_idx = gyro.values, nearest_index(gyro.app_timestamp, times)
+    magn_v, magn_idx = magn.values, nearest_index(magn.app_timestamp, times)
 
     norm0 = _norm(accel_v[0])
     gravity = accel_v[0] / norm0 if norm0 > 1e-9 else np.array([0.0, 0.0, 1.0])
@@ -384,8 +376,7 @@ def step_headings(
     for the first). Returns the per-sample attitude states for callers.
     """
     states = track_attitude(log.accel, log.gyro, log.magn, cfg)
-    times = np.array([s.app_timestamp for s in log.accel])
-    accel_v = np.array([s.values for s in log.accel])
+    times, accel_v = log.accel.app_timestamp, log.accel.values
     grav = _smoothed_gravity(states, times)
 
     # a sample in several consecutive step windows is projected once

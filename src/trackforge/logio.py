@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -33,7 +33,11 @@ import numpy as np
 
 _BSSID_RE = re.compile(r"^[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}$")
 
-_IMU_TAGS = {"ACCE": "accel", "GYRO": "gyro", "MAGN": "magn"}
+# sample tag -> (SensorLog stream, value components); every tag -> record fields
+_SAMPLE_TAGS = {"ACCE": ("accel", 3), "GYRO": ("gyro", 3), "MAGN": ("magn", 3), "PRES": ("baro", 1)}
+_FIELD_COUNTS = {"WIFI": 7, **{tag: width + 4 for tag, (_, width) in _SAMPLE_TAGS.items()}}
+_COLUMNS = ("app_timestamp", "sensor_timestamp", "values", "accuracy")
+_INT64 = np.iinfo(np.int64)
 
 
 class TslParseError(ValueError):
@@ -50,12 +54,49 @@ class TslEncodingError(ValueError):
 
 @dataclass(frozen=True)
 class SensorSample:
-    """One IMU/barometer reading: 3 components for ACCE/GYRO/MAGN, 1 for PRES."""
+    """One row of a SensorStream: 3 components for ACCE/GYRO/MAGN, 1 for PRES."""
 
     app_timestamp: float
     sensor_timestamp: float
     values: tuple[float, ...]
     accuracy: int
+
+
+@dataclass(frozen=True, eq=False)
+class SensorStream:
+    """One sensor stream as read-only columns, copied in stable app-timestamp
+    order. ``values`` is ``(n, 3)`` for ACCE/GYRO/MAGN and ``(n, 1)`` for PRES;
+    ``accuracy`` holds exact int64 codes. Equal streams have equal columns.
+    """
+
+    app_timestamp: np.ndarray
+    sensor_timestamp: np.ndarray
+    values: np.ndarray
+    accuracy: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = [np.asarray(getattr(self, c), dtype=t) for c, t in zip(_COLUMNS, (float, float, float, np.int64))]
+        if columns[2].ndim != 2 or len({len(col) for col in columns}) != 1:
+            raise ValueError(f"columns must have equal lengths and 2-D values: {[c.shape for c in columns]}")
+        order = np.argsort(columns[0], kind="stable")
+        for name, col in zip(_COLUMNS, columns):
+            col = col[order]
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.app_timestamp)
+
+    def __getitem__(self, i: int) -> SensorSample:
+        return SensorSample(float(self.app_timestamp[i]), float(self.sensor_timestamp[i]),
+                            tuple(self.values[i].tolist()), int(self.accuracy[i]))
+
+    __iter__ = None  # rows are for indexing; consumers read the columns
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SensorStream):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -68,42 +109,33 @@ class WifiObservation:
     rssi_dbm: int
 
 
+def _no_samples(width: int):
+    return field(default_factory=lambda: SensorStream((), (), np.empty((0, width)), ()))
+
+
 @dataclass(frozen=True)
 class SensorLog:
     """Time-sorted sensor streams from one recording session. Immutable."""
 
-    accel: tuple[SensorSample, ...] = ()
-    gyro: tuple[SensorSample, ...] = ()
-    magn: tuple[SensorSample, ...] = ()
-    baro: tuple[SensorSample, ...] = ()
+    accel: SensorStream = _no_samples(3)
+    gyro: SensorStream = _no_samples(3)
+    magn: SensorStream = _no_samples(3)
+    baro: SensorStream = _no_samples(1)
     wifi: tuple[WifiObservation, ...] = ()
     source_id: str = ""
     skipped_records: int = 0
 
 
-def _parse_float(token: str, line_no: int, what: str) -> float:
+def _parse_number(token: str, line_no: int, what: str, kind: type = float, lo=-math.inf, hi=math.inf):
     try:
-        value = float(token)
+        value = kind(token)
     except ValueError:
         raise TslParseError(line_no, f"unparsable {what}: {token!r}") from None
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise TslParseError(line_no, f"non-finite {what}: {token!r}")
+    if not lo <= value <= hi:
+        raise TslParseError(line_no, f"{what} out of range [{lo}, {hi}]: {value}")
     return value
-
-
-def _parse_int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise TslParseError(line_no, f"unparsable {what}: {token!r}") from None
-
-
-def _parse_timestamps(fields: list[str], line_no: int) -> tuple[float, float]:
-    app_ts = _parse_float(fields[1], line_no, "app timestamp")
-    sensor_ts = _parse_float(fields[2], line_no, "sensor timestamp")
-    if app_ts < 0:
-        raise TslParseError(line_no, f"negative app timestamp: {app_ts}")
-    return app_ts, sensor_ts
 
 
 def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
@@ -122,7 +154,8 @@ def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
     else:
         text = data
 
-    streams: dict[str, list[SensorSample]] = {"accel": [], "gyro": [], "magn": [], "baro": []}
+    rows: dict[str, list[list[float]]] = {name: [] for name, _ in _SAMPLE_TAGS.values()}
+    codes: dict[str, list[int]] = {name: [] for name, _ in _SAMPLE_TAGS.values()}
     wifi: list[WifiObservation] = []
     skipped = 0
 
@@ -132,44 +165,35 @@ def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
             continue
         fields = line.split(";")
         tag = fields[0]
-
-        if tag in _IMU_TAGS:
-            if len(fields) != 7:
-                raise TslParseError(line_no, f"{tag} expects 7 fields, got {len(fields)}")
-            app_ts, sensor_ts = _parse_timestamps(fields, line_no)
-            values = tuple(_parse_float(fields[3 + k], line_no, f"{tag} component") for k in range(3))
-            acc = _parse_int(fields[6], line_no, "accuracy code")
-            streams[_IMU_TAGS[tag]].append(SensorSample(app_ts, sensor_ts, values, acc))
-        elif tag == "PRES":
-            if len(fields) != 5:
-                raise TslParseError(line_no, f"PRES expects 5 fields, got {len(fields)}")
-            app_ts, sensor_ts = _parse_timestamps(fields, line_no)
-            hpa = _parse_float(fields[3], line_no, "pressure")
-            acc = _parse_int(fields[4], line_no, "accuracy code")
-            streams["baro"].append(SensorSample(app_ts, sensor_ts, (hpa,), acc))
-        elif tag == "WIFI":
-            if len(fields) != 7:
-                raise TslParseError(line_no, f"WIFI expects 7 fields, got {len(fields)}")
-            app_ts, sensor_ts = _parse_timestamps(fields, line_no)
-            ssid = fields[3]
+        if tag not in _FIELD_COUNTS:
+            skipped += 1
+            continue
+        if len(fields) != _FIELD_COUNTS[tag]:
+            raise TslParseError(line_no, f"{tag} expects {_FIELD_COUNTS[tag]} fields, got {len(fields)}")
+        app_ts = _parse_number(fields[1], line_no, "app timestamp")
+        sensor_ts = _parse_number(fields[2], line_no, "sensor timestamp")
+        if app_ts < 0:
+            raise TslParseError(line_no, f"negative app timestamp: {app_ts}")
+        if tag == "WIFI":
             bssid = fields[4]
             if not _BSSID_RE.match(bssid):
                 raise TslParseError(line_no, f"bad bssid: {bssid!r}")
-            freq = _parse_int(fields[5], line_no, "frequency")
-            rssi = _parse_int(fields[6], line_no, "rssi")
-            if not -120 <= rssi <= 0:
-                raise TslParseError(line_no, f"rssi out of range [-120, 0]: {rssi}")
-            wifi.append(WifiObservation(app_ts, sensor_ts, ssid, bssid.lower(), freq, rssi))
+            freq = _parse_number(fields[5], line_no, "frequency", int)
+            rssi = _parse_number(fields[6], line_no, "rssi", int, -120, 0)
+            wifi.append(WifiObservation(app_ts, sensor_ts, fields[3], bssid.lower(), freq, rssi))
         else:
-            skipped += 1
+            name = _SAMPLE_TAGS[tag][0]
+            what = "pressure" if tag == "PRES" else f"{tag} component"
+            rows[name].append([app_ts, sensor_ts, *(_parse_number(v, line_no, what) for v in fields[3:-1])])
+            codes[name].append(_parse_number(fields[-1], line_no, "accuracy code", int, _INT64.min, _INT64.max))
 
-    key = lambda s: s.app_timestamp
+    streams = {}
+    for name, width in _SAMPLE_TAGS.values():
+        table = np.array(rows[name], dtype=float).reshape(-1, 2 + width)
+        streams[name] = SensorStream(table[:, 0], table[:, 1], table[:, 2:], codes[name])
     return SensorLog(
-        accel=tuple(sorted(streams["accel"], key=key)),
-        gyro=tuple(sorted(streams["gyro"], key=key)),
-        magn=tuple(sorted(streams["magn"], key=key)),
-        baro=tuple(sorted(streams["baro"], key=key)),
-        wifi=tuple(sorted(wifi, key=key)),
+        **streams,
+        wifi=tuple(sorted(wifi, key=lambda w: w.app_timestamp)),
         source_id=source_id,
         skipped_records=skipped,
     )
@@ -202,36 +226,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _check_text_field(value: str, what: str) -> str:
-    if ";" in value or "\n" in value or "\r" in value:
-        raise ValueError(f"{what} must not contain ';' or newlines: {value!r}")
-    return value
-
-
 def serialize_log(log: SensorLog) -> str:
     """Render a SensorLog back to TSL text (streams interleaved by time)."""
-    records: list[tuple[float, int, str]] = []
-    tag_for = {"accel": "ACCE", "gyro": "GYRO", "magn": "MAGN"}
-    for name, tag in tag_for.items():
-        for s in getattr(log, name):
-            components = ";".join(_fmt(v) for v in s.values)
-            records.append((
-                s.app_timestamp, len(records),
-                f"{tag};{_fmt(s.app_timestamp)};{_fmt(s.sensor_timestamp)};{components};{s.accuracy}",
-            ))
-    for s in log.baro:
-        records.append((
-            s.app_timestamp, len(records),
-            f"PRES;{_fmt(s.app_timestamp)};{_fmt(s.sensor_timestamp)};{_fmt(s.values[0])};{s.accuracy}",
-        ))
+    times: list[np.ndarray] = []
+    lines: list[str] = []
+    for tag, (name, _) in _SAMPLE_TAGS.items():
+        stream = getattr(log, name)
+        times.append(stream.app_timestamp)
+        columns = (c.tolist() for c in (stream.app_timestamp, stream.sensor_timestamp, stream.values, stream.accuracy))
+        lines += [f"{tag};{_fmt(t)};{_fmt(ts)};{';'.join(map(_fmt, v))};{acc}" for t, ts, v, acc in zip(*columns)]
     for w in log.wifi:
-        ssid = _check_text_field(w.ssid, "ssid")
-        records.append((
-            w.app_timestamp, len(records),
-            f"WIFI;{_fmt(w.app_timestamp)};{_fmt(w.sensor_timestamp)};{ssid};{w.bssid};{w.frequency_mhz};{w.rssi_dbm}",
-        ))
-    records.sort(key=lambda r: (r[0], r[1]))
-    body = "\n".join(r[2] for r in records)
+        if ";" in w.ssid or "\n" in w.ssid or "\r" in w.ssid:
+            raise ValueError(f"ssid must not contain ';' or newlines: {w.ssid!r}")
+        lines.append(
+            f"WIFI;{_fmt(w.app_timestamp)};{_fmt(w.sensor_timestamp)};{w.ssid};{w.bssid};{w.frequency_mhz};{w.rssi_dbm}"
+        )
+    times.append(np.array([w.app_timestamp for w in log.wifi], dtype=float))
+    order = np.argsort(np.concatenate(times), kind="stable")  # ties keep stream, then record order
+    body = "\n".join([lines[k] for k in order.tolist()])
     return body + "\n" if body else ""
 
 

@@ -91,14 +91,13 @@ def integrate(steps: Sequence[Step], log: SensorLog) -> PdrTrajectory:
         if s.stride_m is None or s.heading_rad is None:
             raise ValueError("steps must have stride_m and heading_rad filled")
 
-    origin_t = log.accel[0].app_timestamp if log.accel else 0.0
+    origin_t = float(log.accel.app_timestamp[0]) if log.accel else 0.0
     xy = [(0.0, 0.0)]
     for step in steps:
         xy.append(pdr_update(xy[-1], step.stride_m, step.heading_rad))
     times = [origin_t] + [step.peak_time for step in steps]
 
-    baro_values = [s.values[0] for s in log.baro]
-    baro_idx = nearest_index([s.app_timestamp for s in log.baro], times)
+    baro_idx = nearest_index(log.baro.app_timestamp, times)
     batches = group_wifi_batches(log.wifi)
     wifi_idx = nearest_index([b.time for b in batches], times, WIFI_MATCH_WINDOW_S)
 
@@ -108,7 +107,7 @@ def integrate(steps: Sequence[Step], log: SensorLog) -> PdrTrajectory:
             y=y,
             t=t,
             step_index=k - 1,
-            baro_hpa=float(baro_values[b]) if b >= 0 else None,
+            baro_hpa=float(log.baro.values[b, 0]) if b >= 0 else None,
             wifi_ref=int(w) if w >= 0 else None,
         )
         for k, ((x, y), t, b, w) in enumerate(zip(xy, times, baro_idx, wifi_idx))

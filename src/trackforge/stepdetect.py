@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.signal import find_peaks
 
-from .logio import SensorSample
+from .logio import SensorStream
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def magnitude_series(
-    accel: Sequence[SensorSample], smooth_window: int = 5
+    accel: SensorStream, smooth_window: int = 5
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean norm of each accel sample, low-pass smoothed by moving average.
 
@@ -116,10 +115,8 @@ def magnitude_series(
     """
     if not accel:
         raise ValueError("accel stream is empty")
-    times = np.array([s.app_timestamp for s in accel])
-    comps = np.array([s.values for s in accel])
-    mags = np.linalg.norm(comps, axis=1)
-    return times, moving_average(mags, smooth_window)
+    mags = np.linalg.norm(accel.values, axis=1)
+    return accel.app_timestamp, moving_average(mags, smooth_window)
 
 
 def detect_steps(

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .logio import SensorLog, SensorSample, WifiObservation, serialize_log
+from .logio import SensorLog, SensorStream, WifiObservation, serialize_log
 from .stride import DEFAULT_STRIDE_TABLE, Gait
 
 BASE_PRESSURE_HPA = 1013.25
@@ -465,12 +465,12 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
             )
         burst_t += script.wifi_period_s
 
-    acc_code = 3
+    imu_acc = np.full(n_imu, 3)
     log = SensorLog(
-        accel=tuple(SensorSample(float(t_), float(t_), tuple(a), acc_code) for t_, a in zip(times, accel)),
-        gyro=tuple(SensorSample(float(t_), float(t_), tuple(g_), acc_code) for t_, g_ in zip(times, gyro)),
-        magn=tuple(SensorSample(float(t_), float(t_), tuple(m), acc_code) for t_, m in zip(times, magn)),
-        baro=tuple(SensorSample(float(t_), float(t_), (float(p),), acc_code) for t_, p in zip(baro_times, baro_vals)),
+        accel=SensorStream(times, times, accel, imu_acc),
+        gyro=SensorStream(times, times, gyro, imu_acc),
+        magn=SensorStream(times, times, magn, imu_acc),
+        baro=SensorStream(baro_times, baro_times, baro_vals.reshape(-1, 1), np.full(n_baro, 3)),
         wifi=tuple(wifi_obs),
         source_id=script.source_id,
     )

@@ -19,7 +19,7 @@ from trackforge.logio import TslEncodingError, TslParseError, parse_log, seriali
 from trackforge.pdr import PdrPoint, pdr_update
 from trackforge.pipeline import run_pipeline
 from trackforge.stepdetect import StepConfig, detect_steps, magnitude_series, moving_average
-from trackforge.logio import SensorSample
+from streams import stream
 
 from test_floors import dbscan_brute
 
@@ -115,13 +115,11 @@ class TestAcceptance:
             steps = detect_steps(t, moving_average(clean, 5), StepConfig())
             assert abs(len(steps) - 20) <= 1
             rng = np.random.default_rng(55)
-            samples = [
-                SensorSample(float(x), float(x),
-                             tuple(np.array([0.0, 0.0, 9.81 + 3.0 * math.sin(2 * math.pi * 2.0 * x)])
-                                   + rng.normal(0, 0.5, 3)), 3)
+            rows = [
+                np.array([0.0, 0.0, 9.81 + 3.0 * math.sin(2 * math.pi * 2.0 * x)]) + rng.normal(0, 0.5, 3)
                 for x in t
             ]
-            times, mags = magnitude_series(samples, 5)
+            times, mags = magnitude_series(stream(t, rows), 5)
             noisy_steps = detect_steps(times, mags, StepConfig())
             assert 18 <= len(noisy_steps) <= 22  # within ±10% of 20
 

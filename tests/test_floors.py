@@ -151,8 +151,7 @@ class TestSegmentTrajectory:
             segments=[WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=15)],
         )
         log, _ = generate(script)
-        log = type(log)(accel=log.accel, gyro=log.gyro, magn=log.magn, baro=(),
-                        wifi=log.wifi, source_id=log.source_id)
+        log = type(log)(accel=log.accel, gyro=log.gyro, magn=log.magn, wifi=log.wifi, source_id=log.source_id)
         cfg = PipelineConfig()
         item = process_log(log, cfg, default_gait_model())
         segments = segment_trajectory(item.trajectory, 0.1, 10)

@@ -21,12 +21,10 @@ from trackforge.heading import (
     track_attitude,
     wrap_angle,
 )
-from trackforge.logio import SensorSample, nearest_index
+from trackforge.logio import nearest_index
+from streams import stream
 
-
-def imu_stream(times, rows):
-    return tuple(SensorSample(float(t), float(t), tuple(v), 3) for t, v in zip(times, rows))
-
+NO_SAMPLES = stream([])
 
 FLAT = np.array([0.0, 0.0, 1.0])
 
@@ -43,9 +41,9 @@ class TestWrap:
 class TestTrackAttitude:
     def test_static_flat(self):
         t = np.arange(0, 1, 0.01)
-        accel = imu_stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
-        gyro = imu_stream(t, [(0.0, 0.0, 0.0)] * len(t))
-        magn = imu_stream(t, [(0.0, 25.0, 40.0)] * len(t))
+        accel = stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
+        gyro = stream(t, [(0.0, 0.0, 0.0)] * len(t))
+        magn = stream(t, [(0.0, 25.0, 40.0)] * len(t))
         states = track_attitude(accel, gyro, magn)
         last = states[-1]
         assert np.allclose(last.gravity_vec, FLAT, atol=1e-9)
@@ -55,17 +53,17 @@ class TestTrackAttitude:
 
     def test_gravity_along_x(self):
         t = np.arange(0, 0.5, 0.01)
-        accel = imu_stream(t, [(GRAVITY, 0.0, 0.0)] * len(t))
-        states = track_attitude(accel, (), ())
+        accel = stream(t, [(GRAVITY, 0.0, 0.0)] * len(t))
+        states = track_attitude(accel, NO_SAMPLES, NO_SAMPLES)
         assert abs(states[-1].pitch) == pytest.approx(math.pi / 2)
 
     def test_slow_rotation_keeps_mag_trust(self):
         t = np.arange(0, 5, 0.01)
         yaw = 0.5 * np.sin(0.8 * t)
         rate = 0.4 * np.cos(0.8 * t)
-        accel = imu_stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
-        gyro = imu_stream(t, np.column_stack([np.zeros_like(t), np.zeros_like(t), rate]))
-        magn = imu_stream(t, np.column_stack([25 * np.sin(yaw), 25 * np.cos(yaw), np.full_like(t, 40.0)]))
+        accel = stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
+        gyro = stream(t, np.column_stack([np.zeros_like(t), np.zeros_like(t), rate]))
+        magn = stream(t, np.column_stack([25 * np.sin(yaw), 25 * np.cos(yaw), np.full_like(t, 40.0)]))
         states = track_attitude(accel, gyro, magn)
         assert all(s.mag_trust for s in states)
         errs = [abs(wrap_angle(s.yaw - y)) for s, y in zip(states, yaw)]
@@ -73,13 +71,13 @@ class TestTrackAttitude:
 
     def test_missing_gyro_degrades_gracefully(self):
         t = np.arange(0, 1, 0.01)
-        accel = imu_stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
-        states = track_attitude(accel, (), ())
+        accel = stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
+        states = track_attitude(accel, NO_SAMPLES, NO_SAMPLES)
         assert np.allclose(states[-1].gravity_vec, FLAT, atol=1e-9)
 
     def test_empty_accel_rejected(self):
         with pytest.raises(ValueError):
-            track_attitude((), (), ())
+            track_attitude(NO_SAMPLES, NO_SAMPLES, NO_SAMPLES)
 
 
 class TestTiltCompensatedYaw:
@@ -212,16 +210,16 @@ def _ref_tilt_compensated_yaw(gravity, mag):
 
 
 def _ref_track_attitude(accel, gyro, magn, cfg=HeadingConfig(), windows=None):
-    times = np.array([s.app_timestamp for s in accel])
-    accel_v = np.array([s.values for s in accel])
+    times = accel.app_timestamp
+    accel_v = accel.values
     gyro_v = None
     if gyro:
-        gyro_v = np.array([s.values for s in gyro])
-        gyro_idx = nearest_index(np.array([s.app_timestamp for s in gyro]), times)
+        gyro_v = gyro.values
+        gyro_idx = nearest_index(gyro.app_timestamp, times)
     magn_v = None
     if magn:
-        magn_v = np.array([s.values for s in magn])
-        magn_idx = nearest_index(np.array([s.app_timestamp for s in magn]), times)
+        magn_v = magn.values
+        magn_idx = nearest_index(magn.app_timestamp, times)
 
     norm0 = float(np.linalg.norm(accel_v[0]))
     gravity = accel_v[0] / norm0 if norm0 > 1e-9 else np.array([0.0, 0.0, 1.0])
@@ -290,7 +288,7 @@ def _turning_phone(seed, n=600, gimbal=False, dyadic=False):
     magn[rng.choice(n, 5, replace=False)] = 0.0
     t_gyro = t + rng.uniform(-0.004, 0.004, n)
     t_magn = t[::2] if dyadic else t[::2] + 0.003
-    return imu_stream(t, accel), imu_stream(t_gyro, gyro), imu_stream(t_magn, magn[::2])
+    return stream(t, accel), stream(t_gyro, gyro), stream(t_magn, magn[::2])
 
 
 class TestAttitudeReference:
@@ -301,9 +299,9 @@ class TestAttitudeReference:
     def test_bitwise_equal_to_reference(self, mode, seed, dyadic):
         accel, gyro, magn = _turning_phone(seed, gimbal=mode == "gimbal-lock", dyadic=dyadic)
         if mode == "no-gyro":
-            gyro = ()
+            gyro = NO_SAMPLES
         if mode == "no-magn":
-            magn = ()
+            magn = NO_SAMPLES
         ref = _ref_track_attitude(accel, gyro, magn)
         new = track_attitude(accel, gyro, magn)
         assert len(new) == len(ref)
@@ -333,14 +331,14 @@ class TestAttitudeReference:
         # three compass fixes, the first exactly corr_window_s before the last:
         # a full window against a flat (gyro-less) series, so trust is lost
         t = np.arange(1, 131) / 128.0
-        accel = imu_stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
+        accel = stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
         field = np.zeros((len(t), 3))
         for k, yaw in ((0, 0.0), (64, 0.3), (128, 0.9)):
             field[k] = (25 * math.sin(yaw), 25 * math.cos(yaw), 40.0)
-        magn = imu_stream(t, field)
-        states = track_attitude(accel, (), magn)
+        magn = stream(t, field)
+        states = track_attitude(accel, NO_SAMPLES, magn)
         assert [s.mag_trust for s in states[126:]] == [True, True, False, False]
-        assert [_bits(s) for s in states] == [_bits(s) for s in _ref_track_attitude(accel, (), magn)]
+        assert [_bits(s) for s in states] == [_bits(s) for s in _ref_track_attitude(accel, NO_SAMPLES, magn)]
 
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
@@ -439,5 +437,5 @@ class TestTrustGate:
             raise AssertionError("fell back to _increment_correlation")
 
         monkeypatch.setattr(heading, "_increment_correlation", fail)
-        states = track_attitude(accel, (), magn)
+        states = track_attitude(accel, NO_SAMPLES, magn)
         assert not any(s.mag_trust for s in states[300:])  # flat gyro vs moving compass

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streams import stream
 from trackforge.featurize import ChainEdge, ChainGraph, ChainVertex
 from trackforge.logio import (
     SensorLog,
     SensorSample,
+    SensorStream,
     TslEncodingError,
     TslParseError,
     WifiObservation,
@@ -56,10 +58,9 @@ class TestParseBasics:
             "ACCE;2.0;2.0;2;2;2;3\n"
         )
         log = parse_log(text.encode())
-        assert [s.app_timestamp for s in log.accel] == [1.0, 2.0, 2.0]
+        assert log.accel.app_timestamp.tolist() == [1.0, 2.0, 2.0]
         # ties keep file order
-        assert log.accel[1].values[0] == 1.0
-        assert log.accel[2].values[0] == 2.0
+        assert log.accel.values[:, 0].tolist() == [0.0, 1.0, 2.0]
 
 
 class TestParseErrors:
@@ -80,6 +81,13 @@ class TestParseErrors:
         with pytest.raises(TslParseError) as err:
             parse_log((line + "\n").encode())
         assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("code", [2**63, -(2**63) - 1, 10**30])
+    def test_accuracy_outside_int64_is_a_parse_error(self, code):
+        data = f"ACCE;1.0;1.0;0;0;9.8;3\nPRES;2.0;2.0;1013.0;{code}\n".encode()
+        with pytest.raises(TslParseError) as err:
+            parse_log(data)
+        assert err.value.line_no == 2
 
     def test_error_carries_later_line_number(self):
         with pytest.raises(TslParseError) as err:
@@ -112,11 +120,10 @@ class TestParseErrors:
 
 def _small_log():
     return SensorLog(
-        accel=(SensorSample(0.01, 0.01, (0.1, -0.2, 9.81), 3),
-               SensorSample(0.02, 0.02, (0.3, 0.0, 9.7999999), 3)),
-        gyro=(SensorSample(0.01, 0.01, (0.0, 0.001, -0.2), 3),),
-        magn=(SensorSample(0.015, 0.015, (21.5, 3.25, 40.0), 3),),
-        baro=(SensorSample(0.0, 0.0, (1013.2500001,), 0),),
+        accel=stream([0.01, 0.02], [(0.1, -0.2, 9.81), (0.3, 0.0, 9.7999999)]),
+        gyro=stream([0.01], [(0.0, 0.001, -0.2)]),
+        magn=stream([0.015], [(21.5, 3.25, 40.0)]),
+        baro=stream([0.0], [1013.2500001], width=1, accuracy=0),
         wifi=(WifiObservation(0.02, 0.02, "ap", "aa:bb:cc:00:11:22", 2412, -61),),
         source_id="unit",
     )
@@ -143,15 +150,82 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     def test_accel_round_trip_property(self, rows):
         rows.sort(key=lambda r: r[0])
-        log = SensorLog(
-            accel=tuple(SensorSample(t, t, (x, y, z), 3) for t, x, y, z in rows)
-        )
+        log = SensorLog(accel=stream([r[0] for r in rows], [r[1:] for r in rows]))
         assert parse_log(serialize_log(log).encode()) == log
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_all_streams_round_trip_in_stable_order(self, data):
+        """Every sample stream, with repeated timestamps and any int64
+        accuracy code, survives serialize -> parse bit for bit, and its
+        samples stay in stable app-timestamp order."""
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        streams = {}
+        for name, width in (("accel", 3), ("gyro", 3), ("magn", 3), ("baro", 1)):
+            rows = data.draw(st.lists(st.tuples(
+                st.integers(0, 4).map(lambda k: 0.25 * k),  # few distinct times: many ties
+                finite,
+                st.tuples(*[finite] * width),
+                st.integers(-(2**63), 2**63 - 1),
+            ), max_size=12), label=name)
+            app, sensor, values, codes = (list(col) for col in zip(*rows)) if rows else ([], [], [], [])
+            streams[name] = SensorStream(app, sensor, np.reshape(values, (-1, width)), codes)
+            expected = sorted(rows, key=lambda r: r[0])  # Python's sort is stable
+            assert [streams[name][i] for i in range(len(rows))] == [SensorSample(*r) for r in expected]
+        log = SensorLog(**streams)
+        again = parse_log(serialize_log(log).encode())
+        assert again == log
+        for name in streams:
+            for col in ("app_timestamp", "sensor_timestamp", "values", "accuracy"):
+                assert getattr(getattr(again, name), col).tobytes() == getattr(getattr(log, name), col).tobytes()
 
     def test_serializer_rejects_separator_in_ssid(self):
         log = SensorLog(wifi=(WifiObservation(0.0, 0.0, "a;b", "aa:bb:cc:00:11:22", 2412, -60),))
         with pytest.raises(ValueError):
             serialize_log(log)
+
+
+class TestSensorStream:
+    def test_row_view_len_and_truthiness(self):
+        log = parse_log(b"ACCE;2.0;2.5;1;2;3;7\nACCE;1.0;1.5;4;5;6;8\n")
+        assert len(log.accel) == 2 and log.accel and not log.gyro and len(log.baro) == 0
+        assert log.accel[-1] == SensorSample(2.0, 2.5, (1.0, 2.0, 3.0), 7)
+        assert log.accel[-1].app_timestamp - log.accel[0].app_timestamp == 1.0
+        assert type(log.accel[0].accuracy) is int and type(log.accel[0].values[0]) is float
+        with pytest.raises(IndexError):
+            log.accel[2]
+
+    def test_columns_are_read_only_copies(self):
+        times = np.array([1.0, 0.0])
+        s = SensorStream(times, times, np.ones((2, 3)), [3, 3])
+        times[0] = 9.0
+        assert s.app_timestamp.tolist() == [0.0, 1.0]
+        for col in (s.app_timestamp, s.sensor_timestamp, s.values, s.accuracy):
+            with pytest.raises(ValueError):
+                col[0] = 0
+
+    def test_shapes_and_dtypes(self):
+        log = parse_log(b"PRES;1.0;1.0;1013.25;0\nGYRO;1.0;1.0;0;0;1;3\n")
+        assert log.baro.values.shape == (1, 1) and log.gyro.values.shape == (1, 3)
+        assert SensorLog().baro.values.shape == (0, 1) and SensorLog().accel.values.shape == (0, 3)
+        assert log.baro.accuracy.dtype == np.int64
+        big = parse_log(f"ACCE;1.0;1.0;0;0;9.8;{2**63 - 1}\n".encode())
+        assert big.accel[0].accuracy == 2**63 - 1
+
+    def test_rejects_ragged_columns_and_iteration(self):
+        with pytest.raises(ValueError):
+            SensorStream([0.0, 1.0], [0.0], np.zeros((2, 3)), [3, 3])
+        with pytest.raises(ValueError):
+            SensorStream([0.0], [0.0], [1013.0], [3])  # values must be 2-D
+        with pytest.raises(TypeError):
+            iter(stream([0.0], [(0.0, 0.0, 9.8)]))
+
+    def test_equality_is_by_value(self):
+        a = stream([0.0, 1.0], [(1, 2, 3), (4, 5, 6)])
+        assert a == stream([0.0, 1.0], [(1, 2, 3), (4, 5, 6)])
+        assert a != stream([0.0, 1.0], [(1, 2, 3), (4, 5, 7)])
+        assert a != stream([0.0, 1.0], [(1, 2, 3), (4, 5, 6)], accuracy=0)
+        assert a != ()
 
 
 def _two_vertex_graph():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from trackforge.logio import SensorLog, SensorSample, WifiObservation
+from streams import stream
+from trackforge.logio import SensorLog, WifiObservation
 from trackforge.pdr import WifiBatch, group_wifi_batches, integrate, pdr_update
 from trackforge.stepdetect import Step
 
@@ -30,7 +31,7 @@ def make_steps(specs):
 def minimal_log(n_accel=200, dt=0.01):
     t = np.arange(n_accel) * dt
     return SensorLog(
-        accel=tuple(SensorSample(float(x), float(x), (0.0, 0.0, 9.81), 3) for x in t),
+        accel=stream(t, [(0.0, 0.0, 9.81)] * len(t)),
         source_id="pdr-test",
     )
 
@@ -123,11 +124,8 @@ class TestIntegrate:
 class TestAnnotations:
     def test_baro_nearest_with_tie_to_earlier(self):
         log = SensorLog(
-            accel=tuple(SensorSample(0.1 * k, 0.0, (0.0, 0.0, 9.81), 3) for k in range(40)),
-            baro=(
-                SensorSample(0.5, 0.0, (1000.0,), 0),
-                SensorSample(1.5, 0.0, (1001.0,), 0),
-            ),
+            accel=stream(0.1 * np.arange(40), [(0.0, 0.0, 9.81)] * 40),
+            baro=stream([0.5, 1.5], [1000.0, 1001.0], width=1),
         )
         traj = integrate(make_steps([(1.0, 0.7, 0.0)]), log)
         # t=1.0 is equidistant from 0.5 and 1.5: the earlier sample wins
@@ -139,7 +137,7 @@ class TestAnnotations:
             WifiObservation(30.0, 30.0, "a", "aa:bb:cc:00:00:02", 2412, -60),
         )
         log = SensorLog(
-            accel=tuple(SensorSample(0.1 * k, 0.0, (0.0, 0.0, 9.81), 3) for k in range(400)),
+            accel=stream(0.1 * np.arange(400), [(0.0, 0.0, 9.81)] * 400),
             wifi=wifi,
         )
         traj = integrate(make_steps([(1.0, 0.7, 0.0), (10.0, 0.7, 0.0)]), log)
@@ -161,7 +159,7 @@ class TestAnnotations:
         )
         log, _ = generate(script)
         item = process_log(log, PipelineConfig(), default_gait_model())
-        baro_times = np.array([s.app_timestamp for s in log.baro])
+        baro_times = log.baro.app_timestamp
         period = float(np.median(np.diff(baro_times)))
         for p in item.trajectory.points:
             assert p.baro_hpa is not None

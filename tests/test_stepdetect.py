@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trackforge.logio import SensorSample
+from streams import stream
 from trackforge.stepdetect import (
     AdaptiveThresholds,
     StepConfig,
@@ -29,22 +29,22 @@ def analytic_pair_count(freq, dur):
 
 class TestMagnitudeSeries:
     def test_axis_aligned(self):
-        t, m = magnitude_series([SensorSample(0.0, 0.0, (0.0, 0.0, 9.81), 3)])
+        t, m = magnitude_series(stream([0.0], [(0.0, 0.0, 9.81)]))
         assert m[0] == pytest.approx(9.81)
 
     def test_345(self):
-        _, m = magnitude_series([SensorSample(0.0, 0.0, (3.0, 4.0, 0.0), 3)])
+        _, m = magnitude_series(stream([0.0], [(3.0, 4.0, 0.0)]))
         assert m[0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("n", [1, 4, 50])
     def test_constant_in_constant_out(self, n):
-        samples = [SensorSample(0.01 * k, 0.0, (0.0, 0.0, 9.81), 3) for k in range(n)]
+        samples = stream(0.01 * np.arange(n), [(0.0, 0.0, 9.81)] * n)
         _, m = magnitude_series(samples)
         assert np.allclose(m, 9.81)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            magnitude_series([])
+            magnitude_series(stream([]))
 
 
 class TestMovingAverage:

@@ -53,7 +53,7 @@ class TestGenerate:
             ],
         )
         log, truth = generate(script)
-        values = np.array([s.values[0] for s in log.baro])
+        values = log.baro.values[:, 0]
         for f in (1, 2, 3):
             expected = floor_pressure(f) + 0.25
             assert expected == pytest.approx(1013.25 - 0.12 * (f - 1) * 3.3 + 0.25)
