@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import evalkit, synth
-from .config import ConfigError, PipelineConfig, load_config
+from .config import ConfigError, PipelineConfig, load_config, parse_value
 from .pipeline import PipelineError, RunReport, process_corpus, run_pipeline
 from .stepdetect import StrideFeatures
 from .stride import Gait, GaitTrainingError, save_gait_model, train_gait_model
@@ -43,6 +43,9 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigError("--floors must be >= 1")
     if getattr(args, "gait_model", None):
         cfg.gait_model_path = args.gait_model
+    radius = getattr(args, "match_radius", None)
+    if radius is not None and not radius > 0:
+        raise ConfigError(f"--match-radius must be > 0, got {radius}")
     return cfg
 
 
@@ -158,17 +161,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str, typ):
-    try:
-        return [typ(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"bad grid spec {text!r}") from None
+def _parse_grid(flag: str, text: str, key: str) -> list:
+    """A comma-separated grid, each value checked as config key ``key`` is."""
+    values = [parse_value(key, v, f"{flag} value") for v in text.split(",") if v.strip()]
+    if not values:
+        raise ConfigError(f"{flag} has no values: {text!r}")
+    return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    eps_grid = _parse_grid(args.epsilon_grid, float)
-    win_grid = _parse_grid(args.window_grid, int)
+    eps_grid = _parse_grid("--epsilon-grid", args.epsilon_grid, "turn.epsilon_rad")
+    win_grid = _parse_grid("--window-grid", args.window_grid, "turn.window_min")
     loaded = _load_eval_corpus(Path(args.input), cfg)
     if loaded is None:
         return EXIT_ERROR

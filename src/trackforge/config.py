@@ -69,16 +69,24 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return entries
 
 
+def parse_value(key: str, raw: str, what: str | None = None):
+    """``raw`` parsed and range-checked as a value of config key ``key``;
+    ``what`` names it in the error (default: the key)."""
+    _, _, typ, valid = _KEYS[key]
+    what = what or f"config key {key}"
+    try:
+        value = typ(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} has unparsable value {raw!r}") from None
+    if not valid(value):
+        raise ConfigError(f"{what} = {value} is out of range")
+    return value
+
+
 def apply_entries(cfg: PipelineConfig, entries: dict[str, str]) -> PipelineConfig:
     for key, raw in entries.items():
-        section, name, typ, valid = _KEYS[key]
-        try:
-            value = typ(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key} has unparsable value {raw!r}") from None
-        if not valid(value):
-            raise ConfigError(f"config key {key} = {value} is out of range")
-        setattr(cfg, section, replace(getattr(cfg, section), **{name: value}))
+        section, name, _, _ = _KEYS[key]
+        setattr(cfg, section, replace(getattr(cfg, section), **{name: parse_value(key, raw)}))
     if cfg.step.pace_floor > cfg.step.pace_ceiling:
         raise ConfigError("step.pace_floor must not exceed step.pace_ceiling")
     return cfg

@@ -350,12 +350,21 @@ def _smoothed_gravity(states: Sequence[AttitudeState], times: np.ndarray) -> np.
     Individual quasi-static snaps carry the accel noise of one sample; a
     half-second average keeps the tilt error small so the (much larger)
     vertical gait oscillation does not leak into the horizontal plane.
+    The window spans half a second at the median sample spacing. When that
+    median is 0 (records written two or more times) the mean spacing stands
+    in for it, and samples that all share one time are not smoothed. A
+    window of 2n + 1 already averages the whole log at every sample, so a
+    longer one (from a tiny spacing) is capped there.
     """
     grav = np.array([s.gravity_vec for s in states])
     if len(times) < 3:
         return grav
     dt = float(np.median(np.diff(times)))
-    win = max(1, int(round(0.5 / dt)) | 1)
+    if dt <= 0:
+        dt = float(times[-1] - times[0]) / (len(times) - 1)
+        if dt <= 0:
+            return grav
+    win = max(1, int(round(min(0.5 / dt, 2 * len(times)))) | 1)
     if win <= 1:
         return grav
     smoothed = moving_average(grav, win)

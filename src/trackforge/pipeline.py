@@ -117,8 +117,10 @@ def process_corpus(
     """Parse -> ``process_log`` -> floor segments for each log file, in order,
     then number the floors over all their segments.
 
-    A file that fails is logged and its error recorded in its FileReport; the
-    other files go on. Without floor segments there are no floors; when
+    A file that fails with a documented error (unreadable: OSError; malformed
+    or unusable: ValueError; FloorClusteringError) is logged and its error
+    recorded in its FileReport; the other files go on. Any other exception
+    is a bug and propagates. Without floor segments there are no floors; when
     clustering fails, the report's ``error`` says why and no segment has a
     floor. Returns the report and the processed logs by file name.
     """
@@ -137,7 +139,7 @@ def process_corpus(
             processed[path.name] = item
             report.steps = len(item.steps)
             report.segments = len(item.segments)
-        except Exception as exc:  # recorded per-file; the corpus continues
+        except (OSError, ValueError, FloorClusteringError) as exc:  # the corpus continues
             logger.error("failed to process %s: %s", path.name, exc)
             report.error = str(exc)
 

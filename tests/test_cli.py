@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from trackforge import cli
 from trackforge.cli import main
 from trackforge.config import ConfigError, load_config
 from trackforge.logio import parse_chain_graphs
@@ -275,6 +276,24 @@ class TestSweepCommand:
         table = (out / "sweep.csv").read_text()
         assert table.splitlines()[0] == "epsilon,window,precision,recall,f"
         assert (out / "sweep_plot.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--epsilon-grid", ","],
+    ["sweep", "--window-grid", "0"],
+    ["sweep", "--epsilon-grid=-1"],
+    ["eval", "--match-radius", "0"],
+    ["sweep", "--match-radius=-2"],
+])
+def test_bad_grid_or_match_radius_exits_2_before_loading(args, straight_corpus, tmp_path, caplog, monkeypatch):
+    def loading(*_):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli, "process_corpus", loading)
+    out = tmp_path / "out"
+    assert main([*args, "--input", str(straight_corpus), "--output", str(out)]) == 2
+    assert "config: " in caplog.text
+    assert not out.exists()
 
 
 class TestTrainGaitCommand:

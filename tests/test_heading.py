@@ -22,6 +22,7 @@ from trackforge.heading import (
     wrap_angle,
 )
 from trackforge.logio import nearest_index
+from trackforge.stepdetect import moving_average
 from streams import stream
 
 NO_SAMPLES = stream([])
@@ -182,6 +183,47 @@ class TestGravityRotation:
 
 
 # -- reference: the per-sample NumPy attitude loop that track_attitude replaced --
+
+class TestSmoothedGravity:
+    """The half-second window behind linear-acceleration extraction."""
+
+    @staticmethod
+    def _states(n, seed=0):
+        g = np.random.default_rng(seed).normal(0, 0.1, (n, 3)) + FLAT
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        return [AttitudeState(v, 0.0, 0.0, 0.0, True) for v in g]
+
+    @staticmethod
+    def _normalized(v):
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    def test_window_from_median_spacing(self):
+        states = self._states(300)
+        times = np.arange(300) * 0.01
+        grav = np.array([s.gravity_vec for s in states])
+        expected = self._normalized(moving_average(grav, 51))
+        assert heading._smoothed_gravity(states, times).tobytes() == expected.tobytes()
+
+    def test_duplicated_records_use_the_mean_spacing(self):
+        states = self._states(600)
+        times = np.repeat(np.arange(300) * 0.01, 2)  # median spacing 0
+        grav = np.array([s.gravity_vec for s in states])
+        window = int(round(0.5 / (times[-1] / 599))) | 1
+        expected = self._normalized(moving_average(grav, window))
+        assert heading._smoothed_gravity(states, times).tobytes() == expected.tobytes()
+
+    def test_one_shared_time_is_not_smoothed(self):
+        states = self._states(20)
+        grav = np.array([s.gravity_vec for s in states])
+        assert heading._smoothed_gravity(states, np.full(20, 4.0)).tobytes() == grav.tobytes()
+
+    def test_tiny_spacing_averages_the_whole_log(self):
+        states = self._states(20)
+        times = np.arange(20) * 5e-324  # 0.5 / spacing overflows to inf
+        grav = np.array([s.gravity_vec for s in states])
+        smoothed = heading._smoothed_gravity(states, times)
+        assert np.allclose(smoothed, self._normalized(grav.mean(axis=0, keepdims=True)), atol=1e-15)
+
 
 def _ref_rotate_by_gyro(v, omega, dt):
     angle = float(np.linalg.norm(omega)) * dt

@@ -1,0 +1,118 @@
+"""process_corpus / run_pipeline: which per-file failures are recorded, and
+that degenerate logs end in a report instead of an exception."""
+
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trackforge import pipeline
+from trackforge.config import PipelineConfig
+from trackforge.logio import serialize_log
+from trackforge.pipeline import RunReport, process_corpus, run_pipeline
+from trackforge.stride import Gait
+from trackforge.synth import WalkScript, WalkSegmentSpec, generate
+
+TAGS = ("ACCE", "GYRO", "MAGN", "PRES", "WIFI")
+
+
+@pytest.fixture(scope="module")
+def short_walk_lines():
+    """Records of a short two-floor walk at 50 Hz."""
+    log, _ = generate(WalkScript(
+        source_id="short", seed=7, imu_rate_hz=50.0, stair_seconds=3.0,
+        segments=[
+            WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=8),
+            WalkSegmentSpec(floor=2, gait=Gait.NORMAL, heading_rad=1.5, steps=8),
+        ],
+    ))
+    return serialize_log(log).splitlines()
+
+
+def _process(lines, directory: Path) -> RunReport:
+    path = directory / "log.tsl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    report, processed = process_corpus([path], PipelineConfig())
+    assert [f.name for f in report.files] == ["log.tsl"]
+    assert (report.files[0].error is None) == ("log.tsl" in processed)
+    return report
+
+
+def _repeat(lines, k):
+    return [line for line in lines for _ in range(k)]
+
+
+def test_twice_written_log_is_processed(short_walk_lines, tmp_path):
+    """Every record written twice makes the median accelerometer spacing 0."""
+    report = _process(_repeat(short_walk_lines, 2), tmp_path)
+    assert report.files[0].error is None
+    assert report.files[0].steps > 0
+
+
+def test_unexpected_error_propagates(short_walk_lines, tmp_path, monkeypatch):
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "log.tsl").write_text("\n".join(short_walk_lines) + "\n")
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a file error")
+
+    monkeypatch.setattr(pipeline, "process_log", broken)
+    with pytest.raises(TypeError):
+        run_pipeline(tmp_path / "in", tmp_path / "out", PipelineConfig())
+
+
+def test_documented_errors_are_recorded(short_walk_lines, tmp_path):
+    report = _process(["ACCE;1.0;1.0;0;0;9.8"], tmp_path)  # a parse error
+    assert report.files[0].error.startswith("line 1:")
+    report = _process([line for line in short_walk_lines if not line.startswith("ACCE")], tmp_path)
+    assert report.files[0].error == "log has no accelerometer samples"
+
+
+def _one_time(lines, t):
+    return [";".join([f[0], t, *f[2:]]) for f in (line.split(";") for line in lines)]
+
+
+_mutation = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(TAGS)),
+    st.tuples(st.just("only"), st.sampled_from(TAGS)),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("repeat"), st.integers(2, 3)),
+    st.tuples(st.just("shuffle"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("one_time"), st.sampled_from(["0.0", "3.25"])),
+)
+
+
+def _mutate(lines, mutation):
+    kind, arg = mutation
+    if kind == "drop":
+        return [line for line in lines if not line.startswith(arg)]
+    if kind == "only":
+        return [line for line in lines if line.startswith(arg)]
+    if kind == "truncate":
+        return lines[: int(arg * len(lines))]
+    if kind == "cut":  # end inside a record
+        text = "\n".join(lines)
+        return text[: int(arg * len(text))].split("\n")
+    if kind == "repeat":
+        return _repeat(lines, arg)
+    if kind == "shuffle":
+        lines = list(lines)
+        random.Random(arg).shuffle(lines)
+        return lines
+    return _one_time(lines, arg)
+
+
+@given(mutations=st.lists(_mutation, min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_mutilated_log_gives_a_report(short_walk_lines, mutations):
+    """Dropped or lone streams, truncation, repeated records, shuffled lines
+    and one shared timestamp end in a report, never in an exception."""
+    lines = short_walk_lines
+    for mutation in mutations:
+        lines = _mutate(lines, mutation)
+    with tempfile.TemporaryDirectory() as directory:
+        _process(lines, Path(directory))
