@@ -11,7 +11,7 @@ from .logio import SensorLog, SensorSample, SensorStream, WifiObservation, parse
 from .stepdetect import Step, StepConfig, detect_steps, magnitude_series
 from .stride import Gait, GaitModel, classify_gait, stride_length, train_gait_model
 from .heading import HeadingConfig, motion_direction, tilt_compensated_yaw, track_attitude
-from .pdr import PdrPoint, PdrTrajectory, integrate, pdr_update
+from .pdr import PdrTrajectory, integrate, pdr_update
 from .floors import FloorConfig, TrajectorySegment, cluster_floors, dbscan_1d, jaccard, segment_trajectory
 from .featurize import ChainGraph, TurningConfig, build_chain_graph, detect_turning_points, featurize_segment_report
 from .synth import GroundTruth, WalkScript, default_corpus_scripts, generate

@@ -107,13 +107,11 @@ def interior_turning_points(
     """Detected turning-point positions, excluding each segment's endpoints."""
     out: list[tuple[float, float]] = []
     for seg in segments:
-        start, stop = seg.point_range
-        points = traj.points[start:stop]
-        if len(points) < 2:
+        positions = traj.points[slice(*seg.point_range)]
+        if len(positions) < 2:
             continue
-        vertices = detect_turning_points(points, cfg)
-        for v in vertices[1:-1]:
-            out.append((points[v].x, points[v].y))
+        vertices = detect_turning_points(positions, cfg)
+        out.extend((x, y) for x, y in positions[vertices[1:-1]].tolist())
     return out
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .floors import TrajectorySegment
-from .pdr import PdrPoint, PdrTrajectory, WifiBatch
+from .pdr import PdrTrajectory
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class TurningConfig:
 
 @dataclass(frozen=True)
 class ChainVertex:
-    origin_index: int          # index into the segment's point slice
+    origin_index: int          # row in the segment's trajectory slice
     x: float
     y: float
     t: float
@@ -75,15 +75,13 @@ def _turn_angle(direction: float, baseline: float) -> float:
     return abs(d)
 
 
-def detect_turning_points(
-    points: Sequence[PdrPoint] | np.ndarray, cfg: TurningConfig = TurningConfig()
-) -> list[int]:
-    """Indices of the start point, accepted turning points, and end point.
+def detect_turning_points(positions: np.ndarray, cfg: TurningConfig = TurningConfig()) -> list[int]:
+    """Indices of the start point, accepted turning points, and end point of
+    an (N, 2) position array.
 
-    ``points`` may be PdrPoints or an (N, 2) position array. Zero-length
-    displacements contribute no turning and simply extend the window.
+    Zero-length displacements contribute no turning and simply extend the
+    window.
     """
-    positions = points if isinstance(points, np.ndarray) else np.array([[p.x, p.y] for p in points])
     n = len(positions)
     if n < 2:
         raise ValueError("need at least 2 points")
@@ -137,7 +135,7 @@ def _group_at_successive(vertices: Sequence[int]) -> list[list[int]]:
 
 
 def split_frequent_turnings(
-    points: Sequence[PdrPoint] | np.ndarray,
+    positions: np.ndarray,
     vertices: Sequence[int],
     cfg: TurningConfig = TurningConfig(),
 ) -> list[list[int]]:
@@ -147,7 +145,6 @@ def split_frequent_turnings(
     step, so the chain is cut between them. Afterwards any piece with fewer
     than two vertices or a path length under ``min_subtraj_len_m`` is removed.
     """
-    positions = points if isinstance(points, np.ndarray) else np.array([[p.x, p.y] for p in points])
     groups = _group_at_successive(vertices)
 
     step_lengths = np.hypot(*(np.diff(positions, axis=0).T)) if len(positions) > 1 else np.array([])
@@ -162,13 +159,8 @@ def split_frequent_turnings(
     return kept
 
 
-def build_chain_graph(
-    points: Sequence[PdrPoint],
-    vertices: Sequence[int],
-    wifi_batches: Sequence[WifiBatch],
-    floor: int,
-) -> ChainGraph | None:
-    """Assemble one chain graph from a vertex index list over segment points.
+def build_chain_graph(seg: PdrTrajectory, vertices: Sequence[int], floor: int) -> ChainGraph | None:
+    """Assemble one chain graph from a vertex index list over a segment.
 
     Edge vectors are the position differences between consecutive vertices
     (the telescoped sum of the per-step motion vectors in between). Each
@@ -177,11 +169,13 @@ def build_chain_graph(
     """
     if len(vertices) < 2:
         return None
-    vs = []
-    for v in vertices:
-        p = points[v]
-        rss = None if p.wifi_ref is None else wifi_batches[p.wifi_ref].rss_map()
-        vs.append(ChainVertex(origin_index=v, x=p.x, y=p.y, t=p.t, rss=rss))
+    rows = list(vertices)
+    vs = [
+        ChainVertex(origin_index=v, x=x, y=y, t=t, rss=seg.wifi_batches[r].rss_map() if r >= 0 else None)
+        for v, (x, y), t, r in zip(
+            rows, seg.points[rows].tolist(), seg.t[rows].tolist(), seg.wifi_ref[rows].tolist()
+        )
+    ]
     edges = tuple(
         ChainEdge(dx=b.x - a.x, dy=b.y - a.y) for a, b in zip(vs, vs[1:])
     )
@@ -197,16 +191,15 @@ def featurize_segment_report(
 
     Also returns the number of dropped sub-trajectories.
     """
-    start, stop = segment.point_range
-    points = traj.points[start:stop]
-    if len(points) < 2:
+    seg = traj[slice(*segment.point_range)]
+    if len(seg) < 2:
         return [], 0
-    vertices = detect_turning_points(points, cfg)
+    vertices = detect_turning_points(seg.points, cfg)
     raw_groups = _group_at_successive(vertices)
-    groups = split_frequent_turnings(points, vertices, cfg)
+    groups = split_frequent_turnings(seg.points, vertices, cfg)
     graphs = []
     for group in groups:
-        graph = build_chain_graph(points, group, traj.wifi_batches, segment.floor or 0)
+        graph = build_chain_graph(seg, group, segment.floor or 0)
         if graph is not None:
             graphs.append(graph)
     return graphs, len(raw_groups) - len(graphs)

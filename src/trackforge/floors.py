@@ -155,13 +155,13 @@ def segment_trajectory(
     noise (inter-floor transitions) belong to no segment. Without barometer
     data the whole trajectory becomes a single flagged segment.
     """
-    pressures = [p.baro_hpa for p in traj.points]
-    if any(p is None for p in pressures) or not pressures:
+    pressures = traj.baro_hpa
+    if np.isnan(pressures).any() or not len(pressures):
         logger.warning(
             "trajectory %s lacks barometer data: emitting a single unsplit segment",
             traj.source_id,
         )
-        return [_make_segment(traj, 0, len(traj.points))]
+        return [_make_segment(traj, 0, len(traj))]
 
     labels = dbscan_1d(pressures, eps, min_pts)
     n_clusters = max(labels) + 1 if labels else 0
@@ -191,17 +191,14 @@ def segment_trajectory(
 
 
 def _make_segment(traj: PdrTrajectory, start: int, stop: int) -> TrajectorySegment:
-    points = traj.points[start:stop]
-    pressures = [p.baro_hpa for p in points if p.baro_hpa is not None]
-    macs: set[str] = set()
-    for p in points:
-        if p.wifi_ref is not None:
-            macs.update(o.bssid for o in traj.wifi_batches[p.wifi_ref].observations)
+    seg = traj[start:stop]
+    pressures = seg.baro_hpa[~np.isnan(seg.baro_hpa)]
+    refs = np.unique(seg.wifi_ref[seg.wifi_ref >= 0]).tolist()
     return TrajectorySegment(
         parent_id=traj.source_id,
         point_range=(start, stop),
-        mean_pressure=float(np.mean(pressures)) if pressures else float("nan"),
-        mac_set=frozenset(macs),
+        mean_pressure=float(np.mean(pressures)) if len(pressures) else float("nan"),
+        mac_set=frozenset(o.bssid for r in refs for o in traj.wifi_batches[r].observations),
     )
 
 

@@ -35,6 +35,11 @@ logger = logging.getLogger(__name__)
 GRAVITY = 9.80665  # m/s^2, value the quasi-static gate compares against
 _FLAT_STD = 1e-12  # a correlation window with a smaller std is flat
 _EPS = float(np.finfo(float).eps)
+PCA_MIN_SAMPLES = 10  # a shorter step window is low-confidence
+
+# one row per accelerometer sample: tracked gravity (unit vector, phone
+# frame), yaw, and whether the magnetometer was trusted at that sample
+ATTITUDE_DTYPE = np.dtype([("gravity", float, (3,)), ("yaw", float), ("mag_trust", bool)])
 
 
 @dataclass(frozen=True)
@@ -43,16 +48,6 @@ class HeadingConfig:
     corr_gate: float = 0.8      # magnetometer trust gate
     corr_window_s: float = 1.0  # correlation window
     pca_min_ratio: float = 1.2  # eigenvalue ratio below which PCA is rejected
-    pca_min_samples: int = 10
-
-
-@dataclass
-class AttitudeState:
-    gravity_vec: np.ndarray  # unit vector, phone frame
-    roll: float
-    pitch: float
-    yaw: float
-    mag_trust: bool
 
 
 @dataclass
@@ -220,8 +215,10 @@ def track_attitude(
     gyro: SensorStream,
     magn: SensorStream,
     cfg: HeadingConfig = HeadingConfig(),
-) -> list[AttitudeState]:
-    """Attitude state per accelerometer sample.
+) -> np.recarray:
+    """Attitude per accelerometer sample, as ``ATTITUDE_DTYPE`` records: the
+    columns ``gravity`` (n, 3), ``yaw`` (n,) and ``mag_trust`` (n,).
+    ``roll_pitch`` derives roll and pitch from a gravity row.
 
     Without a gyro stream, gravity updates only at quasi-static opportunities
     and yaw is held between trusted magnetometer fixes (degraded mode).
@@ -245,7 +242,8 @@ def track_attitude(
     fixes = np.empty((3, 64))
     start = m = 0
     prev_mag_yaw: float | None = None
-    states: list[AttitudeState] = []
+    att = np.recarray(len(times), dtype=ATTITUDE_DTYPE)
+    gravity_col, yaw_col, trust_col = att.gravity, att.yaw, att.mag_trust
 
     no_rotation = np.zeros(3)
     t_prev = None
@@ -287,17 +285,10 @@ def track_attitude(
         else:
             yaw = wrap_angle(yaw + gyro_rate * dt)
 
-        roll, pitch = roll_pitch(gravity.tolist())
-        states.append(
-            AttitudeState(
-                gravity_vec=gravity.copy(),
-                roll=roll,
-                pitch=pitch,
-                yaw=yaw,
-                mag_trust=mag_trust,
-            )
-        )
-    return states
+        gravity_col[k] = gravity
+        yaw_col[k] = yaw
+        trust_col[k] = mag_trust
+    return att
 
 
 def earth_horizontal(vec: np.ndarray, gravity: np.ndarray, yaw: float) -> np.ndarray | None:
@@ -327,7 +318,7 @@ def motion_direction(
     phone yaw.
     """
     window_2d = np.asarray(window_2d, dtype=float)
-    if window_2d.ndim != 2 or window_2d.shape[1] != 2 or len(window_2d) < cfg.pca_min_samples:
+    if window_2d.ndim != 2 or window_2d.shape[1] != 2 or len(window_2d) < PCA_MIN_SAMPLES:
         return HeadingEstimate(phone_yaw, wrap_angle(phone_yaw), 1.0, low_confidence=True)
 
     centered = window_2d - window_2d.mean(axis=0)
@@ -344,7 +335,7 @@ def motion_direction(
     return HeadingEstimate(phone_yaw, heading, ratio)
 
 
-def _smoothed_gravity(states: Sequence[AttitudeState], times: np.ndarray) -> np.ndarray:
+def _smoothed_gravity(grav: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Low-passed tracked gravity for linear-acceleration extraction.
 
     Individual quasi-static snaps carry the accel noise of one sample; a
@@ -356,7 +347,6 @@ def _smoothed_gravity(states: Sequence[AttitudeState], times: np.ndarray) -> np.
     window of 2n + 1 already averages the whole log at every sample, so a
     longer one (from a tiny spacing) is capped there.
     """
-    grav = np.array([s.gravity_vec for s in states])
     if len(times) < 3:
         return grav
     dt = float(np.median(np.diff(times)))
@@ -375,18 +365,19 @@ def _smoothed_gravity(states: Sequence[AttitudeState], times: np.ndarray) -> np.
 
 def step_headings(
     steps: Sequence[Step], log: SensorLog, cfg: HeadingConfig = HeadingConfig()
-) -> list[AttitudeState]:
+) -> None:
     """Fill each step's heading_rad with its PCA motion direction.
 
     The window for a step spans (peak_time - lookback, valley_time] where the
     lookback is the pace capped at 2.5 half-periods, so a long pause before
     the step does not drag the previous corridor into the window.
     Low-confidence windows reuse the previous step's heading (the phone yaw
-    for the first). Returns the per-sample attitude states for callers.
+    for the first).
     """
-    states = track_attitude(log.accel, log.gyro, log.magn, cfg)
+    att = track_attitude(log.accel, log.gyro, log.magn, cfg)
     times, accel_v = log.accel.app_timestamp, log.accel.values
-    grav = _smoothed_gravity(states, times)
+    grav = _smoothed_gravity(att.gravity, times)
+    yaw = att.yaw.tolist()
 
     # a sample in several consecutive step windows is projected once
     projected: dict[int, np.ndarray | None] = {}
@@ -395,18 +386,16 @@ def step_headings(
         lookback = min(step.pace, 2.5 * max(step.valley_time - step.peak_time, 1e-3))
         lo = int(np.searchsorted(times, step.peak_time - lookback, side="right"))
         hi = int(np.searchsorted(times, step.valley_time, side="right"))
-        state = states[step.peak_index]
         projected = {k: xy for k, xy in projected.items() if lo <= k < hi}
         window = []
         for k in range(lo, hi):
             if k not in projected:
-                projected[k] = earth_horizontal(accel_v[k] - GRAVITY * grav[k], grav[k], states[k].yaw)
+                projected[k] = earth_horizontal(accel_v[k] - GRAVITY * grav[k], grav[k], yaw[k])
             if projected[k] is not None:
                 window.append(projected[k])
-        est = motion_direction(np.array(window) if window else np.empty((0, 2)), state.yaw, cfg)
+        est = motion_direction(np.array(window) if window else np.empty((0, 2)), yaw[step.peak_index], cfg)
         if est.low_confidence:
             step.heading_rad = prev_heading if prev_heading is not None else est.phone_yaw
         else:
             step.heading_rad = est.motion_heading
         prev_heading = step.heading_rad
-    return states

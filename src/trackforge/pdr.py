@@ -1,15 +1,15 @@
 """Dead-reckoning integration of detected steps into a 2-D trajectory.
 
 Each step advances the position by (S*cos(theta), S*sin(theta)) from the
-origin (0, 0). Points carry the nearest-in-time barometer reading and a
-reference to the nearest WiFi scan burst within 5 s, which later stages use
+origin (0, 0). Each point carries the nearest-in-time barometer reading and
+a reference to the nearest WiFi scan burst within 5 s, which later stages use
 for floor segmentation and vertex features.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,23 +39,28 @@ class WifiBatch:
 
 
 @dataclass(frozen=True)
-class PdrPoint:
-    x: float
-    y: float
-    t: float
-    step_index: int          # -1 for the origin
-    baro_hpa: float | None
-    wifi_ref: int | None     # index into the trajectory's wifi batch list
-
-
-@dataclass
 class PdrTrajectory:
-    points: list[PdrPoint]
+    """Dead-reckoned points as columns; row 0 is the origin, row k + 1 step k.
+
+    ``points`` holds the (n, 2) positions and ``t`` the times. ``baro_hpa`` is
+    the nearest barometer reading, NaN when the log has none. ``wifi_ref``
+    indexes ``wifi_batches``: the nearest burst within 5 s, -1 when there is
+    none. ``traj[start:stop]`` is a segment sharing ``wifi_batches``.
+    """
+
+    points: np.ndarray
+    t: np.ndarray
+    baro_hpa: np.ndarray
+    wifi_ref: np.ndarray
     wifi_batches: list[WifiBatch] = field(default_factory=list)
     source_id: str = ""
 
-    def positions(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.points])
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows: slice) -> PdrTrajectory:
+        return replace(self, points=self.points[rows], t=self.t[rows],
+                       baro_hpa=self.baro_hpa[rows], wifi_ref=self.wifi_ref[rows])
 
 
 def pdr_update(prev: tuple[float, float], stride_m: float, theta_rad: float) -> tuple[float, float]:
@@ -95,21 +100,17 @@ def integrate(steps: Sequence[Step], log: SensorLog) -> PdrTrajectory:
     xy = [(0.0, 0.0)]
     for step in steps:
         xy.append(pdr_update(xy[-1], step.stride_m, step.heading_rad))
-    times = [origin_t] + [step.peak_time for step in steps]
+    times = np.array([origin_t] + [step.peak_time for step in steps], dtype=float)
 
     baro_idx = nearest_index(log.baro.app_timestamp, times)
+    baro_hpa = np.full(len(times), np.nan)
+    baro_hpa[baro_idx >= 0] = log.baro.values[baro_idx[baro_idx >= 0], 0]
     batches = group_wifi_batches(log.wifi)
-    wifi_idx = nearest_index([b.time for b in batches], times, WIFI_MATCH_WINDOW_S)
-
-    points = [
-        PdrPoint(
-            x=x,
-            y=y,
-            t=t,
-            step_index=k - 1,
-            baro_hpa=float(log.baro.values[b, 0]) if b >= 0 else None,
-            wifi_ref=int(w) if w >= 0 else None,
-        )
-        for k, ((x, y), t, b, w) in enumerate(zip(xy, times, baro_idx, wifi_idx))
-    ]
-    return PdrTrajectory(points=points, wifi_batches=batches, source_id=log.source_id)
+    return PdrTrajectory(
+        points=np.array(xy),
+        t=times,
+        baro_hpa=baro_hpa,
+        wifi_ref=nearest_index([b.time for b in batches], times, WIFI_MATCH_WINDOW_S),
+        wifi_batches=batches,
+        source_id=log.source_id,
+    )

@@ -16,10 +16,10 @@ from trackforge.featurize import build_chain_graph
 from trackforge.floors import cluster_floors, dbscan_1d, jaccard
 from trackforge.heading import motion_direction, tilt_compensated_yaw
 from trackforge.logio import TslEncodingError, TslParseError, parse_log, serialize_log
-from trackforge.pdr import PdrPoint, pdr_update
+from trackforge.pdr import pdr_update
 from trackforge.pipeline import run_pipeline
 from trackforge.stepdetect import StepConfig, detect_steps, magnitude_series, moving_average
-from streams import stream
+from streams import stream, trajectory
 
 from test_floors import dbscan_brute
 
@@ -74,15 +74,11 @@ class TestAcceptance:
                 # telescoping checks below are bitwise, not approximate
                 steps = rng.integers(-500000, 500000, size=(n, 2)) * scale
                 pos = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
-                points = [
-                    PdrPoint(float(x), float(y), 0.5 * k, k - 1, None, None)
-                    for k, (x, y) in enumerate(pos)
-                ]
                 k_vertices = int(rng.integers(2, min(6, n + 1)))
                 interior = sorted(rng.choice(np.arange(1, n), size=k_vertices - 2, replace=False)) \
                     if k_vertices > 2 else []
                 vertices = [0] + [int(v) for v in interior] + [n]
-                graph = build_chain_graph(points, vertices, [], floor=1)
+                graph = build_chain_graph(trajectory(pos), vertices, floor=1)
                 for a, b, e in zip(graph.vertices, graph.vertices[1:], graph.edges):
                     assert e.dx == b.x - a.x and e.dy == b.y - a.y  # bitwise
                 sum_dx = math.fsum(e.dx for e in graph.edges)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +12,12 @@ from trackforge.featurize import (
 )
 from trackforge.floors import segment_trajectory
 from trackforge.logio import WifiObservation
-from trackforge.pdr import PdrPoint, WifiBatch
+from trackforge.pdr import WifiBatch
 from trackforge.config import PipelineConfig
 from trackforge.pipeline import process_log
 from trackforge.stride import Gait, default_gait_model
 from trackforge.synth import WalkScript, WalkSegmentSpec, generate
+from streams import trajectory
 
 
 def wrap_abs(a):
@@ -168,29 +168,20 @@ class TestSplitFrequentTurnings:
         assert split_frequent_turnings(pts, vertices, cfg) == []
 
 
-def make_points(positions, t0=0.0):
-    return [
-        PdrPoint(x=float(x), y=float(y), t=t0 + 0.5 * k, step_index=k - 1,
-                 baro_hpa=None, wifi_ref=None)
-        for k, (x, y) in enumerate(positions)
-    ]
-
-
 class TestBuildChainGraph:
     def test_single_edge_telescopes_to_endpoint(self):
-        pts = make_points(l_shape())
-        graph = build_chain_graph(pts, [0, len(pts) - 1], [], floor=1)
+        seg = trajectory(l_shape())
+        graph = build_chain_graph(seg, [0, len(seg) - 1], floor=1)
         assert len(graph.vertices) == 2
         (edge,) = graph.edges
-        assert edge.dx == pts[-1].x - pts[0].x
-        assert edge.dy == pts[-1].y - pts[0].y
+        assert edge.dx == seg.points[-1, 0] - seg.points[0, 0]
+        assert edge.dy == seg.points[-1, 1] - seg.points[0, 1]
 
     def test_every_edge_is_bitwise_position_difference(self):
         rng = np.random.default_rng(21)
         heads = np.cumsum(rng.uniform(-0.5, 0.5, 60))
         pos = np.vstack([[0.0, 0.0], np.cumsum(np.stack([np.cos(heads), np.sin(heads)], 1), axis=0)])
-        pts = make_points(pos)
-        graph = build_chain_graph(pts, [0, 7, 20, 41, 59], [], floor=2)
+        graph = build_chain_graph(trajectory(pos), [0, 7, 20, 41, 59], floor=2)
         for a, b, e in zip(graph.vertices, graph.vertices[1:], graph.edges):
             assert e.dx == b.x - a.x
             assert e.dy == b.y - a.y
@@ -198,17 +189,16 @@ class TestBuildChainGraph:
     def test_rss_from_nearest_batch_within_window(self):
         obs = (WifiObservation(0.1, 0.1, "x", "aa:bb:cc:00:00:01", 2412, -48),)
         batches = [WifiBatch(time=0.1, observations=obs)]
-        pts = make_points(l_shape())
+        pos = l_shape()
         # as pdr.integrate annotates: the burst is 0.1 s from the first point
         # and ~10 s from the last, outside the 5 s window
-        pts[0] = replace(pts[0], wifi_ref=0)
-        graph = build_chain_graph(pts, [0, len(pts) - 1], batches, floor=1)
+        seg = trajectory(pos, wifi_ref=[0] + [-1] * (len(pos) - 1), wifi_batches=batches)
+        graph = build_chain_graph(seg, [0, len(seg) - 1], floor=1)
         assert graph.vertices[0].rss == {"aa:bb:cc:00:00:01": -48}
         assert graph.vertices[1].rss is None  # last point is ~10 s away
 
     def test_fewer_than_two_vertices_no_graph(self):
-        pts = make_points(l_shape())
-        assert build_chain_graph(pts, [0], [], floor=1) is None
+        assert build_chain_graph(trajectory(l_shape()), [0], floor=1) is None
 
 
 class TestFeaturizeSegment:

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -9,6 +10,7 @@ from trackforge.config import PipelineConfig
 from trackforge.floors import (
     FloorClusteringError,
     TrajectorySegment,
+    _make_segment,
     absorb_isolated_noise,
     canonicalize_labels,
     cluster_floors,
@@ -16,9 +18,12 @@ from trackforge.floors import (
     jaccard,
     segment_trajectory,
 )
+from trackforge.logio import WifiObservation
+from trackforge.pdr import WifiBatch
 from trackforge.pipeline import process_log
 from trackforge.stride import Gait, default_gait_model
 from trackforge.synth import WalkScript, WalkSegmentSpec, generate
+from streams import trajectory
 
 
 def dbscan_brute(values, eps, min_pts):
@@ -112,6 +117,41 @@ def _run_segmentation(script):
         item.trajectory, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters
     )
     return item.trajectory, segments, truth
+
+
+def per_point_segment_features(traj, start, stop):
+    """Mean pressure and MAC set by the per-point formulas _make_segment replaced."""
+    pressures = [p for p in traj.baro_hpa[start:stop].tolist() if not math.isnan(p)]
+    macs = set()
+    for ref in traj.wifi_ref[start:stop].tolist():
+        if ref != -1:
+            macs.update(o.bssid for o in traj.wifi_batches[ref].observations)
+    return float(np.mean(pressures)) if pressures else float("nan"), frozenset(macs)
+
+
+class TestMakeSegment:
+    def test_matches_per_point_formulas(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            batches = [
+                WifiBatch(float(k), tuple(
+                    WifiObservation(float(k), float(k), "x", f"aa:bb:cc:00:00:{m:02x}", 2412, -50)
+                    for m in rng.choice(20, size=int(rng.integers(1, 5)), replace=False)
+                ))
+                for k in range(5)
+            ]
+            n = int(rng.integers(1, 60))
+            baro = rng.normal(1000.0, 0.5, n)
+            baro[rng.random(n) < rng.choice([0.0, 0.3, 1.0])] = np.nan
+            traj = trajectory(rng.normal(size=(n, 2)), baro_hpa=baro, wifi_ref=rng.integers(-1, 5, n),
+                              wifi_batches=batches, source_id="mk")
+            start = int(rng.integers(0, n))
+            stop = int(rng.integers(start + 1, n + 1))
+            segment = _make_segment(traj, start, stop)
+            mean, macs = per_point_segment_features(traj, start, stop)
+            assert (segment.parent_id, segment.point_range) == ("mk", (start, stop))
+            assert repr(segment.mean_pressure) == repr(mean)
+            assert segment.mac_set == macs
 
 
 class TestSegmentTrajectory:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from trackforge import heading
 from trackforge.heading import (
+    ATTITUDE_DTYPE,
     GRAVITY,
-    AttitudeState,
     HeadingConfig,
     _cross,
     _gate_estimate,
@@ -45,18 +45,18 @@ class TestTrackAttitude:
         accel = stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
         gyro = stream(t, [(0.0, 0.0, 0.0)] * len(t))
         magn = stream(t, [(0.0, 25.0, 40.0)] * len(t))
-        states = track_attitude(accel, gyro, magn)
-        last = states[-1]
-        assert np.allclose(last.gravity_vec, FLAT, atol=1e-9)
-        assert last.roll == pytest.approx(0.0)
-        assert last.pitch == pytest.approx(0.0)
-        assert last.yaw == pytest.approx(0.0)
+        att = track_attitude(accel, gyro, magn)
+        assert np.allclose(att.gravity[-1], FLAT, atol=1e-9)
+        roll, pitch = roll_pitch(att.gravity[-1])
+        assert roll == pytest.approx(0.0)
+        assert pitch == pytest.approx(0.0)
+        assert att.yaw[-1] == pytest.approx(0.0)
 
     def test_gravity_along_x(self):
         t = np.arange(0, 0.5, 0.01)
         accel = stream(t, [(GRAVITY, 0.0, 0.0)] * len(t))
-        states = track_attitude(accel, NO_SAMPLES, NO_SAMPLES)
-        assert abs(states[-1].pitch) == pytest.approx(math.pi / 2)
+        att = track_attitude(accel, NO_SAMPLES, NO_SAMPLES)
+        assert abs(roll_pitch(att.gravity[-1])[1]) == pytest.approx(math.pi / 2)
 
     def test_slow_rotation_keeps_mag_trust(self):
         t = np.arange(0, 5, 0.01)
@@ -65,16 +65,16 @@ class TestTrackAttitude:
         accel = stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
         gyro = stream(t, np.column_stack([np.zeros_like(t), np.zeros_like(t), rate]))
         magn = stream(t, np.column_stack([25 * np.sin(yaw), 25 * np.cos(yaw), np.full_like(t, 40.0)]))
-        states = track_attitude(accel, gyro, magn)
-        assert all(s.mag_trust for s in states)
-        errs = [abs(wrap_angle(s.yaw - y)) for s, y in zip(states, yaw)]
+        att = track_attitude(accel, gyro, magn)
+        assert att.mag_trust.all()
+        errs = [abs(wrap_angle(a - y)) for a, y in zip(att.yaw.tolist(), yaw)]
         assert max(errs) < 0.02
 
     def test_missing_gyro_degrades_gracefully(self):
         t = np.arange(0, 1, 0.01)
         accel = stream(t, [(0.0, 0.0, GRAVITY)] * len(t))
-        states = track_attitude(accel, NO_SAMPLES, NO_SAMPLES)
-        assert np.allclose(states[-1].gravity_vec, FLAT, atol=1e-9)
+        att = track_attitude(accel, NO_SAMPLES, NO_SAMPLES)
+        assert np.allclose(att.gravity[-1], FLAT, atol=1e-9)
 
     def test_empty_accel_rejected(self):
         with pytest.raises(ValueError):
@@ -188,40 +188,43 @@ class TestSmoothedGravity:
     """The half-second window behind linear-acceleration extraction."""
 
     @staticmethod
-    def _states(n, seed=0):
+    def _gravity(n, seed=0):
         g = np.random.default_rng(seed).normal(0, 0.1, (n, 3)) + FLAT
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return [AttitudeState(v, 0.0, 0.0, 0.0, True) for v in g]
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
 
     @staticmethod
     def _normalized(v):
         return v / np.linalg.norm(v, axis=1, keepdims=True)
 
     def test_window_from_median_spacing(self):
-        states = self._states(300)
+        grav = self._gravity(300)
         times = np.arange(300) * 0.01
-        grav = np.array([s.gravity_vec for s in states])
         expected = self._normalized(moving_average(grav, 51))
-        assert heading._smoothed_gravity(states, times).tobytes() == expected.tobytes()
+        assert heading._smoothed_gravity(grav, times).tobytes() == expected.tobytes()
+
+    def test_attitude_column_smooths_like_a_contiguous_copy(self):
+        # track_attitude's gravity column is a strided view into its records
+        accel, gyro, magn = _turning_phone(2)
+        att = track_attitude(accel, gyro, magn)
+        times = accel.app_timestamp
+        smoothed = heading._smoothed_gravity(att.gravity, times)
+        assert smoothed.tobytes() == heading._smoothed_gravity(att.gravity.copy(), times).tobytes()
 
     def test_duplicated_records_use_the_mean_spacing(self):
-        states = self._states(600)
+        grav = self._gravity(600)
         times = np.repeat(np.arange(300) * 0.01, 2)  # median spacing 0
-        grav = np.array([s.gravity_vec for s in states])
         window = int(round(0.5 / (times[-1] / 599))) | 1
         expected = self._normalized(moving_average(grav, window))
-        assert heading._smoothed_gravity(states, times).tobytes() == expected.tobytes()
+        assert heading._smoothed_gravity(grav, times).tobytes() == expected.tobytes()
 
     def test_one_shared_time_is_not_smoothed(self):
-        states = self._states(20)
-        grav = np.array([s.gravity_vec for s in states])
-        assert heading._smoothed_gravity(states, np.full(20, 4.0)).tobytes() == grav.tobytes()
+        grav = self._gravity(20)
+        assert heading._smoothed_gravity(grav, np.full(20, 4.0)).tobytes() == grav.tobytes()
 
     def test_tiny_spacing_averages_the_whole_log(self):
-        states = self._states(20)
+        grav = self._gravity(20)
         times = np.arange(20) * 5e-324  # 0.5 / spacing overflows to inf
-        grav = np.array([s.gravity_vec for s in states])
-        smoothed = heading._smoothed_gravity(states, times)
+        smoothed = heading._smoothed_gravity(grav, times)
         assert np.allclose(smoothed, self._normalized(grav.mean(axis=0, keepdims=True)), atol=1e-15)
 
 
@@ -269,7 +272,7 @@ def _ref_track_attitude(accel, gyro, magn, cfg=HeadingConfig(), windows=None):
     mag_trust = True
     history = []
     prev_mag_yaw = None
-    states = []
+    rows = []
     for k, t in enumerate(times):
         dt = float(t - times[k - 1]) if k > 0 else 0.0
         omega = gyro_v[gyro_idx[k]] if gyro_v is not None else np.zeros(3)
@@ -300,12 +303,21 @@ def _ref_track_attitude(accel, gyro, magn, cfg=HeadingConfig(), windows=None):
         else:
             yaw = wrap_angle(yaw + gyro_rate * dt)
         roll, pitch = roll_pitch(gravity)
-        states.append(AttitudeState(gravity.copy(), roll, pitch, yaw, mag_trust))
-    return states
+        rows.append((gravity.copy(), roll, pitch, yaw, mag_trust))
+    gravities, rolls, pitches, yaws, trusts = zip(*rows)
+    return {"gravity": np.array(gravities), "roll": np.array(rolls), "pitch": np.array(pitches),
+            "yaw": np.array(yaws), "mag_trust": np.array(trusts)}
 
 
-def _bits(state):
-    return (state.gravity_vec.tobytes(), np.array([state.roll, state.pitch, state.yaw]).tobytes(), state.mag_trust)
+def _assert_columns_equal(att, ref):
+    """Bitwise, column by column; roll and pitch as roll_pitch(gravity)."""
+    assert att.dtype == ATTITUDE_DTYPE
+    assert att.gravity.tobytes() == ref["gravity"].tobytes()
+    roll, pitch = np.array([roll_pitch(g) for g in att.gravity.tolist()]).reshape(-1, 2).T
+    assert roll.tobytes() == ref["roll"].tobytes()
+    assert pitch.tobytes() == ref["pitch"].tobytes()
+    assert att.yaw.tobytes() == ref["yaw"].tobytes()
+    assert att.mag_trust.tolist() == ref["mag_trust"].tolist()
 
 
 def _turning_phone(seed, n=600, gimbal=False, dyadic=False):
@@ -346,8 +358,8 @@ class TestAttitudeReference:
             magn = NO_SAMPLES
         ref = _ref_track_attitude(accel, gyro, magn)
         new = track_attitude(accel, gyro, magn)
-        assert len(new) == len(ref)
-        assert [_bits(s) for s in new] == [_bits(s) for s in ref]
+        assert len(new) == len(ref["yaw"])
+        _assert_columns_equal(new, ref)
         if mode == "gyro+magn":
             trusted = sum(s.mag_trust for s in new)
             assert 0 < trusted < len(new)  # the gate decided both ways
@@ -378,9 +390,9 @@ class TestAttitudeReference:
         for k, yaw in ((0, 0.0), (64, 0.3), (128, 0.9)):
             field[k] = (25 * math.sin(yaw), 25 * math.cos(yaw), 40.0)
         magn = stream(t, field)
-        states = track_attitude(accel, NO_SAMPLES, magn)
-        assert [s.mag_trust for s in states[126:]] == [True, True, False, False]
-        assert [_bits(s) for s in states] == [_bits(s) for s in _ref_track_attitude(accel, NO_SAMPLES, magn)]
+        att = track_attitude(accel, NO_SAMPLES, magn)
+        assert att.mag_trust[126:].tolist() == [True, True, False, False]
+        _assert_columns_equal(att, _ref_track_attitude(accel, NO_SAMPLES, magn))
 
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
@@ -479,5 +491,5 @@ class TestTrustGate:
             raise AssertionError("fell back to _increment_correlation")
 
         monkeypatch.setattr(heading, "_increment_correlation", fail)
-        states = track_attitude(accel, NO_SAMPLES, magn)
-        assert not any(s.mag_trust for s in states[300:])  # flat gyro vs moving compass
+        att = track_attitude(accel, NO_SAMPLES, magn)
+        assert not att.mag_trust[300:].any()  # flat gyro vs moving compass

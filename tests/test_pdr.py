@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from streams import stream
-from trackforge.logio import SensorLog, WifiObservation
+from trackforge.floors import segment_trajectory
+from trackforge.logio import SensorLog, WifiObservation, parse_log, serialize_log
 from trackforge.pdr import WifiBatch, group_wifi_batches, integrate, pdr_update
 from trackforge.stepdetect import Step
 
@@ -58,27 +59,31 @@ class TestIntegrate:
                 specs.append((t, 1.0, theta))
                 t += 0.5
         traj = integrate(make_steps(specs), minimal_log(3000))
-        end = traj.points[-1]
-        assert math.hypot(end.x, end.y) < 1e-12
+        x, y = traj.points[-1]
+        assert math.hypot(x, y) < 1e-12
 
     def test_straight_line_endpoint(self):
         specs = [(1.0 + 0.5 * k, 0.7, 0.0) for k in range(10)]
         traj = integrate(make_steps(specs), minimal_log(1000))
-        assert traj.points[-1].x == pytest.approx(7.0)
-        assert traj.points[-1].y == pytest.approx(0.0)
+        assert traj.points[-1, 0] == pytest.approx(7.0)
+        assert traj.points[-1, 1] == pytest.approx(0.0)
 
     def test_empty_steps_single_origin_point(self):
         traj = integrate([], minimal_log())
-        assert len(traj.points) == 1
-        assert (traj.points[0].x, traj.points[0].y) == (0.0, 0.0)
+        assert len(traj) == len(traj.points) == 1
+        assert traj.points.tolist() == [[0.0, 0.0]]
 
     def test_point_count_and_ordering(self):
         specs = [(1.0 + 0.5 * k, 0.7, 0.1 * k) for k in range(8)]
-        traj = integrate(make_steps(specs), minimal_log(1000))
-        assert len(traj.points) == 9
-        times = [p.t for p in traj.points]
+        steps = make_steps(specs)
+        traj = integrate(steps, minimal_log(1000))
+        assert traj.points.shape == (9, 2)
+        for column in (traj.t, traj.baro_hpa, traj.wifi_ref):
+            assert column.shape == (9,)
+        times = traj.t.tolist()
         assert times == sorted(times)
-        assert [p.step_index for p in traj.points] == list(range(-1, 8))
+        # row 0 is the origin at the first accel sample, row k + 1 is step k
+        assert times == [0.0] + [s.peak_time for s in steps]
 
     def test_endpoint_equals_refold_of_updates(self):
         rng = np.random.default_rng(8)
@@ -89,8 +94,7 @@ class TestIntegrate:
         pos = (0.0, 0.0)
         for s in steps:
             pos = pdr_update(pos, s.stride_m, s.heading_rad)
-        assert traj.points[-1].x == pos[0]
-        assert traj.points[-1].y == pos[1]
+        assert traj.points[-1].tolist() == list(pos)
 
     def test_global_heading_offset_is_rigid(self):
         rng = np.random.default_rng(9)
@@ -98,8 +102,8 @@ class TestIntegrate:
                 for k in range(40)]
         delta = 0.83
         rotated = [(t, s, h + delta) for t, s, h in base]
-        p0 = integrate(make_steps(base), minimal_log(4000)).positions()
-        p1 = integrate(make_steps(rotated), minimal_log(4000)).positions()
+        p0 = integrate(make_steps(base), minimal_log(4000)).points
+        p1 = integrate(make_steps(rotated), minimal_log(4000)).points
         d0 = np.linalg.norm(p0[:, None, :] - p0[None, :, :], axis=-1)
         d1 = np.linalg.norm(p1[:, None, :] - p1[None, :, :], axis=-1)
         assert np.max(np.abs(d0 - d1)) < 1e-9
@@ -109,8 +113,8 @@ class TestIntegrate:
         strides = [float(rng.uniform(0.4, 1.0)) for _ in range(25)]
         quiet = [(1.0 + 0.5 * k, s, 0.0) for k, s in enumerate(strides)]
         noisy = [(t, s, float(rng.uniform(-3, 3))) for t, s, _ in quiet]
-        t0 = integrate(make_steps(quiet), minimal_log(2000)).positions()
-        t1 = integrate(make_steps(noisy), minimal_log(2000)).positions()
+        t0 = integrate(make_steps(quiet), minimal_log(2000)).points
+        t1 = integrate(make_steps(noisy), minimal_log(2000)).points
         length = lambda p: np.sum(np.hypot(*np.diff(p, axis=0).T))
         assert length(t0) == pytest.approx(length(t1), abs=1e-9)
 
@@ -129,7 +133,7 @@ class TestAnnotations:
         )
         traj = integrate(make_steps([(1.0, 0.7, 0.0)]), log)
         # t=1.0 is equidistant from 0.5 and 1.5: the earlier sample wins
-        assert traj.points[-1].baro_hpa == pytest.approx(1000.0)
+        assert traj.baro_hpa[-1] == pytest.approx(1000.0)
 
     def test_wifi_within_window_only(self):
         wifi = (
@@ -141,8 +145,49 @@ class TestAnnotations:
             wifi=wifi,
         )
         traj = integrate(make_steps([(1.0, 0.7, 0.0), (10.0, 0.7, 0.0)]), log)
-        assert traj.points[1].wifi_ref == 0       # 0.9 s away
-        assert traj.points[2].wifi_ref is None    # nearest burst is 20 s away
+        assert traj.wifi_ref[1] == 0       # 0.9 s away
+        assert traj.wifi_ref[2] == -1      # nearest burst is 20 s away
+
+    def test_wifi_window_edge(self):
+        wifi = (WifiObservation(6.0, 6.0, "a", "aa:bb:cc:00:00:01", 2412, -50),)
+        log = SensorLog(accel=stream(0.1 * np.arange(200), [(0.0, 0.0, 9.81)] * 200), wifi=wifi)
+        traj = integrate(make_steps([(1.0, 0.7, 0.0), (11.01, 0.7, 0.0)]), log)
+        assert traj.wifi_ref.tolist() == [-1, 0, -1]  # 6.0, 5.0 and 5.01 s away
+        assert traj.wifi_ref.dtype.kind == "i"
+
+    def test_log_without_pres_has_nan_pressures_and_one_segment(self):
+        log = SensorLog(
+            accel=stream(0.1 * np.arange(400), [(0.0, 0.0, 9.81)] * 400),
+            baro=stream([0.5, 1.5], [1000.0, 1001.0], width=1),
+            source_id="nopres",
+        )
+        text = "".join(line for line in serialize_log(log).splitlines(True) if not line.startswith("PRES"))
+        log = parse_log(text, source_id="nopres")
+        assert not log.baro
+        traj = integrate(make_steps([(1.0 + 0.5 * k, 0.7, 0.0) for k in range(30)]), log)
+        assert traj.baro_hpa.dtype == float
+        assert np.isnan(traj.baro_hpa).all()
+        (segment,) = segment_trajectory(traj, 0.1, 10)
+        assert segment.point_range == (0, 31)
+        assert math.isnan(segment.mean_pressure)
+
+    def test_slice_is_a_segment_sharing_wifi_batches(self):
+        wifi = tuple(
+            WifiObservation(t, t, "a", f"aa:bb:cc:00:00:{k:02x}", 2412, -50) for k, t in enumerate((1.0, 9.0))
+        )
+        log = SensorLog(
+            accel=stream(0.1 * np.arange(200), [(0.0, 0.0, 9.81)] * 200),
+            baro=stream([0.5, 1.5, 8.0], [1000.0, 1001.0, 1002.0], width=1),
+            wifi=wifi,
+            source_id="sliced",
+        )
+        traj = integrate(make_steps([(1.0 + 0.5 * k, 0.7, 0.1 * k) for k in range(20)]), log)
+        seg = traj[5:12]
+        assert len(seg) == 7
+        assert seg.wifi_batches is traj.wifi_batches
+        assert seg.source_id == "sliced"
+        for name in ("points", "t", "baro_hpa", "wifi_ref"):
+            assert getattr(seg, name).tobytes() == getattr(traj, name)[5:12].tobytes()
 
     def test_synthetic_baro_alignment(self):
         from trackforge.config import PipelineConfig
@@ -161,9 +206,9 @@ class TestAnnotations:
         item = process_log(log, PipelineConfig(), default_gait_model())
         baro_times = log.baro.app_timestamp
         period = float(np.median(np.diff(baro_times)))
-        for p in item.trajectory.points:
-            assert p.baro_hpa is not None
-            nearest = float(np.min(np.abs(baro_times - p.t)))
+        assert not np.isnan(item.trajectory.baro_hpa).any()
+        for t in item.trajectory.t:
+            nearest = float(np.min(np.abs(baro_times - t)))
             assert nearest <= period
 
 
