@@ -17,7 +17,7 @@ from . import evalkit, synth
 from .config import ConfigError, PipelineConfig, load_config, parse_value
 from .pipeline import PipelineError, RunReport, process_corpus, run_pipeline
 from .stepdetect import StrideFeatures
-from .stride import Gait, GaitTrainingError, save_gait_model, train_gait_model
+from .stride import Gait, GaitModelError, GaitTrainingError, save_gait_model, train_gait_model
 
 logger = logging.getLogger("trackforge")
 
@@ -73,8 +73,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.script is None and not args.default_corpus:
         logger.error("synth needs --script or --default-corpus")
         return EXIT_FATAL
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.script is not None:
-        script = synth.load_script(args.script)
+        try:
+            script = synth.load_script(args.script)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot load walk script {args.script}: {exc}") from None
         if args.seed is not None:
             script.seed = args.seed
         scripts = [script]
@@ -272,10 +277,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, GaitModelError) as exc:
         logger.error("config: %s", exc)
         return EXIT_FATAL
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:  # OSError: a path named on the command line
         logger.error("fatal: %s", exc)
         return EXIT_FATAL
 

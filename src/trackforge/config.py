@@ -96,7 +96,10 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
     """Defaults, then the config file (if any), then flag overrides."""
     cfg = PipelineConfig()
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         cfg = apply_entries(cfg, parse_config_text(text, source=str(path)))
     if overrides:
         cfg = apply_entries(cfg, {k: str(v) for k, v in overrides.items()})

@@ -209,7 +209,7 @@ def load_gait_model(path: str | Path) -> GaitModel:
     entries: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GaitModelError(f"cannot read gait model {path}: {exc}") from None
     for raw in text.splitlines():
         line = raw.strip()

@@ -92,6 +92,8 @@ class WalkScript:
     stair_seconds: float = 6.0
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.segments:
             raise ValueError("script has no segments")
         for seg in self.segments:

@@ -296,6 +296,31 @@ def test_bad_grid_or_match_radius_exits_2_before_loading(args, straight_corpus, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["run", "--config", "{missing}"], "config: "),
+    (["run", "--config", "{latin1}"], "config: "),
+    (["run", "--gait-model", "{missing}"], "config: "),
+    (["eval", "--gait-model", "{garbage}"], "config: "),
+    (["synth", "--script", "{missing}"], "config: "),
+    (["synth", "--script", "{garbage}"], "config: "),
+    (["synth", "--default-corpus", "--seed", "-1"], "config: "),
+    (["run", "--output", "{garbage}"], "fatal: "),
+])
+def test_bad_named_file_or_value_exits_2(argv, line, straight_corpus, tmp_path, caplog):
+    paths = {"missing": tmp_path / "missing", "latin1": tmp_path / "latin1.cfg", "garbage": tmp_path / "garbage"}
+    paths["latin1"].write_bytes("turn.epsilon_rad = 1.0  # caf\u00e9\n".encode("latin-1"))
+    paths["garbage"].write_text("neither a gait model nor JSON {\n")
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] == "synth":
+        argv += ["--out", str(tmp_path / "synth")]
+    else:
+        argv += ["--input", str(straight_corpus)]
+        if "--output" not in argv:
+            argv += ["--output", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert line in caplog.text
+
+
 class TestTrainGaitCommand:
     def test_train_from_csv(self, tmp_path):
         rows = ["duration,variance,peak,rms,gait"]
