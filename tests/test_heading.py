@@ -313,7 +313,7 @@ def _assert_columns_equal(att, ref):
     """Bitwise, column by column; roll and pitch as roll_pitch(gravity)."""
     assert att.dtype == ATTITUDE_DTYPE
     assert att.gravity.tobytes() == ref["gravity"].tobytes()
-    roll, pitch = np.array([roll_pitch(g) for g in att.gravity.tolist()]).reshape(-1, 2).T
+    roll, pitch = np.array([roll_pitch(g) for g in att.gravity.tolist()]).T
     assert roll.tobytes() == ref["roll"].tobytes()
     assert pitch.tobytes() == ref["pitch"].tobytes()
     assert att.yaw.tobytes() == ref["yaw"].tobytes()
