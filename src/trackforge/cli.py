@@ -127,7 +127,9 @@ def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig) -> tuple[RunReport, 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    loaded = _load_eval_corpus(Path(args.input), cfg)
+    if args.output:
+        args.output.mkdir(parents=True, exist_ok=True)
+    loaded = _load_eval_corpus(args.input, cfg)
     if loaded is None:
         return EXIT_ERROR
     report, corpus = loaded
@@ -160,9 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"(eps={cfg.turn.epsilon_rad}, t={cfg.turn.window_min})"
     )
     if args.output:
-        out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "eval.json").write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        (args.output / "eval.json").write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -178,15 +178,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     eps_grid = _parse_grid("--epsilon-grid", args.epsilon_grid, "turn.epsilon_rad")
     win_grid = _parse_grid("--window-grid", args.window_grid, "turn.window_min")
-    loaded = _load_eval_corpus(Path(args.input), cfg)
+    out = args.output
+    out.mkdir(parents=True, exist_ok=True)
+    loaded = _load_eval_corpus(args.input, cfg)
     if loaded is None:
         return EXIT_ERROR
     rows = evalkit.sweep(
         loaded[1], eps_grid, win_grid,
         match_radius=args.match_radius, min_subtraj_len_m=cfg.turn.min_subtraj_len_m,
     )
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(evalkit.sweep_table(rows), encoding="utf-8")
     (out / "sweep_plot.json").write_text(evalkit.sweep_plot_data(rows), encoding="utf-8")
     best = max(rows, key=lambda r: (r.f_measure, -r.epsilon))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -248,24 +248,8 @@ def serialize_log(log: SensorLog) -> str:
 
 
 def graphs_to_document(graphs: Iterable) -> dict:
-    """Chain graphs -> plain-dict document (see module docstring for schema)."""
-    out = []
-    for g in graphs:
-        out.append({
-            "floor": g.floor,
-            "vertices": [
-                {
-                    "origin_index": v.origin_index,
-                    "x": v.x,
-                    "y": v.y,
-                    "t": v.t,
-                    "rss": dict(sorted(v.rss.items())) if v.rss is not None else None,
-                }
-                for v in g.vertices
-            ],
-            "edges": [{"dx": e.dx, "dy": e.dy} for e in g.edges],
-        })
-    return {"graphs": out}
+    """Chain graphs -> plain-dict document: each ``ChainGraph`` as its fields."""
+    return {"graphs": [asdict(g) for g in graphs]}
 
 
 def write_chain_graphs(graphs: Sequence, destination: str | Path | IO[str]) -> int:

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .heading import wrap_angle
 from .logio import SensorLog, SensorStream, WifiObservation, serialize_log
 from .stride import DEFAULT_STRIDE_TABLE, Gait
 
@@ -42,6 +43,9 @@ FLOOR_HEIGHT_M = 3.3
 FIELD_HORIZONTAL_UT = 25.0
 FIELD_VERTICAL_UT = 40.0
 G = 9.80665
+
+LEAD_SECONDS = 1.0       # quiet lead-in and lead-out
+STAIR_GAIT = Gait.NORMAL  # stairs are climbed at normal cadence
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,7 @@ class WalkScript:
     source_id: str
     seed: int
     segments: list[WalkSegmentSpec]
+    # optional keys of the JSON form; fields with defaults follow the three above
     noise: dict[str, float] = field(
         default_factory=lambda: {"accel": 0.0, "gyro": 0.0, "magn": 0.0, "baro": 0.0}
     )
@@ -92,6 +97,8 @@ class WalkScript:
     stair_seconds: float = 6.0
 
     def validate(self) -> None:
+        if self.source_id in ("", ".", "..") or "/" in self.source_id or "\\" in self.source_id:
+            raise ValueError(f"source_id must be a plain file stem, got {self.source_id!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.segments:
@@ -99,8 +106,12 @@ class WalkScript:
         for seg in self.segments:
             if seg.steps < 1:
                 raise ValueError(f"segment step count must be >= 1, got {seg.steps}")
+            if seg.drift is not None and not isinstance(seg.drift, (list, dict)):
+                raise ValueError(f"segment drift must be null, a list or an object, got {seg.drift!r}")
             if isinstance(seg.drift, list) and len(seg.drift) != seg.steps:
                 raise ValueError("explicit drift list must have one entry per step")
+            if self.ap_pools and seg.floor not in self.ap_pools:
+                raise ValueError(f"no AP pool for floor {seg.floor}")
         if not 0.0 <= self.wifi_leakage < 1.0:
             raise ValueError(f"wifi_leakage must be in [0, 1), got {self.wifi_leakage}")
         for rate in (self.imu_rate_hz, self.baro_rate_hz, self.wifi_period_s):
@@ -111,30 +122,7 @@ class WalkScript:
                 raise ValueError(f"noise sigma for {key} must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "source_id": self.source_id,
-            "seed": self.seed,
-            "segments": [
-                {
-                    "floor": s.floor,
-                    "gait": s.gait.value,
-                    "heading_rad": s.heading_rad,
-                    "steps": s.steps,
-                    "drift": s.drift,
-                }
-                for s in self.segments
-            ],
-            "noise": self.noise,
-            "baro_bias_hpa": self.baro_bias_hpa,
-            "aps_per_floor": self.aps_per_floor,
-            "wifi_leakage": self.wifi_leakage,
-            "ap_pools": self.ap_pools,
-            "imu_rate_hz": self.imu_rate_hz,
-            "baro_rate_hz": self.baro_rate_hz,
-            "wifi_period_s": self.wifi_period_s,
-            "turn_seconds": self.turn_seconds,
-            "stair_seconds": self.stair_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "WalkScript":
@@ -153,14 +141,10 @@ class WalkScript:
             seed=int(doc["seed"]),
             segments=segments,
         )
-        for key in (
-            "noise", "baro_bias_hpa", "aps_per_floor", "wifi_leakage", "imu_rate_hz",
-            "baro_rate_hz", "wifi_period_s", "turn_seconds", "stair_seconds",
-        ):
-            if key in doc and doc[key] is not None:
-                setattr(script, key, doc[key])
-        if doc.get("ap_pools"):
-            script.ap_pools = {int(k): list(v) for k, v in doc["ap_pools"].items()}
+        for f in fields(cls)[3:]:
+            if doc.get(f.name) is not None:
+                setattr(script, f.name, doc[f.name])
+        script.ap_pools = {int(k): list(v) for k, v in script.ap_pools.items()} if script.ap_pools else None
         script.validate()
         return script
 
@@ -180,19 +164,8 @@ class GroundTruth:
     floor_pressures: dict[int, float]   # scripted plateau incl. phone bias
 
     def to_json(self) -> dict:
-        return {
-            "source_id": self.source_id,
-            "seed": self.seed,
-            "step_times": self.step_times,
-            "step_gaits": self.step_gaits,
-            "step_headings": self.step_headings,
-            "step_floors": self.step_floors,
-            "points": [list(p) for p in self.points],
-            "point_floors": self.point_floors,
-            "corner_indices": self.corner_indices,
-            "corner_points": [list(p) for p in self.corner_points],
-            "floor_pressures": {str(k): v for k, v in self.floor_pressures.items()},
-        }
+        # str keys, so that sort_keys orders the floors as text: "1", "10", "2"
+        return {**asdict(self), "floor_pressures": {str(k): v for k, v in self.floor_pressures.items()}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroundTruth":
@@ -225,16 +198,20 @@ def default_ap_pools(floors: list[int], aps_per_floor: int) -> dict[int, list[st
 
 @dataclass
 class _Interval:
-    kind: str              # "quiet" | "walk" | "turn" | "stair"
+    kind: str                            # "quiet" | "walk" | "turn" | "stair"
     t0: float
     t1: float
-    floor: int | None = None
-    gait: Gait | None = None
-    headings: list[float] | None = None   # per step
-    pressure0: float = 0.0
-    pressure1: float = 0.0
-    from_floor: int | None = None
-    to_floor: int | None = None
+    floor: int                           # for a stair, the floor it leaves
+    to_floor: int | None = None          # for a stair, the floor it reaches
+    gait: Gait | None = None             # walk and stair only
+    headings: list[float] | None = None  # per step; walk and stair only
+
+    def pressure(self, time: float) -> float:
+        """The floor's plateau pressure; a linear ramp along a stair."""
+        p0 = floor_pressure(self.floor)
+        if self.to_floor is None:
+            return p0
+        return p0 + (time - self.t0) / (self.t1 - self.t0) * (floor_pressure(self.to_floor) - p0)
 
 
 def _expand_drift(spec: WalkSegmentSpec, rng: np.random.Generator) -> list[float]:
@@ -255,168 +232,93 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
     """Render a WalkScript into a SensorLog plus its GroundTruth."""
     script.validate()
     rng = np.random.default_rng(script.seed)
-
-    floors = [s.floor for s in script.segments]
+    floors = sorted({s.floor for s in script.segments})
     pools = script.ap_pools or default_ap_pools(floors, script.aps_per_floor)
-    for f in floors:
-        if f not in pools:
-            raise ValueError(f"no AP pool for floor {f}")
 
-    # --- timeline expansion -------------------------------------------------
+    # --- timeline: intervals end to end from t = 0 ---------------------------
     intervals: list[_Interval] = []
-    lead = 1.0
-    t = 0.0
+
+    def append(kind: str, seconds: float, floor: int, **kw) -> None:
+        t0 = intervals[-1].t1 if intervals else 0.0
+        intervals.append(_Interval(kind, t0, t0 + seconds, floor, **kw))
+
     first = script.segments[0]
-    intervals.append(
-        _Interval("quiet", t, t + lead, floor=first.floor,
-                  pressure0=floor_pressure(first.floor), pressure1=floor_pressure(first.floor))
-    )
-    t += lead
+    append("quiet", LEAD_SECONDS, first.floor)
+    corner_indices: list[int] = []  # steps taken before each same-floor corner
     prev_heading = first.heading_rad
-    prev_floor = first.floor
-
-    corner_step_boundaries: list[int] = []  # step count at each same-floor corner
-    steps_so_far = 0
-    stair_gait = Gait.NORMAL
-
+    stair_hz = GAIT_PROFILES[STAIR_GAIT].frequency_hz
     for seg in script.segments:
-        drift = _expand_drift(seg, rng)
-        headings = [seg.heading_rad + d for d in drift]
-
-        if seg.floor != prev_floor:
-            if abs(_wrap(seg.heading_rad - prev_heading)) > 1e-12 and script.turn_seconds > 0:
-                intervals.append(_Interval("turn", t, t + script.turn_seconds, floor=prev_floor,
-                                           pressure0=floor_pressure(prev_floor),
-                                           pressure1=floor_pressure(prev_floor)))
-                t += script.turn_seconds
-            profile = GAIT_PROFILES[stair_gait]
-            n_stair = max(1, round(script.stair_seconds * profile.frequency_hz))
-            dur = n_stair / profile.frequency_hz
-            intervals.append(
-                _Interval(
-                    "stair", t, t + dur, floor=None, gait=stair_gait,
-                    headings=[seg.heading_rad] * n_stair,
-                    pressure0=floor_pressure(prev_floor), pressure1=floor_pressure(seg.floor),
-                    from_floor=prev_floor, to_floor=seg.floor,
-                )
-            )
-            t += dur
-            steps_so_far += n_stair
-        elif abs(_wrap(seg.heading_rad - prev_heading)) > 1e-12:
-            corner_step_boundaries.append(steps_so_far)
-            if script.turn_seconds > 0:
-                intervals.append(_Interval("turn", t, t + script.turn_seconds, floor=prev_floor,
-                                           pressure0=floor_pressure(prev_floor),
-                                           pressure1=floor_pressure(prev_floor)))
-                t += script.turn_seconds
-
-        profile = GAIT_PROFILES[seg.gait]
-        dur = seg.steps / profile.frequency_hz
-        intervals.append(
-            _Interval("walk", t, t + dur, floor=seg.floor, gait=seg.gait, headings=headings,
-                      pressure0=floor_pressure(seg.floor), pressure1=floor_pressure(seg.floor))
-        )
-        t += dur
-        steps_so_far += seg.steps
+        headings = [seg.heading_rad + d for d in _expand_drift(seg, rng)]
+        floor = intervals[-1].floor
+        turned = abs(wrap_angle(seg.heading_rad - prev_heading)) > 1e-12
+        if turned and seg.floor == floor:
+            corner_indices.append(sum(len(iv.headings) for iv in intervals if iv.headings))
+        if turned and script.turn_seconds > 0:
+            append("turn", script.turn_seconds, floor)
+        if seg.floor != floor:
+            n_stair = max(1, round(script.stair_seconds * stair_hz))
+            append("stair", n_stair / stair_hz, floor, to_floor=seg.floor, gait=STAIR_GAIT,
+                   headings=[seg.heading_rad] * n_stair)
+        append("walk", seg.steps / GAIT_PROFILES[seg.gait].frequency_hz, seg.floor,
+               gait=seg.gait, headings=headings)
         prev_heading = headings[-1]
-        prev_floor = seg.floor
+    append("quiet", LEAD_SECONDS, intervals[-1].floor)
+    total_t = intervals[-1].t1
 
-    intervals.append(_Interval("quiet", t, t + lead, floor=prev_floor,
-                               pressure0=floor_pressure(prev_floor),
-                               pressure1=floor_pressure(prev_floor)))
-    total_t = t + lead
+    def interval_at(time: float) -> _Interval:
+        """The interval holding ``time``; the lead-out from its end on."""
+        return next((iv for iv in intervals if iv.t0 <= time < iv.t1), intervals[-1])
 
-    # --- ground truth steps and trajectory ----------------------------------
+    # --- steps: truth, yaw knots and accel bursts ----------------------------
+    dt = 1.0 / script.imu_rate_hz
+    n_imu = int(round(total_t * script.imu_rate_hz)) + 1
+    times = np.arange(n_imu) * dt
+    accel = np.zeros((n_imu, 3))
+    accel[:, 2] = G
+
     step_times: list[float] = []
     step_gaits: list[str] = []
     step_headings: list[float] = []
     step_floors: list[int | None] = []
     points: list[tuple[float, float]] = [(0.0, 0.0)]
-    point_floors: list[int | None] = [first.floor]
-
-    yaw_knots_t: list[float] = [0.0]
-    yaw_knots_v: list[float] = [first.heading_rad]
-
-    def add_knot(time: float, yaw: float) -> None:
-        prev = yaw_knots_v[-1]
-        yaw_knots_t.append(time)
-        yaw_knots_v.append(prev + _wrap(yaw - prev))
-
+    yaw_knots = [first.heading_rad]  # unwrapped heading at t = 0 and at each step
     for iv in intervals:
-        if iv.kind not in ("walk", "stair"):
+        if iv.headings is None:
             continue
         profile = GAIT_PROFILES[iv.gait]
         period = 1.0 / profile.frequency_hz
+        stride = DEFAULT_STRIDE_TABLE[iv.gait]
         for k, heading in enumerate(iv.headings):
-            peak_t = iv.t0 + (k + 0.25) * period
-            stride = DEFAULT_STRIDE_TABLE[iv.gait]
             x, y = points[-1]
             points.append((x + stride * math.cos(heading), y + stride * math.sin(heading)))
-            step_times.append(peak_t)
+            step_times.append(iv.t0 + (k + 0.25) * period)
             step_gaits.append(iv.gait.value)
             step_headings.append(heading)
-            step_floors.append(iv.floor)
-            point_floors.append(iv.floor)
-            add_knot(peak_t, heading)
-
-    corner_indices = corner_step_boundaries
-    corner_points = [points[i] for i in corner_indices]
-
-    # --- sensor rendering ----------------------------------------------------
-    dt = 1.0 / script.imu_rate_hz
-    n_imu = int(round(total_t * script.imu_rate_hz)) + 1
-    times = np.arange(n_imu) * dt
-
-    yaw_profile = np.interp(times, yaw_knots_t, yaw_knots_v)
-    omega_z = np.zeros(n_imu)
-    omega_z[1:] = np.diff(yaw_profile) / dt
-
-    accel = np.zeros((n_imu, 3))
-    accel[:, 2] = G
-    for iv in intervals:
-        if iv.kind not in ("walk", "stair"):
-            continue
-        profile = GAIT_PROFILES[iv.gait]
+            step_floors.append(None if iv.kind == "stair" else iv.floor)
+            yaw_knots.append(yaw_knots[-1] + wrap_angle(heading - yaw_knots[-1]))
         mask = (times >= iv.t0) & (times < iv.t1)
         phase = 2.0 * math.pi * profile.frequency_hz * (times[mask] - iv.t0)
         accel[mask, 1] += profile.horizontal_amp * np.sin(phase)
         accel[mask, 2] += profile.vertical_amp * np.sin(phase)
 
-    sig = script.noise
-    accel += rng.normal(0.0, sig.get("accel", 0.0), accel.shape) if sig.get("accel", 0.0) > 0 else 0.0
+    # --- sensor rendering ----------------------------------------------------
+    yaw = np.interp(times, [0.0, *step_times], yaw_knots)
     gyro = np.zeros((n_imu, 3))
-    gyro[:, 2] = omega_z
-    gyro += rng.normal(0.0, sig.get("gyro", 0.0), gyro.shape) if sig.get("gyro", 0.0) > 0 else 0.0
+    gyro[1:, 2] = np.diff(yaw) / dt
 
     magn = np.zeros((n_imu, 3))
-    magn[:, 0] = FIELD_HORIZONTAL_UT * np.sin(yaw_profile)
-    magn[:, 1] = FIELD_HORIZONTAL_UT * np.cos(yaw_profile)
+    magn[:, 0] = FIELD_HORIZONTAL_UT * np.sin(yaw)
+    magn[:, 1] = FIELD_HORIZONTAL_UT * np.cos(yaw)
     magn[:, 2] = FIELD_VERTICAL_UT
-    magn += rng.normal(0.0, sig.get("magn", 0.0), magn.shape) if sig.get("magn", 0.0) > 0 else 0.0
-
-    def pressure_at(time: float) -> float:
-        for iv in intervals:
-            if iv.t0 <= time < iv.t1:
-                if iv.kind == "stair":
-                    frac = (time - iv.t0) / (iv.t1 - iv.t0)
-                    return iv.pressure0 + frac * (iv.pressure1 - iv.pressure0)
-                return iv.pressure0
-        return intervals[-1].pressure0
 
     n_baro = int(round(total_t * script.baro_rate_hz)) + 1
     baro_times = np.arange(n_baro) / script.baro_rate_hz
-    baro_vals = np.array([pressure_at(bt) for bt in baro_times]) + script.baro_bias_hpa
-    if sig.get("baro", 0.0) > 0:
-        baro_vals = baro_vals + rng.normal(0.0, sig["baro"], n_baro)
+    baro = np.array([[interval_at(bt).pressure(bt)] for bt in baro_times]) + script.baro_bias_hpa
 
-    def floor_at(time: float) -> int:
-        for iv in intervals:
-            if iv.t0 <= time < iv.t1:
-                if iv.kind == "stair":
-                    frac = (time - iv.t0) / (iv.t1 - iv.t0)
-                    return iv.from_floor if frac < 0.5 else iv.to_floor
-                return iv.floor
-        return intervals[-1].floor
+    # without noise, += 0.0 still maps -0.0 to 0.0, so no log prints -0.0
+    for key, values in (("accel", accel), ("gyro", gyro), ("magn", magn), ("baro", baro)):
+        sigma = script.noise.get(key, 0.0)
+        values += rng.normal(0.0, sigma, values.shape) if sigma > 0 else 0.0
 
     # Leakage is physical: only the stairwell quarter of each ADJACENT floor's
     # pool bleeds through the slab, so cross-floor MAC sets stay small even
@@ -432,27 +334,20 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
                 out.extend(leak_subset(g))
         return out
 
-    def stair_zone(time: float) -> tuple[int, int] | None:
-        for iv in intervals:
-            if iv.kind == "stair" and iv.t0 <= time < iv.t1:
-                return iv.from_floor, iv.to_floor
-        return None
-
     wifi_obs: list[WifiObservation] = []
     burst_t = 0.5
     aps_per_burst = min(8, script.aps_per_floor)
     while burst_t < total_t:
-        zone = stair_zone(burst_t)
-        if zone is not None:
-            candidates = sorted(set(leak_subset(zone[0]) + leak_subset(zone[1])))
+        iv = interval_at(burst_t)
+        if iv.kind == "stair":
+            candidates = sorted(set(leak_subset(iv.floor) + leak_subset(iv.to_floor)))
             chosen_bssids = [
                 candidates[int(i)]
                 for i in rng.choice(len(candidates), size=min(aps_per_burst, len(candidates)), replace=False)
             ]
         else:
-            f = floor_at(burst_t)
-            pool = pools[f]
-            leaks = leak_candidates(f)
+            pool = pools[iv.floor]
+            leaks = leak_candidates(iv.floor)
             chosen_bssids = []
             for i in rng.choice(len(pool), size=min(aps_per_burst, len(pool)), replace=False):
                 bssid = pool[int(i)]
@@ -472,7 +367,7 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
         accel=SensorStream(times, times, accel, imu_acc),
         gyro=SensorStream(times, times, gyro, imu_acc),
         magn=SensorStream(times, times, magn, imu_acc),
-        baro=SensorStream(baro_times, baro_times, baro_vals.reshape(-1, 1), np.full(n_baro, 3)),
+        baro=SensorStream(baro_times, baro_times, baro, np.full(n_baro, 3)),
         wifi=tuple(wifi_obs),
         source_id=script.source_id,
     )
@@ -485,16 +380,12 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
         step_headings=step_headings,
         step_floors=step_floors,
         points=points,
-        point_floors=point_floors,
+        point_floors=[first.floor, *step_floors],
         corner_indices=corner_indices,
-        corner_points=corner_points,
-        floor_pressures={f: floor_pressure(f) + script.baro_bias_hpa for f in sorted(set(floors))},
+        corner_points=[points[i] for i in corner_indices],
+        floor_pressures={f: floor_pressure(f) + script.baro_bias_hpa for f in floors},
     )
     return log, truth
-
-
-def _wrap(x: float) -> float:
-    return math.atan2(math.sin(x), math.cos(x))
 
 
 # --- default corpus ----------------------------------------------------------
@@ -552,7 +443,7 @@ def default_corpus_scripts(seed: int = DEFAULT_CORPUS_SEED) -> list[WalkScript]:
             c1, c2 = corner_sets[p][floor - 1]
             for leg, corner in enumerate((None, c1, c2)):
                 if corner is not None:
-                    heading = _wrap(heading + corner)
+                    heading = wrap_angle(heading + corner)
                 gait = gait_cycle[(corridor + p) % 3]
                 drift: list[float] | dict | None = _GENTLE
                 if p == 0 and floor == 2 and leg == 1:

@@ -6,6 +6,7 @@ from trackforge import cli
 from trackforge.cli import main
 from trackforge.config import ConfigError, load_config
 from trackforge.logio import parse_chain_graphs
+from trackforge.pipeline import process_corpus
 from trackforge.stride import load_gait_model
 from trackforge.synth import WalkScript, WalkSegmentSpec, save_script, write_corpus
 from trackforge.stride import Gait
@@ -193,6 +194,25 @@ class TestSynthCommand:
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2
 
 
+def _segment(floor, **extra):
+    return {"floor": floor, "gait": "normal", "heading_rad": 0.0, "steps": 8, **extra}
+
+
+@pytest.mark.parametrize("change", [
+    {"segments": [_segment(1, drift=0.5)]},
+    {"segments": [_segment(1), _segment(2)], "ap_pools": {"1": ["02:00:00:00:01:00"]}},
+    {"source_id": "../w"},
+], ids=["scalar-drift", "floor-without-pool", "source-id-path"])
+def test_bad_walk_script_exits_2(change, tmp_path, caplog):
+    doc = {"source_id": "w", "seed": 1, "segments": [_segment(1)], **change}
+    spath = tmp_path / "walk.json"
+    spath.write_text(json.dumps(doc))
+    out = tmp_path / "deep" / "out"
+    assert main(["synth", "--script", str(spath), "--out", str(out)]) == 2
+    assert "config: " in caplog.text
+    assert not (tmp_path / "deep" / "w.tsl").exists()
+
+
 class TestEvalCommand:
     def test_straight_walk_eval(self, straight_corpus, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -294,6 +314,32 @@ def test_bad_grid_or_match_radius_exits_2_before_loading(args, straight_corpus, 
     assert main([*args, "--input", str(straight_corpus), "--output", str(out)]) == 2
     assert "config: " in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_output_directory_made_before_loading(command, straight_corpus, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    made = []
+
+    def loading(*args):
+        made.append(out.is_dir())
+        return process_corpus(*args)
+
+    monkeypatch.setattr(cli, "process_corpus", loading)
+    assert main([command, "--input", str(straight_corpus), "--output", str(out)]) == 0
+    assert made == [True]
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_output_path_is_a_file_exits_2_before_loading(command, straight_corpus, tmp_path, caplog, monkeypatch):
+    def loading(*_):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli, "process_corpus", loading)
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main([command, "--input", str(straight_corpus), "--output", str(out)]) == 2
+    assert "fatal: " in caplog.text
 
 
 @pytest.mark.parametrize("argv,line", [

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from trackforge.synth import (
     generate,
     load_script,
     save_script,
+    write_corpus,
 )
 
 
@@ -60,6 +62,11 @@ class TestGenerate:
             # a plateau at the scripted pressure must exist in the stream
             assert np.min(np.abs(values - expected)) < 1e-9
             assert truth.floor_pressures[f] == pytest.approx(expected)
+
+    def test_zero_noise_prints_no_negative_zero(self):
+        script = straight_script()
+        script.segments[0].heading_rad = -0.0  # the first magnetometer x is then sin(-0.0)
+        assert "-0.0" not in serialize_log(generate(script)[0]).replace("\n", ";").split(";")
 
     def test_round_trip_through_logio(self):
         log, _ = generate(straight_script(noise={"accel": 0.2, "gyro": 0.01, "magn": 0.1, "baro": 0.02}))
@@ -118,6 +125,49 @@ class TestScriptIO:
         _, truth = generate(straight_script())
         again = GroundTruth.from_json(json.loads(json.dumps(truth.to_json())))
         assert again == truth
+
+
+    def test_json_round_trip_every_optional_field(self, tmp_path):
+        script = WalkScript(
+            source_id="every-field", seed=5,
+            segments=[
+                WalkSegmentSpec(floor=2, gait=Gait.FAST, heading_rad=0.5, steps=3, drift=[0.0, 0.1, -0.2]),
+                WalkSegmentSpec(floor=4, gait=Gait.SLOW, heading_rad=-1.0, steps=4,
+                                drift={"jitter_step": 0.2, "clip": 0.3}),
+            ],
+            noise={"accel": 0.3, "gyro": 0.01, "magn": 0.2, "baro": 0.05},
+            baro_bias_hpa=-0.3, aps_per_floor=6, wifi_leakage=0.25,
+            ap_pools={2: ["02:00:00:00:aa:00", "02:00:00:00:aa:01"], 4: ["02:00:00:00:bb:00"]},
+            imu_rate_hz=50.0, baro_rate_hz=4.0, wifi_period_s=1.5, turn_seconds=0.5, stair_seconds=3.0,
+        )
+        defaults = WalkScript(source_id="every-field", seed=5, segments=script.segments)
+        for f in fields(WalkScript)[3:]:
+            assert getattr(script, f.name) != getattr(defaults, f.name), f.name
+        path = tmp_path / "walk.json"
+        save_script(script, path)
+        assert load_script(path) == script
+
+    def test_json_null_optional_keys_keep_defaults(self):
+        doc = {
+            "source_id": "nulls", "seed": 2,
+            "segments": [{"floor": 1, "gait": "normal", "heading_rad": 0.0, "steps": 4, "drift": None}],
+        }
+        optional = [f.name for f in fields(WalkScript)[3:]]
+        script = WalkScript.from_json({**doc, **dict.fromkeys(optional)})
+        assert script == WalkScript.from_json(doc) == WalkScript(
+            source_id="nulls", seed=2,
+            segments=[WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=4)],
+        )
+
+    def test_truth_floor_keys_sort_as_text(self, tmp_path):
+        script = WalkScript(
+            source_id="tower", seed=4, imu_rate_hz=20.0, stair_seconds=1.0,
+            segments=[WalkSegmentSpec(floor=f, gait=Gait.NORMAL, heading_rad=0.0, steps=2) for f in range(1, 11)],
+        )
+        write_corpus([script], tmp_path)
+        doc = json.loads((tmp_path / "tower.truth.json").read_bytes())
+        assert list(doc["floor_pressures"]) == ["1", "10", "2", "3", "4", "5", "6", "7", "8", "9"]
+        assert GroundTruth.from_json(doc) == generate(script)[1]
 
 
 class TestDefaultCorpus:
