@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -212,6 +213,8 @@ def cmd_train_gait(args: argparse.Namespace) -> int:
             return EXIT_FATAL
         try:
             features = StrideFeatures(*(float(v) for v in parts[:4]))
+            if not all(math.isfinite(v) for v in features.as_vector()):
+                raise ValueError(f"features must be finite, got {parts[:4]}")
             gait = Gait(parts[4].strip())
         except ValueError as exc:
             logger.error("labels line %d: %s", line_no, exc)
@@ -222,6 +225,7 @@ def cmd_train_gait(args: argparse.Namespace) -> int:
     except GaitTrainingError as exc:
         logger.error("training failed: %s", exc)
         return EXIT_FATAL
+    result.model.validate()
     save_gait_model(result.model, args.out)
     print(f"trained on {result.n_samples} steps, accuracy {result.accuracy:.3f} -> {args.out}")
     return EXIT_OK

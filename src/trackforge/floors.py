@@ -11,6 +11,7 @@ highest-pressure cluster is floor 1.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,7 +49,6 @@ class TrajectorySegment:
 
 @dataclass
 class FloorAssignment:
-    floors: list[int]                    # per input segment, 1 = lowest floor
     cluster_pressures: list[float]       # indexed by floor - 1, strictly decreasing
 
     @property
@@ -113,6 +113,17 @@ def canonicalize_labels(labels: Sequence[int]) -> list[int]:
     return out
 
 
+def _runs(labels: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Maximal runs of equal labels as (label, start, stop), in input order."""
+    runs = []
+    start = 0
+    for label, group in itertools.groupby(labels):
+        stop = start + sum(1 for _ in group)
+        runs.append((label, start, stop))
+        start = stop
+    return runs
+
+
 def absorb_isolated_noise(labels: Sequence[int]) -> list[int]:
     """Attach noise runs to the temporally adjacent cluster when unambiguous.
 
@@ -121,28 +132,13 @@ def absorb_isolated_noise(labels: Sequence[int]) -> list[int]:
     cluster; a run between two different clusters is a floor transition and
     stays noise.
     """
-    labels = list(labels)
-    n = len(labels)
-    out = labels[:]
-    i = 0
-    while i < n:
-        if labels[i] != -1:
-            i += 1
-            continue
-        j = i
-        while j < n and labels[j] == -1:
-            j += 1
-        left = labels[i - 1] if i > 0 else None
-        right = labels[j] if j < n else None
-        target = None
-        if left is not None and (right is None or right == left):
-            target = left
-        elif left is None and right is not None:
-            target = right
-        if target is not None:
-            for k in range(i, j):
-                out[k] = target
-        i = j
+    out = list(labels)
+    runs = _runs(labels)
+    for k, (label, start, stop) in enumerate(runs):
+        # the runs beside a noise run are clusters, since runs are maximal
+        neighbors = {runs[m][0] for m in (k - 1, k + 1) if 0 <= m < len(runs)}
+        if label == -1 and len(neighbors) == 1:
+            out[start:stop] = [neighbors.pop()] * (stop - start)
     return out
 
 
@@ -172,22 +168,13 @@ def segment_trajectory(
         )
     labels = absorb_isolated_noise(labels)
 
-    segments = []
-    i = 0
-    n = len(labels)
-    while i < n:
-        if labels[i] == -1:
-            i += 1
-            continue
-        j = i
-        while j < n and labels[j] == labels[i]:
-            j += 1
-        # a floor visit has at least min_pts points by the density definition;
-        # shorter ranges are border scatter inside a transition
-        if j - i >= min_pts:
-            segments.append(_make_segment(traj, i, j))
-        i = j
-    return segments
+    # a floor visit has at least min_pts points by the density definition;
+    # shorter ranges are border scatter inside a transition
+    return [
+        _make_segment(traj, start, stop)
+        for label, start, stop in _runs(labels)
+        if label != -1 and stop - start >= min_pts
+    ]
 
 
 def _make_segment(traj: PdrTrajectory, start: int, stop: int) -> TrajectorySegment:
@@ -221,58 +208,55 @@ def cluster_floors(
     Merging stops when the minimum linkage reaches ``cut``, or when exactly
     ``floor_count`` clusters remain if given. Equal linkages break toward the
     pair with the lexicographically smallest (parent_id, range start) keys.
-    Also writes the floor index back onto each segment.
+    Writes each segment's ``floor`` and returns the cluster pressures; on a
+    FloorClusteringError no segment's ``floor`` is written.
     """
     if not segments:
         raise ValueError("cluster_floors needs at least one segment")
+    if floor_count is not None and floor_count < 1:
+        raise ValueError(f"floor_count must be >= 1, got {floor_count}")
     n = len(segments)
     base = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = 1.0 - jaccard(segments[i].mac_set, segments[j].mac_set)
-            base[i, j] = base[j, i] = d
+    for i, j in itertools.combinations(range(n), 2):
+        base[i, j] = base[j, i] = 1.0 - jaccard(segments[i].mac_set, segments[j].mac_set)
 
+    # link holds the average linkage between live clusters, inf elsewhere;
+    # clusters keep their slot, and a merge empties the later slot
+    link = base.copy()
+    np.fill_diagonal(link, np.inf)
     clusters: list[list[int]] = [[i] for i in range(n)]
+    keys = [seg.key() for seg in segments]
 
-    def linkage(a: list[int], b: list[int]) -> float:
-        return float(sum(base[i, j] for i in a for j in b) / (len(a) * len(b)))
-
-    def cluster_key(members: list[int]) -> tuple[str, int]:
-        return min(segments[i].key() for i in members)
-
-    target = floor_count if floor_count is not None else 1
-    while len(clusters) > target:
-        best = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = linkage(clusters[a], clusters[b])
-                tie = tuple(sorted((cluster_key(clusters[a]), cluster_key(clusters[b]))))
-                cand = (d, tie, a, b)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-        assert best is not None
-        d, _, a, b = best
+    for _ in range(n - (floor_count or 1)):  # each merge leaves one cluster fewer
+        d = link.min()
+        a, b = min(
+            ((a, b) for a, b in zip(*np.nonzero(link == d)) if a < b),
+            key=lambda pair: sorted((keys[pair[0]], keys[pair[1]])),
+        )
         if floor_count is None and d >= cut:
             break
-        clusters[a] = clusters[a] + clusters[b]
-        del clusters[b]
+        clusters[a] += clusters[b]
+        clusters[b] = []
+        keys[a] = min(keys[a], keys[b])
+        link[b, :] = link[:, b] = np.inf
+        for c in range(n):
+            if c != a and clusters[c]:
+                # the earlier slot's members first: the sum adds in the same
+                # order, to the same bits, as a linkage computed anew
+                lo, hi = (clusters[a], clusters[c]) if a < c else (clusters[c], clusters[a])
+                link[a, c] = link[c, a] = sum(base[i, j] for i in lo for j in hi) / (len(lo) * len(hi))
 
+    clusters = [members for members in clusters if members]
     pressures = [float(np.mean([segments[i].mean_pressure for i in members])) for members in clusters]
     by_pressure = sorted(range(len(clusters)), key=lambda c: -pressures[c])
-
-    floors = [0] * n
-    ordered_pressures = []
-    for rank, c in enumerate(by_pressure):
-        for i in clusters[c]:
-            floors[i] = rank + 1
-        ordered_pressures.append(pressures[c])
-
+    ordered_pressures = [pressures[c] for c in by_pressure]
     for prev, cur in zip(ordered_pressures, ordered_pressures[1:]):
         if not cur < prev:
             raise FloorClusteringError(
                 f"floor cluster pressures are not strictly decreasing: {ordered_pressures}"
             )
 
-    for seg, floor in zip(segments, floors):
-        seg.floor = floor
-    return FloorAssignment(floors=floors, cluster_pressures=ordered_pressures)
+    for floor, c in enumerate(by_pressure, start=1):
+        for i in clusters[c]:
+            segments[i].floor = floor
+    return FloorAssignment(cluster_pressures=ordered_pressures)

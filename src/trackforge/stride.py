@@ -13,6 +13,7 @@ into the stored weights so classification takes raw features.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -55,6 +56,8 @@ class GaitModel:
     stride_table: dict[Gait, float]
 
     def validate(self) -> None:
+        if not all(math.isfinite(v) for v in (*self.l1_weights, self.l1_bias, *self.l2_weights, self.l2_bias)):
+            raise GaitModelError("gait model weights and biases must be finite")
         for gait in Gait:
             length = self.stride_table.get(gait)
             if length is None or not (0.0 < length <= 2.0):

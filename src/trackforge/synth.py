@@ -110,6 +110,10 @@ class WalkScript:
                 raise ValueError(f"segment drift must be null, a list or an object, got {seg.drift!r}")
             if isinstance(seg.drift, list) and len(seg.drift) != seg.steps:
                 raise ValueError("explicit drift list must have one entry per step")
+            if isinstance(seg.drift, list) and not all(isinstance(d, (int, float)) for d in seg.drift):
+                raise ValueError(f"drift list entries must be numbers, got {seg.drift!r}")
+            if isinstance(seg.drift, dict) and not all(isinstance(v, (int, float)) for v in seg.drift.values()):
+                raise ValueError(f"drift object values must be numbers, got {seg.drift!r}")
             if self.ap_pools and seg.floor not in self.ap_pools:
                 raise ValueError(f"no AP pool for floor {seg.floor}")
         if not 0.0 <= self.wifi_leakage < 1.0:
@@ -117,6 +121,8 @@ class WalkScript:
         for rate in (self.imu_rate_hz, self.baro_rate_hz, self.wifi_period_s):
             if rate <= 0:
                 raise ValueError("rates and periods must be positive")
+        if not isinstance(self.noise, dict) or not all(isinstance(v, (int, float)) for v in self.noise.values()):
+            raise ValueError(f"noise must map sensor names to numbers, got {self.noise!r}")
         for key, sigma in self.noise.items():
             if sigma < 0:
                 raise ValueError(f"noise sigma for {key} must be >= 0")
@@ -144,6 +150,8 @@ class WalkScript:
         for f in fields(cls)[3:]:
             if doc.get(f.name) is not None:
                 setattr(script, f.name, doc[f.name])
+        if script.ap_pools is not None and not isinstance(script.ap_pools, dict):
+            raise ValueError(f"ap_pools must map floors to BSSID lists, got {script.ap_pools!r}")
         script.ap_pools = {int(k): list(v) for k, v in script.ap_pools.items()} if script.ap_pools else None
         script.validate()
         return script

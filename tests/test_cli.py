@@ -1,5 +1,8 @@
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from trackforge import cli
@@ -7,7 +10,7 @@ from trackforge.cli import main
 from trackforge.config import ConfigError, load_config
 from trackforge.logio import parse_chain_graphs
 from trackforge.pipeline import process_corpus
-from trackforge.stride import load_gait_model
+from trackforge.stride import default_gait_model, load_gait_model, save_gait_model
 from trackforge.synth import WalkScript, WalkSegmentSpec, save_script, write_corpus
 from trackforge.stride import Gait
 
@@ -202,7 +205,12 @@ def _segment(floor, **extra):
     {"segments": [_segment(1, drift=0.5)]},
     {"segments": [_segment(1), _segment(2)], "ap_pools": {"1": ["02:00:00:00:01:00"]}},
     {"source_id": "../w"},
-], ids=["scalar-drift", "floor-without-pool", "source-id-path"])
+    {"noise": 5},
+    {"ap_pools": [1]},
+    {"segments": [_segment(1, drift=["a"] + [0.0] * 7)]},
+    {"segments": [_segment(1, drift={"jitter_step": "x"})]},
+], ids=["scalar-drift", "floor-without-pool", "source-id-path", "scalar-noise", "list-ap-pools",
+        "text-drift-entry", "text-jitter-step"])
 def test_bad_walk_script_exits_2(change, tmp_path, caplog):
     doc = {"source_id": "w", "seed": 1, "segments": [_segment(1)], **change}
     spath = tmp_path / "walk.json"
@@ -370,8 +378,6 @@ def test_bad_named_file_or_value_exits_2(argv, line, straight_corpus, tmp_path, 
 class TestTrainGaitCommand:
     def test_train_from_csv(self, tmp_path):
         rows = ["duration,variance,peak,rms,gait"]
-        import numpy as np
-
         rng = np.random.default_rng(0)
         for _ in range(40):
             rows.append(f"{0.8 + rng.normal(0, 0.02):.4f},{0.7 + rng.normal(0, 0.05):.4f},11.0,9.9,slow")
@@ -382,6 +388,33 @@ class TestTrainGaitCommand:
         assert main(["train-gait", "--labels", str(labels), "--out", str(model_path)]) == 0
         model = load_gait_model(model_path)
         assert model.stride_table[Gait.SLOW] == pytest.approx(0.5)
+
+    def test_non_finite_feature_names_its_line(self, tmp_path, caplog):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("duration,variance,peak,rms,gait\n0.8,0.7,11.0,9.9,slow\n0.4,nan,13.8,10.2,fast\n")
+        out = tmp_path / "m"
+        assert main(["train-gait", "--labels", str(labels), "--out", str(out)]) == 2
+        assert "labels line 3" in caplog.text
+        assert not out.exists()
+
+    def test_overflowing_features_write_no_model(self, tmp_path, caplog):
+        # finite features whose mean overflows train a NaN bias
+        labels = tmp_path / "labels.csv"
+        labels.write_text("1e308,1.0,1.0,1.0,slow\n1e308,2.0,1.0,1.0,fast\n")
+        out = tmp_path / "m"
+        with np.errstate(all="ignore"):
+            assert main(["train-gait", "--labels", str(labels), "--out", str(out)]) == 2
+        assert "config: " in caplog.text
+        assert not out.exists()
+
+    def test_non_finite_model_exits_2(self, straight_corpus, tmp_path, caplog):
+        model = tmp_path / "nan.model"
+        nan4 = (math.nan,) * 4  # every weight and bias NaN
+        save_gait_model(replace(default_gait_model(), l1_weights=nan4, l1_bias=math.nan,
+                                l2_weights=nan4, l2_bias=math.nan), model)
+        argv = ["run", "--input", str(straight_corpus), "--output", str(tmp_path / "out"), "--gait-model", str(model)]
+        assert main(argv) == 2
+        assert "config: " in caplog.text
 
     def test_bad_labels_fatal(self, tmp_path):
         labels = tmp_path / "labels.csv"

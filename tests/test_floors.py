@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,8 +248,9 @@ def seg(parent, start, pressure, macs):
 
 class TestClusterFloors:
     def test_single_segment_is_floor_one(self):
-        assignment = cluster_floors([seg("a", 0, 1013.0, {"m1"})])
-        assert assignment.floors == [1]
+        only = seg("a", 0, 1013.0, {"m1"})
+        assignment = cluster_floors([only])
+        assert only.floor == 1
         assert assignment.floor_count == 1
 
     def test_ninety_percent_overlap_merges(self):
@@ -258,15 +260,14 @@ class TestClusterFloors:
         b = seg("b", 0, 1013.01, shared | {"xb"})
         assignment = cluster_floors([a, b])
         assert assignment.floor_count == 1
-        assert assignment.floors == [1, 1]
+        assert (a.floor, b.floor) == (1, 1)
 
     def test_disjoint_sets_stay_separate_with_pressure_order(self):
         a = seg("a", 0, 1012.5, {"m1", "m2"})
         b = seg("b", 0, 1013.2, {"m3", "m4"})
         assignment = cluster_floors([a, b])
-        assert assignment.floors == [2, 1]  # higher pressure -> floor 1
-        assert assignment.cluster_pressures == sorted(assignment.cluster_pressures, reverse=True)
-        assert a.floor == 2 and b.floor == 1
+        assert (a.floor, b.floor) == (2, 1)  # higher pressure -> floor 1
+        assert assignment.cluster_pressures == [1013.2, 1012.5]
 
     def test_floor_count_override(self):
         shared = {f"m{k}" for k in range(9)}
@@ -280,21 +281,234 @@ class TestClusterFloors:
         b = seg("b", 0, 1013.0, {"m2"})
         with pytest.raises(FloorClusteringError):
             cluster_floors([a, b])
+        assert a.floor is None and b.floor is None
 
     def test_deterministic_under_ties(self):
-        segs = [
-            seg("a", 0, 1013.0, {"m1", "m2"}),
-            seg("b", 0, 1012.9, {"m1", "m2"}),
-            seg("c", 0, 1012.8, {"m1", "m2"}),
-        ]
-        first = cluster_floors(segs).floors
-        again = cluster_floors([
-            seg("a", 0, 1013.0, {"m1", "m2"}),
-            seg("b", 0, 1012.9, {"m1", "m2"}),
-            seg("c", 0, 1012.8, {"m1", "m2"}),
-        ]).floors
-        assert first == again
+        def floors():
+            segs = [
+                seg("a", 0, 1013.0, {"m1", "m2"}),
+                seg("b", 0, 1012.9, {"m1", "m2"}),
+                seg("c", 0, 1012.8, {"m1", "m2"}),
+            ]
+            cluster_floors(segs)
+            return [s.floor for s in segs]
+
+        assert floors() == floors()
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             cluster_floors([])
+
+    def test_floor_count_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            cluster_floors([seg("a", 0, 1013.0, {"m1"})], floor_count=0)
+
+
+def _ref_cluster_floors(segments, cut=0.7, floor_count=None, heights=None):
+    """The original cluster_floors: every linkage and tie key recomputed in
+    full on each merge. Returns (per-segment floors, cluster pressures);
+    appends the linkage of each merge to ``heights`` if given."""
+    n = len(segments)
+    base = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = 1.0 - jaccard(segments[i].mac_set, segments[j].mac_set)
+            base[i, j] = base[j, i] = d
+
+    clusters = [[i] for i in range(n)]
+
+    def linkage(a, b):
+        return float(sum(base[i, j] for i in a for j in b) / (len(a) * len(b)))
+
+    def cluster_key(members):
+        return min(segments[i].key() for i in members)
+
+    target = floor_count if floor_count is not None else 1
+    while len(clusters) > target:
+        best = None
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                d = linkage(clusters[a], clusters[b])
+                tie = tuple(sorted((cluster_key(clusters[a]), cluster_key(clusters[b]))))
+                cand = (d, tie, a, b)
+                if best is None or cand[:2] < best[:2]:
+                    best = cand
+        d, _, a, b = best
+        if floor_count is None and d >= cut:
+            break
+        if heights is not None:
+            heights.append(d)
+        clusters[a] = clusters[a] + clusters[b]
+        del clusters[b]
+
+    pressures = [float(np.mean([segments[i].mean_pressure for i in members])) for members in clusters]
+    by_pressure = sorted(range(len(clusters)), key=lambda c: -pressures[c])
+    floors = [0] * n
+    ordered_pressures = []
+    for rank, c in enumerate(by_pressure):
+        for i in clusters[c]:
+            floors[i] = rank + 1
+        ordered_pressures.append(pressures[c])
+    for prev, cur in zip(ordered_pressures, ordered_pressures[1:]):
+        if not cur < prev:
+            raise FloorClusteringError(
+                f"floor cluster pressures are not strictly decreasing: {ordered_pressures}"
+            )
+    return floors, ordered_pressures
+
+
+def _ref_absorb_isolated_noise(labels):
+    """The original hand-written noise-run scan."""
+    labels = list(labels)
+    n = len(labels)
+    out = labels[:]
+    i = 0
+    while i < n:
+        if labels[i] != -1:
+            i += 1
+            continue
+        j = i
+        while j < n and labels[j] == -1:
+            j += 1
+        left = labels[i - 1] if i > 0 else None
+        right = labels[j] if j < n else None
+        target = None
+        if left is not None and (right is None or right == left):
+            target = left
+        elif left is None and right is not None:
+            target = right
+        if target is not None:
+            for k in range(i, j):
+                out[k] = target
+        i = j
+    return out
+
+
+def _ref_segment_ranges(labels, min_pts):
+    """The original segment cut: maximal non-noise runs of >= min_pts points."""
+    ranges = []
+    i = 0
+    n = len(labels)
+    while i < n:
+        if labels[i] == -1:
+            i += 1
+            continue
+        j = i
+        while j < n and labels[j] == labels[i]:
+            j += 1
+        if j - i >= min_pts:
+            ranges.append((i, j))
+        i = j
+    return ranges
+
+
+# A pool of 6 MACs, 2 parents and 2 range starts make exact linkage ties,
+# duplicate MAC sets, empty sets and duplicate keys common. The pressures
+# are not exact binary fractions, so a mean taken in another member order
+# can differ in its last bits.
+_oracle_segments = st.lists(
+    st.tuples(
+        st.sampled_from(["p", "q"]),
+        st.sampled_from([0, 10]),
+        st.sampled_from([1012.1, 1012.3, 1012.7, 1013.3, math.nan]),
+        st.frozensets(st.sampled_from(["m1", "m2", "m3", "m4", "m5", "m6"]), max_size=4),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _oracle_case(fields, cut, floor_count):
+    """(outcome, per-segment floors) from cluster_floors and from the original
+    loop; an outcome is (floor count, pressure bytes) or the error message."""
+    segments = [seg(*f) for f in fields]
+    try:
+        pressures = cluster_floors(segments, cut=cut, floor_count=floor_count).cluster_pressures
+        new = (len(pressures), np.array(pressures).tobytes())
+    except FloorClusteringError as exc:
+        new = ("error", str(exc))
+    try:
+        floors, pressures = _ref_cluster_floors([seg(*f) for f in fields], cut, floor_count)
+        ref = ((len(pressures), np.array(pressures).tobytes()), floors)
+    except FloorClusteringError as exc:
+        ref = (("error", str(exc)), [None] * len(fields))
+    return (new, [s.floor for s in segments]), ref
+
+
+def _merge_heights(fields):
+    """The original loop's linkage at each merge down to one cluster."""
+    heights = []
+    try:
+        _ref_cluster_floors([seg(*f) for f in fields], cut=math.inf, heights=heights)
+    except FloorClusteringError:
+        pass
+    return heights
+
+
+class TestClusterFloorsOracle:
+    @given(_oracle_segments, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_original_loop(self, fields, data):
+        # a cut equal to a merge height tests `d >= cut` where a linkage
+        # rounded otherwise would flip it
+        cut = data.draw(st.one_of(
+            st.floats(min_value=0.0, max_value=1.1),
+            st.sampled_from([0.0, 0.5, 1.0, *_merge_heights(fields)]),
+        ))
+        floor_count = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=len(fields) + 2)))
+        new, ref = _oracle_case(fields, cut, floor_count)
+        assert new == ref
+
+    def test_matches_original_loop_at_every_merge_height(self):
+        # every merge height as the cut: a linkage summed in another member
+        # order flips `d >= cut` on some of these inputs; every floor count
+        # runs each tie-break down to one cluster
+        rng = np.random.default_rng(1)
+        macs = ["m1", "m2", "m3", "m4", "m5", "m6"]
+        for _ in range(120):
+            fields = [
+                (str(rng.choice(["p", "q", "r"])), int(rng.choice([0, 10, 20])),
+                 float(rng.choice([1012.1, 1012.3, 1012.7, 1013.3])),
+                 frozenset(rng.choice(macs, size=int(rng.integers(0, 5)), replace=False).tolist()))
+                for _ in range(int(rng.integers(4, 10)))
+            ]
+            for cut in _merge_heights(fields):
+                new, ref = _oracle_case(fields, cut, None)
+                assert new == ref
+            for floor_count in range(1, len(fields) + 1):
+                new, ref = _oracle_case(fields, 0.7, floor_count)
+                assert new == ref
+
+    def test_matches_original_loop_on_larger_inputs(self):
+        # a larger MAC pool gives linkages whose sums round differently in
+        # another member order
+        rng = np.random.default_rng(8)
+        macs = [f"m{k}" for k in range(12)]
+        for _ in range(60):
+            n = int(rng.integers(10, 30))
+            fields = [
+                (str(rng.choice(["p", "q", "r"])), int(rng.choice([0, 10, 20])),
+                 float(rng.uniform(1012.0, 1013.3)),
+                 frozenset(rng.choice(macs, size=int(rng.integers(0, 9)), replace=False).tolist()))
+                for _ in range(n)
+            ]
+            floor_count = None if rng.random() < 0.7 else int(rng.integers(1, n + 1))
+            new, ref = _oracle_case(fields, float(rng.uniform(0.2, 1.0)), floor_count)
+            assert new == ref
+
+
+class TestRunScans:
+    @given(st.lists(st.integers(min_value=-1, max_value=2), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_absorb_matches_original_scan(self, labels):
+        assert absorb_isolated_noise(labels) == _ref_absorb_isolated_noise(labels)
+
+    @given(st.lists(st.integers(min_value=-1, max_value=2), min_size=1, max_size=40), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_segment_ranges_match_original_scan(self, labels, min_pts):
+        n = len(labels)
+        traj = trajectory(np.zeros((n, 2)), baro_hpa=np.full(n, 1013.0), source_id="runs")
+        with mock.patch("trackforge.floors.dbscan_1d", return_value=labels):
+            segments = segment_trajectory(traj, eps=0.1, min_pts=min_pts)
+        expected = _ref_segment_ranges(_ref_absorb_isolated_noise(labels), min_pts)
+        assert [s.point_range for s in segments] == expected
