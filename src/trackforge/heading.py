@@ -34,7 +34,6 @@ logger = logging.getLogger(__name__)
 
 GRAVITY = 9.80665  # m/s^2, value the quasi-static gate compares against
 _FLAT_STD = 1e-12  # a correlation window with a smaller std is flat
-_EPS = float(np.finfo(float).eps)
 PCA_MIN_SAMPLES = 10  # a shorter step window is low-confidence
 
 # one row per accelerometer sample: tracked gravity (unit vector, phone
@@ -140,74 +139,32 @@ def tilt_compensated_yaw(gravity: np.ndarray, mag: np.ndarray) -> float | None:
     return math.atan2(s, c)
 
 
-def _increment_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation with degenerate-window conventions: two flat series
-    agree (1.0), one flat against one moving disagrees (0.0)."""
-    if len(a) < 3:
-        return 1.0
-    sa, sb = float(np.std(a)), float(np.std(b))
-    flat = _FLAT_STD
-    if sa < flat and sb < flat:
-        return 1.0
-    if sa < flat or sb < flat:
-        return 0.0
-    return float(np.corrcoef(a, b)[0, 1])
+def _increment_correlation(w: np.ndarray) -> float:
+    """Pearson correlation of the two rows of a (2, n) window of (gyro,
+    magnetometer) yaw increments, n >= 3 (``track_attitude`` guarantees it):
+    two flat rows agree (1.0), one flat against one moving disagrees (0.0).
 
-
-def _window_moments(x: np.ndarray, n: int, rel: float) -> tuple[float, float, np.ndarray, bool | None]:
-    """Two-pass std of one series, the bound on its mean error, its deviations,
-    and whether it is flat (None: too close to the flatness test to tell).
-
-    Any summation order gives a mean within ``dev`` of the exact one and a
-    std in [s (1 - r), (s + dev) (1 + r)], s the exact std and r ~ n eps;
-    NumPy's ``std`` and this estimate both lie in that envelope.
+    Each step is the operation that ``np.std`` and ``np.corrcoef`` apply, in
+    their order, so the value has their bits and needs no error bound; the
+    scalar steps run on Python floats, which round as float64 does. A row's
+    mean is its sum over n, as in both. The flatness test is ``np.std``'s
+    root of the summed ``x * x`` over n (a BLAS ``dot`` may sum in another
+    order). ``x.dot(x.T)`` goes to BLAS ``syrk``, as ``np.cov``'s product of
+    a matrix with its own transpose does. ``np.cov`` multiplies by
+    1 / (n - 1), and ``np.corrcoef`` divides by one root of the diagonal,
+    then by the other, and clips to [-1, 1].
     """
-    mean = float(x.sum()) / n
-    d = x - mean
-    ss = float(d.dot(d))
-    std = math.sqrt(ss / n)
-    dev = (n + 2) * _EPS * (abs(mean) + 2.0 * math.sqrt(ss))  # |mean| + 2 sqrt(ss) >= max |x|
-    flat = None
-    if (std + dev) * (1.0 + rel) < _FLAT_STD:
-        flat = True
-    elif std * (1.0 - rel) - dev >= _FLAT_STD:
-        flat = False
-    return std, dev, d, flat
-
-
-def _gate_estimate(a: np.ndarray, b: np.ndarray, gate: float) -> bool | None:
-    """``_increment_correlation(a, b) > gate`` from a two-pass estimate, or None
-    when the window is too close to the flatness test or to the gate to tell.
-
-    Both this Pearson estimate and ``np.corrcoef`` are within
-    (n + 6) eps + (ea + eb)^2 of the exact correlation, where ea, eb are the
-    mean errors relative to each std. The two are within twice that of each
-    other, and the margin doubles it again.
-    """
-    n = len(a)
-    rel = (n + 8) * _EPS
-    sa, dev_a, da, flat_a = _window_moments(a, n, rel)
-    sb, dev_b, db, flat_b = _window_moments(b, n, rel)
-    if flat_a is None or flat_b is None:
-        return None
+    n = w.shape[1]
+    x = w - w.sum(axis=1, keepdims=True) / n
+    ss_a, ss_b = (x * x).sum(axis=1).tolist()
+    flat_a, flat_b = math.sqrt(ss_a / n) < _FLAT_STD, math.sqrt(ss_b / n) < _FLAT_STD
+    if flat_a and flat_b:
+        return 1.0
     if flat_a or flat_b:
-        return (1.0 if flat_a and flat_b else 0.0) > gate
-    corr = float(da.dot(db)) / (n * sa * sb)  # np.corrcoef's clip to [-1, 1] is within the margin
-    shift = dev_a / (sa * (1.0 - rel) - dev_a) + dev_b / (sb * (1.0 - rel) - dev_b)
-    margin = 4.0 * ((n + 8) * _EPS + shift * shift)
-    if corr - gate > margin:
-        return True
-    if gate - corr > margin:
-        return False
-    return None
-
-
-def _mag_trusted(a: np.ndarray, b: np.ndarray, gate: float) -> bool:
-    """The trust gate on one window of (gyro, magnetometer) yaw increments."""
-    trusted = _gate_estimate(a, b, gate)
-    if trusted is None:
-        trusted = _increment_correlation(a.copy(), b.copy()) > gate
-    return trusted
+        return 0.0
+    scale = 1 / (n - 1)
+    (p_aa, p_ab), (_, p_bb) = x.dot(x.T).tolist()
+    return min(max(p_ab * scale / math.sqrt(p_aa * scale) / math.sqrt(p_bb * scale), -1.0), 1.0)
 
 
 def track_attitude(
@@ -225,7 +182,8 @@ def track_attitude(
     """
     if not accel:
         raise ValueError("accel stream is empty")
-    if not gyro:
+    has_gyro, has_magn = bool(gyro), bool(magn)
+    if not has_gyro:
         logger.warning("no gyro stream: attitude tracking degraded to quasi-static updates")
 
     times, accel_v = accel.app_timestamp, accel.values
@@ -238,8 +196,9 @@ def track_attitude(
     yaw = 0.0
     mag_trust = True
     # trust-gate window: fixes[:, start:m] hold each fix's time, gyro yaw
-    # increment and mag yaw increment, for the fixes within corr_window_s
-    fixes = np.empty((3, 64))
+    # increment and mag yaw increment, for the fixes within corr_window_s;
+    # there is at most one fix per accelerometer sample
+    fixes = np.empty((3, len(times)))
     start = m = 0
     prev_mag_yaw: float | None = None
     att = np.recarray(len(times), dtype=ATTITUDE_DTYPE)
@@ -251,8 +210,8 @@ def track_attitude(
         t = float(times[k])
         dt = t - t_prev if t_prev is not None else 0.0
         t_prev = t
-        omega = gyro_v[gyro_idx[k]] if gyro else no_rotation
-        if dt > 0 and gyro:
+        omega = gyro_v[gyro_idx[k]] if has_gyro else no_rotation
+        if dt > 0 and has_gyro:
             gravity = rotate_by_gyro(gravity, omega, dt)
 
         a = accel_v[k]
@@ -261,15 +220,9 @@ def track_attitude(
             gravity = a / norm
 
         gyro_rate = float(omega.dot(gravity))
-        mag_yaw = tilt_compensated_yaw(gravity, magn_v[magn_idx[k]]) if magn else None
+        mag_yaw = tilt_compensated_yaw(gravity, magn_v[magn_idx[k]]) if has_magn else None
 
         if mag_yaw is not None:
-            if m == fixes.shape[1]:  # full: move the window to the front, with room to grow
-                kept = fixes[:, start:m]
-                fixes = np.empty((3, max(64, 2 * kept.shape[1])))
-                fixes[:, : m - start] = kept
-                m -= start
-                start = 0
             fixes[0, m] = t
             fixes[1, m] = gyro_rate * dt
             fixes[2, m] = wrap_angle(mag_yaw - prev_mag_yaw) if prev_mag_yaw is not None else 0.0
@@ -278,7 +231,7 @@ def track_attitude(
             while start < m and fixes[0, start] < t - cfg.corr_window_s:
                 start += 1
             if m - start >= 3:
-                mag_trust = _mag_trusted(fixes[1, start:m], fixes[2, start:m], cfg.corr_gate)
+                mag_trust = _increment_correlation(fixes[1:3, start:m]) > cfg.corr_gate
 
         if mag_trust and mag_yaw is not None:
             yaw = mag_yaw

@@ -37,7 +37,7 @@ _BSSID_RE = re.compile(r"^[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}$")
 _SAMPLE_TAGS = {"ACCE": ("accel", 3), "GYRO": ("gyro", 3), "MAGN": ("magn", 3), "PRES": ("baro", 1)}
 _FIELD_COUNTS = {"WIFI": 7, **{tag: width + 4 for tag, (_, width) in _SAMPLE_TAGS.items()}}
 _COLUMNS = ("app_timestamp", "sensor_timestamp", "values", "accuracy")
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max  # np.iinfo computes these per read
 
 
 class TslParseError(ValueError):
@@ -185,7 +185,7 @@ def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
             name = _SAMPLE_TAGS[tag][0]
             what = "pressure" if tag == "PRES" else f"{tag} component"
             rows[name].append([app_ts, sensor_ts, *(_parse_number(v, line_no, what) for v in fields[3:-1])])
-            codes[name].append(_parse_number(fields[-1], line_no, "accuracy code", int, _INT64.min, _INT64.max))
+            codes[name].append(_parse_number(fields[-1], line_no, "accuracy code", int, _INT64_MIN, _INT64_MAX))
 
     streams = {}
     for name, width in _SAMPLE_TAGS.values():

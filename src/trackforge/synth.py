@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .heading import wrap_angle
-from .logio import SensorLog, SensorStream, WifiObservation, serialize_log
+from .logio import _BSSID_RE, SensorLog, SensorStream, WifiObservation, serialize_log
 from .stride import DEFAULT_STRIDE_TABLE, Gait
 
 BASE_PRESSURE_HPA = 1013.25
@@ -103,6 +103,9 @@ class WalkScript:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.segments:
             raise ValueError("script has no segments")
+        for floor, pool in (self.ap_pools or {}).items():
+            if not isinstance(pool, list) or not all(isinstance(b, str) and _BSSID_RE.fullmatch(b) for b in pool):
+                raise ValueError(f"AP pool for floor {floor} must be a list of BSSIDs, got {pool!r}")
         for seg in self.segments:
             if seg.steps < 1:
                 raise ValueError(f"segment step count must be >= 1, got {seg.steps}")
@@ -152,7 +155,7 @@ class WalkScript:
                 setattr(script, f.name, doc[f.name])
         if script.ap_pools is not None and not isinstance(script.ap_pools, dict):
             raise ValueError(f"ap_pools must map floors to BSSID lists, got {script.ap_pools!r}")
-        script.ap_pools = {int(k): list(v) for k, v in script.ap_pools.items()} if script.ap_pools else None
+        script.ap_pools = {int(k): v for k, v in script.ap_pools.items()} if script.ap_pools else None
         script.validate()
         return script
 

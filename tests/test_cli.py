@@ -209,8 +209,11 @@ def _segment(floor, **extra):
     {"ap_pools": [1]},
     {"segments": [_segment(1, drift=["a"] + [0.0] * 7)]},
     {"segments": [_segment(1, drift={"jitter_step": "x"})]},
+    {"ap_pools": {"1": "02:00:00:00:01:00"}},
+    {"ap_pools": {"1": ["x"]}},
+    {"ap_pools": {"1": [5]}},
 ], ids=["scalar-drift", "floor-without-pool", "source-id-path", "scalar-noise", "list-ap-pools",
-        "text-drift-entry", "text-jitter-step"])
+        "text-drift-entry", "text-jitter-step", "text-ap-pool", "bad-bssid", "number-bssid"])
 def test_bad_walk_script_exits_2(change, tmp_path, caplog):
     doc = {"source_id": "w", "seed": 1, "segments": [_segment(1)], **change}
     spath = tmp_path / "walk.json"

@@ -11,9 +11,7 @@ from trackforge.heading import (
     GRAVITY,
     HeadingConfig,
     _cross,
-    _gate_estimate,
     _increment_correlation,
-    _mag_trusted,
     motion_direction,
     roll_pitch,
     rotate_by_gyro,
@@ -254,6 +252,20 @@ def _ref_tilt_compensated_yaw(gravity, mag):
     return math.atan2(s, c)
 
 
+def _ref_increment_correlation(a, b):
+    """Pearson correlation with degenerate-window conventions: two flat series
+    agree (1.0), one flat against one moving disagrees (0.0)."""
+    if len(a) < 3:
+        return 1.0
+    sa, sb = float(np.std(a)), float(np.std(b))
+    flat = heading._FLAT_STD
+    if sa < flat and sb < flat:
+        return 1.0
+    if sa < flat or sb < flat:
+        return 0.0
+    return float(np.corrcoef(a, b)[0, 1])
+
+
 def _ref_track_attitude(accel, gyro, magn, cfg=HeadingConfig(), windows=None):
     times = accel.app_timestamp
     accel_v = accel.values
@@ -296,7 +308,7 @@ def _ref_track_attitude(accel, gyro, magn, cfg=HeadingConfig(), windows=None):
                 a, b = np.array([h[1] for h in history]), np.array([h[2] for h in history])
                 if windows is not None:
                     windows.append((a.tobytes(), b.tobytes()))
-                corr = _increment_correlation(a, b)
+                corr = _ref_increment_correlation(a, b)
                 mag_trust = corr > cfg.corr_gate
         if mag_trust and mag_yaw is not None:
             yaw = mag_yaw
@@ -368,13 +380,13 @@ class TestAttitudeReference:
     def test_gate_sees_the_reference_windows(self, dyadic, monkeypatch):
         accel, gyro, magn = _turning_phone(4, n=900, dyadic=dyadic)
         seen = []
-        gate = heading._mag_trusted
+        correlation = heading._increment_correlation
 
-        def recording(a, b, corr_gate):
-            seen.append((a.tobytes(), b.tobytes()))
-            return gate(a, b, corr_gate)
+        def recording(w):
+            seen.append((w[0].tobytes(), w[1].tobytes()))
+            return correlation(w)
 
-        monkeypatch.setattr(heading, "_mag_trusted", recording)
+        monkeypatch.setattr(heading, "_increment_correlation", recording)
         track_attitude(accel, gyro, magn)
         expected = []
         _ref_track_attitude(accel, gyro, magn, windows=expected)
@@ -445,20 +457,22 @@ def _window_pair(kind, n, seed, gate, offset):
 
 
 class TestTrustGate:
-    """The two-pass gate estimate decides as _increment_correlation does, or abstains."""
+    """The gate's correlation has the bits of np.std and np.corrcoef."""
+
+    @staticmethod
+    def _assert_same_value(a, b):
+        assert repr(_increment_correlation(np.array((a, b)))) == repr(_ref_increment_correlation(a, b))
 
     def test_two_flat_series_agree(self):
         a, b = np.full(10, 0.01), np.zeros(10)
-        assert _increment_correlation(a, b) == 1.0
-        assert _gate_estimate(a, b, 0.8) is True
-        assert _gate_estimate(a, b, 1.0) is False
+        assert _increment_correlation(np.array((a, b))) == 1.0
+        self._assert_same_value(a, b)
 
     def test_one_flat_series_disagrees(self):
         a, b = np.zeros(10), np.sin(np.arange(10.0))
-        assert _increment_correlation(a, b) == 0.0
-        assert _increment_correlation(b, a) == 0.0
-        assert _gate_estimate(a, b, 0.8) is False
-        assert _gate_estimate(b, a, -0.5) is True
+        assert _increment_correlation(np.array((a, b))) == 0.0
+        assert _increment_correlation(np.array((b, a))) == 0.0
+        self._assert_same_value(a, b)
 
     @given(
         st.sampled_from(["flat", "one-flat", "near-flat", "near-gate"]),
@@ -469,27 +483,36 @@ class TestTrustGate:
         st.booleans(),
     )
     @settings(max_examples=400, deadline=None)
-    def test_same_decision_as_reference(self, kind, n, seed, gate, offset, swap):
+    def test_same_value_as_reference(self, kind, n, seed, gate, offset, swap):
         a, b = _window_pair(kind, n, seed, gate, offset)
         if swap:
             a, b = b, a
-        expected = _increment_correlation(a, b) > gate
-        estimate = _gate_estimate(a, b, gate)
-        assert estimate is None or estimate == expected
-        assert _mag_trusted(a, b, gate) == expected
+        self._assert_same_value(a, b)
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(3, 150))
     @settings(max_examples=200, deadline=None)
-    def test_all_equal_windows_take_the_cheap_path(self, x, y, n):
-        a, b = np.full(n, x), np.full(n, y)
-        assert _gate_estimate(a, b, 0.8) is (_increment_correlation(a, b) > 0.8)
+    def test_all_equal_windows_match_reference(self, x, y, n):
+        self._assert_same_value(np.full(n, x), np.full(n, y))
 
-    def test_no_gyro_attitude_never_falls_back(self, monkeypatch):
-        accel, _, magn = _turning_phone(5)
+    @pytest.mark.parametrize("r", [1.0, -1.0])
+    def test_perfect_correlation_is_clipped(self, r):
+        # unclipped, this window's correlation rounds one ulp beyond r
+        a, b = _window_pair("near-gate", 20, 0, r, 0.0)
+        assert _increment_correlation(np.array((a, b))) == r
+        self._assert_same_value(a, b)
 
-        def fail(a, b):
-            raise AssertionError("fell back to _increment_correlation")
+    @pytest.mark.parametrize("kind", ["flat", "one-flat", "near-flat", "near-gate"])
+    def test_window_longer_than_the_reduction_buffer(self, kind):
+        # NumPy reduces in blocks of 8192 elements
+        a, b = _window_pair(kind, 8192 + 1000, 11, 0.8, 0.0)
+        self._assert_same_value(a, b)
 
-        monkeypatch.setattr(heading, "_increment_correlation", fail)
-        att = track_attitude(accel, NO_SAMPLES, magn)
-        assert not att.mag_trust[300:].any()  # flat gyro vs moving compass
+    @pytest.mark.parametrize("kind", ["flat", "one-flat", "near-flat", "near-gate"])
+    def test_strided_rows_of_a_fix_buffer(self, kind):
+        # track_attitude passes rows 1 and 2 of a (3, k) buffer, starting mid-row
+        a, b = _window_pair(kind, 57, 12, 0.8, 0.0)
+        fixes = np.random.default_rng(13).normal(size=(3, 100))
+        fixes[1:3, 20:77] = a, b
+        window = fixes[1:3, 20:77]
+        assert not window.flags.c_contiguous
+        assert repr(_increment_correlation(window)) == repr(_ref_increment_correlation(a, b))
