@@ -97,33 +97,37 @@ def _truth_path(log_path: Path) -> Path:
     return log_path.with_name(f"{log_path.stem}.truth.json")
 
 
+def _load_truth(path: Path) -> synth.GroundTruth:
+    """A truth sidecar; PipelineError names the file when it cannot be read or decoded."""
+    try:
+        return synth.GroundTruth.from_json(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise PipelineError(f"bad truth sidecar {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig) -> tuple[RunReport, list] | None:
     """The corpus report and (trajectory, segments, truth) triples, floors
     numbered, for every log with a ``<stem>.truth.json``.
 
-    Raises PipelineError when there is no such pair or floor clustering
-    failed. Returns None when a paired log failed to process;
-    ``process_corpus`` has logged why.
+    Raises PipelineError when there is no such pair, a sidecar is malformed
+    (checked before any log is processed) or floor clustering failed.
+    Returns None when a paired log failed to process; ``process_corpus``
+    has logged why.
     """
-    paths = []
+    truths = {}
     for log_path in sorted(input_dir.glob("*.tsl")):
         if _truth_path(log_path).exists():
-            paths.append(log_path)
+            truths[log_path] = _load_truth(_truth_path(log_path))
         else:
             logger.warning("no truth sidecar for %s, skipping", log_path.name)
-    if not paths:
+    if not truths:
         raise PipelineError(f"no (.tsl, .truth.json) pairs in {input_dir}")
-    report, processed = process_corpus(paths, cfg)
+    report, processed = process_corpus(list(truths), cfg)
     if any(r.error is not None for r in report.files):
         return None
     if report.error is not None:
         raise PipelineError(report.error)
-    corpus = []
-    for path in paths:
-        item = processed[path.name]
-        truth = synth.GroundTruth.from_json(json.loads(_truth_path(path).read_text(encoding="utf-8")))
-        corpus.append((item.trajectory, item.segments, truth))
-    return report, corpus
+    return report, [(processed[p.name].trajectory, processed[p.name].segments, t) for p, t in truths.items()]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -200,7 +204,7 @@ def cmd_train_gait(args: argparse.Namespace) -> int:
     labeled: list[tuple[StrideFeatures, Gait]] = []
     try:
         lines = Path(args.labels).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         logger.error("cannot read labels: %s", exc)
         return EXIT_FATAL
     for line_no, raw in enumerate(lines, start=1):

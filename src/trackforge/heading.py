@@ -13,9 +13,13 @@ the half-axis at an acute angle to the phone yaw. All angles are wrapped to
 [-pi, pi]; headings share one magnetic-frame convention: yaw 0 when the
 horizontal field lies along phone +y, +pi/2 when along phone +x.
 
-The per-sample loops work on Python floats, but every 3-element dot product
-and norm stays on ``ndarray.dot``: BLAS may fuse its multiply-adds, so a
-scalar sum could round differently and change the output bits.
+Gravity tracking and the trust gate depend on the previous sample, so they
+loop per sample on Python floats; the horizontal plane, compass yaw, gyro yaw
+turns and step projection run over columns. Every 3-element dot product goes
+to ``ndarray.dot`` (BLAS may fuse its multiply-adds, so another sum order
+could change the output bits); over columns that is the stacked matmul
+``(a[:, None, :] @ b[:, :, None])``, which NumPy hands row by row to the same
+``dot``, unlike ``einsum`` or ``(a * b).sum(axis=1)``.
 """
 
 from __future__ import annotations
@@ -104,39 +108,45 @@ def roll_pitch(gravity: Sequence[float]) -> tuple[float, float]:
     return math.atan2(gy, gz), math.atan2(-gx, math.hypot(gy, gz))
 
 
-def _horizontal_basis(gravity: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Orthonormal (forward, right) basis of the horizontal plane, phone coords.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[k].dot(b[k])`` for each row k of two (n, 3) arrays, with its bits."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    forward = phone +y projected onto the plane normal to gravity. Degenerate
-    (returns None) when gravity is along phone +y.
+
+def _horizontal_basis(gravity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal (forward, right) basis of each (n, 3) gravity row's
+    horizontal plane, phone coords, and whether it is defined: forward is
+    phone +y projected onto the plane normal to gravity. An undefined row
+    (gravity along phone +y) has unscaled, meaningless e1 and e2.
     """
-    g0, g1, g2 = gravity.tolist()
-    f = np.array((0.0 - g1 * g0, 1.0 - g1 * g1, 0.0 - g1 * g2))
-    norm = _norm(f)
-    if norm < 1e-9:
-        return None
-    e1 = f / norm
-    return e1, np.array(_cross(e1.tolist(), (g0, g1, g2)))
+    g = np.asarray(gravity, dtype=float)
+    f = np.array((0.0, 1.0, 0.0)) - g[:, 1:2] * g
+    norm = np.sqrt(_row_dots(f, f))
+    defined = ~(norm < 1e-9)
+    e1 = f / np.where(defined, norm, 1.0)[:, None]
+    return e1, np.cross(e1, g), defined
+
+
+def _compass_yaws(gravity: np.ndarray, mag: np.ndarray) -> list[float | None]:
+    """``tilt_compensated_yaw`` of each row of (n, 3) gravity and field rows.
+
+    The last steps run per row on Python floats, because ``np.arctan2``
+    rounds differently from ``math.atan2`` on some inputs.
+    """
+    mag = np.asarray(mag, dtype=float)
+    e1, e2, defined = _horizontal_basis(gravity)
+    usable = defined & ~(np.sqrt(_row_dots(mag, mag)) < 1e-12)
+    rows = zip(usable.tolist(), _row_dots(mag, e1).tolist(), _row_dots(mag, e2).tolist())
+    return [math.atan2(s, c) if ok and not math.hypot(c, s) < 1e-12 else None for ok, c, s in rows]
 
 
 def tilt_compensated_yaw(gravity: np.ndarray, mag: np.ndarray) -> float | None:
     """Compass yaw from a magnetometer sample rotated into the horizontal plane.
 
     Returns None for a zero/vertical field or a gimbal-locked pose (caller
-    retains the previous yaw).
+    retains the previous yaw). The one-row case of ``_compass_yaws``.
     """
-    mag = np.asarray(mag, dtype=float)
-    if _norm(mag) < 1e-12:
-        return None
-    basis = _horizontal_basis(gravity)
-    if basis is None:
-        return None
-    e1, e2 = basis
-    c = float(mag.dot(e1))
-    s = float(mag.dot(e2))
-    if math.hypot(c, s) < 1e-12:
-        return None
-    return math.atan2(s, c)
+    return _compass_yaws(np.reshape(gravity, (1, 3)), np.reshape(mag, (1, 3)))[0]
 
 
 def _increment_correlation(w: np.ndarray) -> float:
@@ -187,44 +197,36 @@ def track_attitude(
         logger.warning("no gyro stream: attitude tracking degraded to quasi-static updates")
 
     times, accel_v = accel.app_timestamp, accel.values
-    gyro_v, gyro_idx = gyro.values, nearest_index(gyro.app_timestamp, times)
-    magn_v, magn_idx = magn.values, nearest_index(magn.app_timestamp, times)
+    n = len(times)
+    omega = gyro.values[nearest_index(gyro.app_timestamp, times)] if has_gyro else np.zeros((n, 3))
+    dts = np.diff(times, prepend=times[0])
 
-    norm0 = _norm(accel_v[0])
-    gravity = accel_v[0] / norm0 if norm0 > 1e-9 else np.array([0.0, 0.0, 1.0])
+    # gravity depends on neither yaw nor trust: gyro rotation plus snaps
+    norms = np.sqrt(_row_dots(accel_v, accel_v)).tolist()
+    g = accel_v[0] / norms[0] if norms[0] > 1e-9 else np.array([0.0, 0.0, 1.0])
+    gravity = np.empty((n, 3))
+    for k, (dt, norm) in enumerate(zip(dts.tolist(), norms)):
+        if dt > 0 and has_gyro:
+            g = rotate_by_gyro(g, omega[k], dt)
+        if abs(norm - GRAVITY) <= cfg.g_tol and norm > 1e-9:
+            g = accel_v[k] / norm
+        gravity[k] = g
 
-    yaw = 0.0
-    mag_trust = True
+    turns = (_row_dots(omega, gravity) * dts).tolist()
+    mag_yaws = _compass_yaws(gravity, magn.values[nearest_index(magn.app_timestamp, times)]) if has_magn else [None] * n
+
+    yaw, mag_trust = 0.0, True
     # trust-gate window: fixes[:, start:m] hold each fix's time, gyro yaw
     # increment and mag yaw increment, for the fixes within corr_window_s;
     # there is at most one fix per accelerometer sample
-    fixes = np.empty((3, len(times)))
+    fixes = np.empty((3, n))
     start = m = 0
     prev_mag_yaw: float | None = None
-    att = np.recarray(len(times), dtype=ATTITUDE_DTYPE)
-    gravity_col, yaw_col, trust_col = att.gravity, att.yaw, att.mag_trust
-
-    no_rotation = np.zeros(3)
-    t_prev = None
-    for k in range(len(times)):
-        t = float(times[k])
-        dt = t - t_prev if t_prev is not None else 0.0
-        t_prev = t
-        omega = gyro_v[gyro_idx[k]] if has_gyro else no_rotation
-        if dt > 0 and has_gyro:
-            gravity = rotate_by_gyro(gravity, omega, dt)
-
-        a = accel_v[k]
-        norm = _norm(a)
-        if abs(norm - GRAVITY) <= cfg.g_tol and norm > 1e-9:
-            gravity = a / norm
-
-        gyro_rate = float(omega.dot(gravity))
-        mag_yaw = tilt_compensated_yaw(gravity, magn_v[magn_idx[k]]) if has_magn else None
-
+    yaws, trusts = [], []
+    for t, turn, mag_yaw in zip(times.tolist(), turns, mag_yaws):
         if mag_yaw is not None:
             fixes[0, m] = t
-            fixes[1, m] = gyro_rate * dt
+            fixes[1, m] = turn
             fixes[2, m] = wrap_angle(mag_yaw - prev_mag_yaw) if prev_mag_yaw is not None else 0.0
             m += 1
             prev_mag_yaw = mag_yaw
@@ -236,28 +238,29 @@ def track_attitude(
         if mag_trust and mag_yaw is not None:
             yaw = mag_yaw
         else:
-            yaw = wrap_angle(yaw + gyro_rate * dt)
+            yaw = wrap_angle(yaw + turn)
+        yaws.append(yaw)
+        trusts.append(mag_trust)
 
-        gravity_col[k] = gravity
-        yaw_col[k] = yaw
-        trust_col[k] = mag_trust
+    att = np.recarray(n, dtype=ATTITUDE_DTYPE)
+    att.gravity, att.yaw, att.mag_trust = gravity, yaws, trusts
     return att
 
 
-def earth_horizontal(vec: np.ndarray, gravity: np.ndarray, yaw: float) -> np.ndarray | None:
-    """Project a phone-frame vector into Earth-horizontal 2-D coordinates.
+def earth_horizontal(vec: np.ndarray, gravity: np.ndarray, yaw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project (n, 3) phone-frame rows into Earth-horizontal 2-D coordinates.
 
-    ``gravity`` defines the plane and ``yaw`` orients the axes, so azimuths
-    here live in the same frame as yaw and PDR headings.
+    Row k goes into the plane normal to ``gravity[k]``, with axes turned by
+    ``yaw[k]``, so azimuths here live in the same frame as yaw and PDR
+    headings. Returns the (n, 2) rows and which are defined.
     """
-    basis = _horizontal_basis(gravity)
-    if basis is None:
-        return None
-    e1, e2 = basis
-    c = float(np.dot(vec, e1))
-    s = float(np.dot(vec, e2))
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    return np.array([cy * c - sy * (-s), sy * c + cy * (-s)])
+    e1, e2, defined = _horizontal_basis(gravity)
+    c, s = _row_dots(vec, e1), -_row_dots(vec, e2)
+    # cos and sin from libm, per row: NumPy ships AVX-512 (SVML) kernels for
+    # them, which may round differently
+    yaw = np.asarray(yaw, dtype=float).tolist()
+    cy, sy = np.array([math.cos(y) for y in yaw]), np.array([math.sin(y) for y in yaw])
+    return np.column_stack((cy * c - sy * s, sy * c + cy * s)), defined
 
 
 def motion_direction(
@@ -328,25 +331,17 @@ def step_headings(
     for the first).
     """
     att = track_attitude(log.accel, log.gyro, log.magn, cfg)
-    times, accel_v = log.accel.app_timestamp, log.accel.values
+    times = log.accel.app_timestamp
     grav = _smoothed_gravity(att.gravity, times)
+    horizontal, defined = earth_horizontal(log.accel.values - GRAVITY * grav, grav, att.yaw)
     yaw = att.yaw.tolist()
 
-    # a sample in several consecutive step windows is projected once
-    projected: dict[int, np.ndarray | None] = {}
     prev_heading: float | None = None
     for step in steps:
         lookback = min(step.pace, 2.5 * max(step.valley_time - step.peak_time, 1e-3))
         lo = int(np.searchsorted(times, step.peak_time - lookback, side="right"))
         hi = int(np.searchsorted(times, step.valley_time, side="right"))
-        projected = {k: xy for k, xy in projected.items() if lo <= k < hi}
-        window = []
-        for k in range(lo, hi):
-            if k not in projected:
-                projected[k] = earth_horizontal(accel_v[k] - GRAVITY * grav[k], grav[k], yaw[k])
-            if projected[k] is not None:
-                window.append(projected[k])
-        est = motion_direction(np.array(window) if window else np.empty((0, 2)), yaw[step.peak_index], cfg)
+        est = motion_direction(horizontal[lo:hi][defined[lo:hi]], yaw[step.peak_index], cfg)
         if est.low_confidence:
             step.heading_rad = prev_heading if prev_heading is not None else est.phone_yaw
         else:

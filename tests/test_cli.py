@@ -289,6 +289,29 @@ class TestEvalCommand:
         assert main(argv) == 2
         assert "fatal: floor clustering failed" in caplog.text
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("sidecar", ["invalid-json", "empty-object", "scalar-point-floors"])
+    def test_malformed_truth_sidecar_exits_2_before_loading(
+        self, command, sidecar, straight_corpus, tmp_path, caplog, monkeypatch
+    ):
+        def loading(*_):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "process_corpus", loading)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "walk.tsl").write_bytes((straight_corpus / "walk.tsl").read_bytes())
+        doc = json.loads((straight_corpus / "walk.truth.json").read_text())
+        text = {
+            "invalid-json": '{"source_id": "walk",',
+            "empty-object": "{}",
+            "scalar-point-floors": json.dumps({**doc, "point_floors": 5}),
+        }[sidecar]
+        (corpus / "walk.truth.json").write_text(text)
+        assert main([command, "--input", str(corpus), "--output", str(tmp_path / "out")]) == 2
+        assert "fatal: " in caplog.text
+        assert "walk.truth.json" in caplog.text
+
     def test_missing_truth_fatal(self, tmp_path):
         lonely = tmp_path / "lonely"
         lonely.mkdir()
@@ -418,6 +441,14 @@ class TestTrainGaitCommand:
         argv = ["run", "--input", str(straight_corpus), "--output", str(tmp_path / "out"), "--gait-model", str(model)]
         assert main(argv) == 2
         assert "config: " in caplog.text
+
+    def test_non_utf8_labels_exit_2(self, tmp_path, caplog):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes("0.8,0.7,11.0,9.9,slow  # caf\u00e9\n".encode("latin-1"))
+        out = tmp_path / "m"
+        assert main(["train-gait", "--labels", str(labels), "--out", str(out)]) == 2
+        assert "cannot read labels" in caplog.text
+        assert not out.exists()
 
     def test_bad_labels_fatal(self, tmp_path):
         labels = tmp_path / "labels.csv"

@@ -12,15 +12,17 @@ from trackforge.heading import (
     HeadingConfig,
     _cross,
     _increment_correlation,
+    earth_horizontal,
     motion_direction,
     roll_pitch,
     rotate_by_gyro,
+    step_headings,
     tilt_compensated_yaw,
     track_attitude,
     wrap_angle,
 )
-from trackforge.logio import nearest_index
-from trackforge.stepdetect import moving_average
+from trackforge.logio import SensorLog, nearest_index
+from trackforge.stepdetect import Step, moving_average
 from streams import stream
 
 NO_SAMPLES = stream([])
@@ -252,6 +254,59 @@ def _ref_tilt_compensated_yaw(gravity, mag):
     return math.atan2(s, c)
 
 
+def _ref_horizontal_basis(gravity):
+    """(e1, e2) of one gravity row, or None when gravity is along phone +y."""
+    g0, g1, g2 = gravity.tolist()
+    f = np.array((0.0 - g1 * g0, 1.0 - g1 * g1, 0.0 - g1 * g2))
+    norm = math.sqrt(f.dot(f))
+    if norm < 1e-9:
+        return None
+    e1 = f / norm
+    return e1, np.array(_cross(e1.tolist(), (g0, g1, g2)))
+
+
+def _ref_earth_horizontal(vec, gravity, yaw):
+    basis = _ref_horizontal_basis(gravity)
+    if basis is None:
+        return None
+    e1, e2 = basis
+    c = float(np.dot(vec, e1))
+    s = float(np.dot(vec, e2))
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    return np.array([cy * c - sy * (-s), sy * c + cy * (-s)])
+
+
+def _ref_step_headings(steps, log, cfg=HeadingConfig(), windows=None):
+    """step_headings with one projection per sample, cached across the step
+    windows that share it."""
+    att = _ref_track_attitude(log.accel, log.gyro, log.magn, cfg)
+    times, accel_v = log.accel.app_timestamp, log.accel.values
+    grav = heading._smoothed_gravity(att["gravity"], times)
+    yaw = att["yaw"].tolist()
+    projected = {}
+    prev_heading = None
+    for step in steps:
+        lookback = min(step.pace, 2.5 * max(step.valley_time - step.peak_time, 1e-3))
+        lo = int(np.searchsorted(times, step.peak_time - lookback, side="right"))
+        hi = int(np.searchsorted(times, step.valley_time, side="right"))
+        projected = {k: xy for k, xy in projected.items() if lo <= k < hi}
+        window = []
+        for k in range(lo, hi):
+            if k not in projected:
+                projected[k] = _ref_earth_horizontal(accel_v[k] - GRAVITY * grav[k], grav[k], yaw[k])
+            if projected[k] is not None:
+                window.append(projected[k])
+        window = np.array(window) if window else np.empty((0, 2))
+        if windows is not None:
+            windows.append((window.shape, window.tobytes()))
+        est = motion_direction(window, yaw[step.peak_index], cfg)
+        if est.low_confidence:
+            step.heading_rad = prev_heading if prev_heading is not None else est.phone_yaw
+        else:
+            step.heading_rad = est.motion_heading
+        prev_heading = step.heading_rad
+
+
 def _ref_increment_correlation(a, b):
     """Pearson correlation with degenerate-window conventions: two flat series
     agree (1.0), one flat against one moving disagrees (0.0)."""
@@ -432,6 +487,69 @@ class TestAttitudeReference:
     def test_scalar_cross_bitwise(self, xs):
         a, b = np.array(xs[:3]), np.array(xs[3:])
         assert np.array(_cross(a.tolist(), b.tolist())).tobytes() == np.cross(a, b).tobytes()
+
+
+def _steps(times):
+    """Steps every 0.4 s whose windows (0.525 s) overlap, plus one window too
+    short for PCA, which reuses the previous heading."""
+    steps = []
+    for peak_time in np.arange(times[0] + 0.6, times[-1] - 0.2, 0.4).tolist():
+        valley_time = peak_time + (0.0 if len(steps) == 4 else 0.15)
+        peak = int(np.searchsorted(times, peak_time))
+        steps.append(Step(peak, peak, peak_time, valley_time, jerk=1.0, pace=0.6))
+    return steps
+
+
+_COORD = st.floats(-1.0, 1.0)
+_GRAVITY_ROW = st.one_of(
+    st.tuples(_COORD, _COORD, _COORD),
+    st.sampled_from([(0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (1e-200, 1.0, 0.0), (math.nan, 0.5, 0.5)]),
+)
+_FIELD_ROW = st.one_of(st.tuples(*[st.floats(-60.0, 60.0)] * 3), st.just((0.0, 0.0, 0.0)))
+
+
+class TestHorizontalPlane:
+    """The columnar plane, compass yaw and projection have the bits of the
+    per-sample code."""
+
+    @pytest.mark.parametrize("mode", ["gyro+magn", "no-gyro", "no-magn", "gimbal-lock", "dyadic"])
+    def test_step_headings_equal_reference(self, mode, monkeypatch):
+        accel, gyro, magn = _turning_phone(5, gimbal=mode == "gimbal-lock", dyadic=mode == "dyadic")
+        log = SensorLog(accel=accel, gyro=NO_SAMPLES if mode == "no-gyro" else gyro,
+                        magn=NO_SAMPLES if mode == "no-magn" else magn)
+        seen = []
+
+        def recording(window, phone_yaw, cfg):
+            seen.append((window.shape, window.tobytes()))
+            return motion_direction(window, phone_yaw, cfg)
+
+        monkeypatch.setattr(heading, "motion_direction", recording)
+        new, ref = _steps(accel.app_timestamp), _steps(accel.app_timestamp)
+        step_headings(new, log)
+        expected = []
+        _ref_step_headings(ref, log, windows=expected)
+        assert len(new) >= 10
+        assert seen == expected
+        assert repr([s.heading_rad for s in new]) == repr([s.heading_rad for s in ref])
+
+    @given(st.lists(st.tuples(_GRAVITY_ROW, _FIELD_ROW, st.floats(-4.0, 4.0)), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_scalar_reference(self, rows):
+        gravity = np.array([r[0] for r in rows])
+        field = np.array([r[1] for r in rows])
+        yaw = np.array([r[2] for r in rows])
+        e1, e2, defined = heading._horizontal_basis(gravity)
+        xy, xy_defined = earth_horizontal(field, gravity, yaw)
+        yaws = heading._compass_yaws(gravity, field)
+        assert xy_defined.tolist() == defined.tolist()
+        for k in range(len(rows)):
+            basis = _ref_horizontal_basis(gravity[k])
+            assert defined[k] == (basis is not None)
+            if basis is not None:
+                assert repr((e1[k].tolist(), e2[k].tolist())) == repr((basis[0].tolist(), basis[1].tolist()))
+                ref_xy = _ref_earth_horizontal(field[k], gravity[k], yaw[k])
+                assert repr(xy[k].tolist()) == repr(ref_xy.tolist())
+            assert repr(yaws[k]) == repr(_ref_tilt_compensated_yaw(gravity[k], field[k]))
 
 
 def _window_pair(kind, n, seed, gate, offset):
