@@ -1,12 +1,17 @@
 """Footfall detection on accelerometer magnitude with adaptive jerk/pace thresholds.
 
-A step candidate is a local peak paired with the next local valley on the
-smoothed magnitude signal. Candidates are accepted when both the jerk
-(peak-to-valley magnitude drop) and the pace (time since the previous accepted
-step's peak) clear the current thresholds. Accepted (jerk, pace) pairs feed a
-bounded FIFO buffer, and each threshold tracks ``update_ratio * mean(buffer)``
-clamped to its configured floor (and ceiling, for pace), so the detector adapts
-to the signal energy of the current carrier/placement.
+A step candidate is a local peak paired with the next local valley (a peak of
+the negated signal) on the smoothed magnitude signal, each of prominence at
+least ``min_prominence``. A peak is the middle sample, rounded down, of a run of
+equal samples higher than the runs on either side and touching no edge, and its
+prominence is its height over the higher of the lowest samples on each side up
+to the first higher or NaN sample or the edge, as in SciPy's ``find_peaks``.
+Candidates are accepted when both the jerk (peak-to-valley magnitude drop) and
+the pace (time since the previous accepted step's peak) clear the current
+thresholds. Accepted (jerk, pace) pairs feed a bounded FIFO buffer, and each
+threshold tracks ``update_ratio * mean(buffer)`` clamped to its configured floor
+(and ceiling, for pace), so the detector adapts to the signal energy of the
+current carrier/placement.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .logio import SensorStream
 
@@ -119,6 +123,37 @@ def magnitude_series(
     return accel.app_timestamp, moving_average(mags, smooth_window)
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """SciPy's ``find_peaks(x, prominence=min_prominence)[0]``, bit for bit.
+
+    Both scans run leftwards, in ``x`` and in its reverse, each led by NaN so
+    that an edge stops a scan as NaN does. Peaks and NaN cut the samples into
+    segments that fall and then rise to their end, so a scan's lowest sample is
+    the lowest of the segments after the nearest higher peak or NaN."""
+    starts = np.flatnonzero(x[1:] != x[:-1]) + 1  # of the runs of equal samples but the first; NaN != NaN
+    s, e = starts[:-1], starts[1:]  # the runs x[s:e] touching no edge
+    top = (x[s] > x[s - 1]) & (x[s] > x[e])
+    peaks = (s[top] + e[top] - 1) // 2
+    y = np.concatenate(([np.nan], x, [np.nan], x[::-1]))
+    at = np.concatenate((peaks + 1, 2 * len(x) + 1 - peaks))
+    ends = np.sort(np.concatenate((at, np.flatnonzero(np.isnan(y)))))
+    hi = [y[ends]]
+    lo = [np.minimum.reduceat(y[: ends[-1] + 1], np.concatenate(([0], ends[:-1] + 1)))]
+    while 2 ** len(hi) <= len(ends):  # level k: max / min over 2**k segments in a row
+        h = 2 ** (len(hi) - 1)
+        hi.append(np.maximum(hi[-1][:-h], hi[-1][h:]))
+        lo.append(np.minimum(lo[-1][:-h], lo[-1][h:]))
+    v = y[at]
+    first = np.searchsorted(ends, at)  # the peak's own segment
+    low = lo[0][first]
+    for k in reversed(range(len(hi))):
+        b = np.maximum(first - 2**k, 0)  # a block from 0 ends at the leading NaN and fails
+        passed = hi[k][b] <= v
+        low = np.where(passed, np.minimum(low, lo[k][b]), low)
+        first = np.where(passed, b, first)
+    return peaks[x[peaks] - np.maximum(low[: len(peaks)], low[len(peaks) :]) >= min_prominence]
+
+
 def detect_steps(
     times: np.ndarray,
     magnitudes: np.ndarray,
@@ -137,20 +172,15 @@ def detect_steps(
         return []
     state = AdaptiveThresholds.from_config(cfg)
 
-    peaks, _ = find_peaks(magnitudes, prominence=cfg.min_prominence)
-    valleys, _ = find_peaks(-magnitudes, prominence=cfg.min_prominence)
-    if len(peaks) == 0 or len(valleys) == 0:
-        return []
+    peaks = _prominent_peaks(magnitudes, cfg.min_prominence)
+    valleys = _prominent_peaks(-magnitudes, cfg.min_prominence)
 
     steps: list[Step] = []
     last_valley = -1
     last_peak_time: float | None = None
-    vi = 0
-    for p in peaks:
+    for p, vi in zip(peaks, np.searchsorted(valleys, peaks, side="right")):
         if p <= last_valley:
             continue  # keeps accepted steps non-overlapping
-        while vi < len(valleys) and valleys[vi] <= p:
-            vi += 1
         if vi >= len(valleys):
             break
         v = valleys[vi]

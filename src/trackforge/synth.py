@@ -180,19 +180,37 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroundTruth":
-        return cls(
+        """Decode a sidecar; ValueError when its points, floors and corners disagree."""
+        truth = cls(
             source_id=doc["source_id"],
             seed=doc["seed"],
             step_times=list(doc["step_times"]),
             step_gaits=list(doc["step_gaits"]),
             step_headings=list(doc["step_headings"]),
             step_floors=[None if f is None else int(f) for f in doc["step_floors"]],
-            points=[tuple(p) for p in doc["points"]],
+            points=_pairs(doc, "points"),
             point_floors=[None if f is None else int(f) for f in doc["point_floors"]],
             corner_indices=list(doc["corner_indices"]),
-            corner_points=[tuple(p) for p in doc["corner_points"]],
+            corner_points=_pairs(doc, "corner_points"),
             floor_pressures={int(k): float(v) for k, v in doc["floor_pressures"].items()},
         )
+        if not len(truth.point_floors) == len(truth.points) == len(truth.step_times) + 1:
+            raise ValueError("points and point_floors must hold the origin and one entry per step")
+        for i in truth.corner_indices:
+            if type(i) is not int or not 0 <= i < len(truth.points):
+                raise ValueError(f"corner index {i!r} is not an index into points")
+        if len(truth.corner_points) != len(truth.corner_indices):
+            raise ValueError("corner_points and corner_indices differ in length")
+        return truth
+
+
+def _pairs(doc: dict, key: str) -> list[tuple[float, float]]:
+    """``doc[key]`` as (x, y) tuples; ValueError unless each is two finite numbers."""
+    pairs = [tuple(p) for p in doc[key]]
+    for p in pairs:
+        if len(p) != 2 or not all(type(c) in (int, float) and math.isfinite(c) for c in p):
+            raise ValueError(f"{key} must hold pairs of finite numbers, got {list(p)!r}")
+    return pairs
 
 
 def floor_pressure(floor: int) -> float:

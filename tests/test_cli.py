@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,7 +294,11 @@ class TestEvalCommand:
         assert "fatal: floor clustering failed" in caplog.text
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
-    @pytest.mark.parametrize("sidecar", ["invalid-json", "empty-object", "scalar-point-floors"])
+    @pytest.mark.parametrize("sidecar", [
+        "invalid-json", "empty-object", "scalar-point-floors", "corner-point-triple",
+        "corner-point-strings", "one-number-point", "no-point-floors", "corner-index-past-end",
+        "corner-count-mismatch",
+    ])
     def test_malformed_truth_sidecar_exits_2_before_loading(
         self, command, sidecar, straight_corpus, tmp_path, caplog, monkeypatch
     ):
@@ -306,6 +314,12 @@ class TestEvalCommand:
             "invalid-json": '{"source_id": "walk",',
             "empty-object": "{}",
             "scalar-point-floors": json.dumps({**doc, "point_floors": 5}),
+            "corner-point-triple": json.dumps({**doc, "corner_points": [[1, 2, 3]]}),
+            "corner-point-strings": json.dumps({**doc, "corner_points": [["a", "b"]]}),
+            "one-number-point": json.dumps({**doc, "points": [[1]]}),
+            "no-point-floors": json.dumps({**doc, "point_floors": []}),
+            "corner-index-past-end": json.dumps({**doc, "corner_indices": [len(doc["points"])], "corner_points": [[0, 0]]}),
+            "corner-count-mismatch": json.dumps({**doc, "corner_indices": [1], "corner_points": []}),
         }[sidecar]
         (corpus / "walk.truth.json").write_text(text)
         assert main([command, "--input", str(corpus), "--output", str(tmp_path / "out")]) == 2
@@ -317,6 +331,19 @@ class TestEvalCommand:
         lonely.mkdir()
         (lonely / "a.tsl").write_text("ACCE;0.0;0.0;0;0;9.8;3\n")
         assert main(["eval", "--input", str(lonely)]) == 2
+
+
+def test_run_without_scipy(straight_corpus, tmp_path):
+    """The runtime needs NumPy only; SciPy is the test oracle."""
+    code = "import sys; sys.modules['scipy'] = None; from trackforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["run", "--input", str(straight_corpus), "--output", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 class TestSweepCommand:

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from streams import stream
 from trackforge.stepdetect import (
     AdaptiveThresholds,
+    Step,
     StepConfig,
+    _prominent_peaks,
     detect_steps,
     magnitude_series,
     moving_average,
@@ -148,3 +153,61 @@ class TestAdaptiveThresholds:
         st.accept(6.0, 0.9)
         assert st.jerk_threshold == pytest.approx(3.0)
         assert st.pace_threshold == pytest.approx(0.45)
+
+
+@st.composite
+def tied_signals(draw):
+    """Up to 200 samples drawn as runs from at most five values, NaN and
+    +-inf among them: heavy ties, plateaus at either edge, equal-height peaks."""
+    special = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0])
+    values = draw(st.lists(st.one_of(special, st.floats(width=64)), min_size=1, max_size=5))
+    runs = draw(st.lists(st.tuples(st.sampled_from(values), st.integers(1, 6)), max_size=60))
+    return np.array([v for v, count in runs for _ in range(count)][:200], dtype=float)
+
+
+def _ref_detect_steps(times, magnitudes, cfg=StepConfig()):
+    """detect_steps with SciPy's find_peaks and a scan for each peak's next valley."""
+    state = AdaptiveThresholds.from_config(cfg)
+    peaks, _ = find_peaks(magnitudes, prominence=cfg.min_prominence)
+    valleys, _ = find_peaks(-magnitudes, prominence=cfg.min_prominence)
+    steps, last_valley, last_peak_time, vi = [], -1, None, 0
+    for p in peaks:
+        if p <= last_valley:
+            continue
+        while vi < len(valleys) and valleys[vi] <= p:
+            vi += 1
+        if vi >= len(valleys):
+            break
+        v = valleys[vi]
+        jerk = magnitudes[p] - magnitudes[v]
+        pace = times[v] - times[p] if last_peak_time is None else times[p] - last_peak_time
+        if jerk > 0 and pace > 0 and jerk >= state.jerk_threshold and pace >= state.pace_threshold:
+            steps.append(Step(int(p), int(v), float(times[p]), float(times[v]), float(jerk), float(pace)))
+            state.accept(float(jerk), float(pace))
+            last_valley, last_peak_time = v, times[p]
+    return steps
+
+
+class TestProminentPeaks:
+    """scipy.signal.find_peaks is the oracle, index for index."""
+
+    @given(
+        tied_signals(),
+        st.one_of(st.floats(min_value=0.0, max_value=1e300), st.sampled_from([0.0, 0.2, math.inf])),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_matches_find_peaks(self, x, min_prominence):
+        expected = find_peaks(x, prominence=min_prominence)[0]
+        assert np.array_equal(_prominent_peaks(x, min_prominence), expected)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("phone", range(3))
+    def test_default_corpus_matches_find_peaks(self, default_corpus, phone, sign):
+        _, log, _ = default_corpus[phone]
+        x = sign * magnitude_series(log.accel, StepConfig().smooth_window)[1]
+        assert np.array_equal(_prominent_peaks(x, 0.2), find_peaks(x, prominence=0.2)[0])
+
+    def test_default_corpus_steps_match_reference(self, default_corpus):
+        for _, log, _ in default_corpus:
+            times, mags = magnitude_series(log.accel)
+            assert detect_steps(times, mags) == _ref_detect_steps(times, mags)
