@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import evalkit, synth
 from .config import ConfigError, PipelineConfig, load_config, parse_value
+from .logio import write_json, write_text
 from .pipeline import PipelineError, RunReport, process_corpus, run_pipeline
 from .stepdetect import StrideFeatures
 from .stride import Gait, GaitModelError, GaitTrainingError, save_gait_model, train_gait_model
@@ -92,11 +93,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _truth_path(log_path: Path) -> Path:
-    """The sidecar ``synth.write_corpus`` writes: ``<stem>.truth.json`` beside the log."""
-    return log_path.with_name(f"{log_path.stem}.truth.json")
-
-
 def _load_truth(path: Path) -> synth.GroundTruth:
     """A truth sidecar; PipelineError names the file when it cannot be read or decoded."""
     try:
@@ -116,8 +112,8 @@ def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig) -> tuple[RunReport, 
     """
     truths = {}
     for log_path in sorted(input_dir.glob("*.tsl")):
-        if _truth_path(log_path).exists():
-            truths[log_path] = _load_truth(_truth_path(log_path))
+        if synth.truth_path(log_path).exists():
+            truths[log_path] = _load_truth(synth.truth_path(log_path))
         else:
             logger.warning("no truth sidecar for %s, skipping", log_path.name)
     if not truths:
@@ -167,7 +163,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"(eps={cfg.turn.epsilon_rad}, t={cfg.turn.window_min})"
     )
     if args.output:
-        (args.output / "eval.json").write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(args.output / "eval.json", result)
     return EXIT_OK
 
 
@@ -192,8 +188,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         loaded[1], eps_grid, win_grid,
         match_radius=args.match_radius, min_subtraj_len_m=cfg.turn.min_subtraj_len_m,
     )
-    (out / "sweep.csv").write_text(evalkit.sweep_table(rows), encoding="utf-8")
-    (out / "sweep_plot.json").write_text(evalkit.sweep_plot_data(rows), encoding="utf-8")
+    write_text(out / "sweep.csv", evalkit.sweep_table(rows))
+    write_json(out / "sweep_plot.json", evalkit.sweep_plot_data(rows))
     best = max(rows, key=lambda r: (r.f_measure, -r.epsilon))
     print(f"{len(rows)} cells -> {out / 'sweep.csv'}; best F={best.f_measure:.3f} "
           f"at eps={best.epsilon}, t={best.window}")

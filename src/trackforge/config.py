@@ -2,6 +2,7 @@
 
 Config files are flat ``key = value`` text; ``#`` starts a comment. Flag
 overrides win over file values. Every numeric key is range-checked at load.
+Gait-model files use the same grammar, read by ``logio.parse_key_values``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from pathlib import Path
 from .featurize import TurningConfig
 from .floors import FloorConfig
 from .heading import HeadingConfig
+from .logio import parse_key_values
 from .stepdetect import StepConfig
 
 
@@ -56,13 +58,7 @@ _KEYS = {
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     entries: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for line_no, key, value in parse_key_values(text, source, ConfigError):
         if key not in _KEYS:
             raise ConfigError(f"{source}:{line_no}: unknown config key {key!r}")
         entries[key] = value

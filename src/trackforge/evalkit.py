@@ -9,7 +9,6 @@ label alignment, so no permutation search is involved.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -172,8 +171,8 @@ def sweep_table(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_plot_data(rows: Sequence[SweepRow]) -> str:
-    doc = {
+def sweep_plot_data(rows: Sequence[SweepRow]) -> dict:
+    return {
         "rows": [
             {
                 "epsilon": r.epsilon,
@@ -185,4 +184,3 @@ def sweep_plot_data(rows: Sequence[SweepRow]) -> str:
             for r in rows
         ]
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"

@@ -57,7 +57,8 @@ class FloorAssignment:
 
 
 def dbscan_1d(values: Sequence[float], eps: float, min_pts: int) -> list[int]:
-    """Standard DBSCAN over 1-D values (|dp| <= eps neighborhoods).
+    """Standard DBSCAN over 1-D values; a <= b are neighbors when ``b <= a + eps``,
+    one float test whichever value asks.
 
     Returns one label per input value: clusters are numbered by first
     occurrence in input order, noise is -1. Border points join the first
@@ -75,9 +76,12 @@ def dbscan_1d(values: Sequence[float], eps: float, min_pts: int) -> list[int]:
 
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
-    # neighborhood of i = contiguous run of sorted values within eps
-    lo = np.searchsorted(sorted_vals, values - eps, side="left")
-    hi = np.searchsorted(sorted_vals, values + eps, side="right")
+    # in sorted order, j < i are neighbors exactly when i < hi[j]; hi never
+    # decreases, so each neighborhood is the contiguous run lo[i]:hi[i]
+    hi = np.searchsorted(sorted_vals, sorted_vals + eps, side="right")
+    lo = np.searchsorted(hi, np.arange(n), side="right")
+    rank = np.argsort(order)  # each value's position in sorted order
+    lo, hi = lo[rank], hi[rank]
     core = (hi - lo) >= min_pts
 
     labels = [None] * n
@@ -225,19 +229,21 @@ def cluster_floors(
     link = base.copy()
     np.fill_diagonal(link, np.inf)
     clusters: list[list[int]] = [[i] for i in range(n)]
-    keys = [seg.key() for seg in segments]
+    # each cluster's smallest segment key as a dense rank: ranks compare as keys do
+    distinct = {key: r for r, key in enumerate(sorted({seg.key() for seg in segments}))}
+    rank = np.array([distinct[seg.key()] for seg in segments])
 
     for _ in range(n - (floor_count or 1)):  # each merge leaves one cluster fewer
         d = link.min()
-        a, b = min(
-            ((a, b) for a, b in zip(*np.nonzero(link == d)) if a < b),
-            key=lambda pair: sorted((keys[pair[0]], keys[pair[1]])),
-        )
+        rows, cols = np.nonzero(np.triu(link == d, k=1))
+        # the first tied pair, in row-major order, with the smallest sorted keys
+        first = np.lexsort((np.maximum(rank[rows], rank[cols]), np.minimum(rank[rows], rank[cols])))[0]
+        a, b = int(rows[first]), int(cols[first])
         if floor_count is None and d >= cut:
             break
         clusters[a] += clusters[b]
         clusters[b] = []
-        keys[a] = min(keys[a], keys[b])
+        rank[a] = min(rank[a], rank[b])
         link[b, :] = link[:, b] = np.inf
         for c in range(n):
             if c != a and clusters[c]:

@@ -1,4 +1,4 @@
-"""TSL sensor-log parsing and chain-graph document serialization.
+"""TSL sensor-log parsing, chain-graph documents, and the file writers.
 
 TSL is a line-oriented UTF-8 format, one record per line, fields separated
 by ``;``, lines terminated by ``\\n``. ``%`` starts a comment line. Record
@@ -18,6 +18,9 @@ parse(serialize(log)) bit-exact.
 Chain graphs are written as a JSON document: ``{"graphs": [...]}`` where each
 graph carries ``floor``, ``vertices`` (``origin_index``, ``x``, ``y``, ``t``,
 ``rss``) and ``edges`` (``dx``, ``dy``).
+
+Every file trackforge writes goes through ``write_text``, every JSON file
+through ``write_json``; ``parse_key_values`` reads config and gait-model files.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -247,34 +250,44 @@ def serialize_log(log: SensorLog) -> str:
     return body + "\n" if body else ""
 
 
+def parse_key_values(text: str, source: str, error: type[Exception]) -> Iterator[tuple[int, str, str]]:
+    """``(line number, key, value)`` per ``key = value`` line, split at the first ``=``
+    and stripped. Blank and ``#`` lines are skipped; a line without ``=`` raises ``error``."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise error(f"{source}:{line_no}: expected 'key = value', got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            yield line_no, key, value
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as JSON: keys sorted, indent 1, shortest round-trip floats, final newline."""
+    write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
 def graphs_to_document(graphs: Iterable) -> dict:
     """Chain graphs -> plain-dict document: each ``ChainGraph`` as its fields."""
     return {"graphs": [asdict(g) for g in graphs]}
 
 
-def write_chain_graphs(graphs: Sequence, destination: str | Path | IO[str]) -> int:
-    """Serialize chain graphs as JSON to a path or text stream.
-
-    Returns the number of bytes written (UTF-8). Output is byte-deterministic:
-    keys sorted, floats in shortest round-trip form.
-    """
-    text = json.dumps(graphs_to_document(graphs), sort_keys=True, indent=1)
-    text += "\n"
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        destination.write(text)
-    return len(text.encode("utf-8"))
+def write_chain_graphs(graphs: Sequence, path: str | Path) -> None:
+    """Write chain graphs to ``path`` as a ``write_json`` document."""
+    write_json(path, graphs_to_document(graphs))
 
 
 def parse_chain_graphs(data: str | bytes):
     """Inverse of write_chain_graphs; yields value-equal ChainGraph objects."""
     from .featurize import ChainEdge, ChainGraph, ChainVertex
 
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
+    doc = json.loads(data)  # bytes are decoded as UTF-8
     graphs = []
     for g in doc["graphs"]:
         vertices = tuple(

@@ -8,7 +8,6 @@ every output is byte-deterministic for a fixed input set and config.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
@@ -21,7 +20,7 @@ from .config import PipelineConfig
 from .featurize import ChainGraph, featurize_segment_report
 from .floors import FloorClusteringError, TrajectorySegment, cluster_floors, segment_trajectory
 from .heading import step_headings
-from .logio import SensorLog, parse_log, write_chain_graphs
+from .logio import SensorLog, parse_log, write_chain_graphs, write_json
 from .pdr import PdrTrajectory, integrate
 from .stepdetect import Step, detect_steps, magnitude_series
 from .stride import GaitModel, classify_gait, default_gait_model, extract_features, load_gait_model, stride_length
@@ -77,11 +76,6 @@ class RunReport:
         if self.error is not None:
             doc["error"] = self.error
         return doc
-
-    def write(self, output_dir: Path) -> None:
-        (output_dir / "report.json").write_text(
-            json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
 
 
 def process_log(log: SensorLog, cfg: PipelineConfig, gait_model: GaitModel) -> ProcessedLog:
@@ -176,7 +170,7 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
     if not processed:
         raise PipelineError("no input file could be processed")
     if run_report.error is not None:
-        run_report.write(output_dir)
+        write_json(output_dir / "report.json", run_report.to_json())
         raise PipelineError(run_report.error)
 
     for report in run_report.files:
@@ -191,5 +185,5 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
         report.graphs = len(graphs)
         write_chain_graphs(graphs, output_dir / f"{Path(report.name).stem}.graphs.json")
 
-    run_report.write(output_dir)
+    write_json(output_dir / "report.json", run_report.to_json())
     return run_report

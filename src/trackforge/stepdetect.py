@@ -26,7 +26,7 @@ from .logio import SensorStream
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Detector defaults; all overridable via the ``step.*`` config keys."""
+    """Detector defaults; every field but ``min_prominence`` has a ``step.*`` config key."""
 
     jerk_init: float = 1.0      # m/s^2
     jerk_floor: float = 0.6     # m/s^2

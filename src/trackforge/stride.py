@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .logio import parse_key_values, write_text
 from .stepdetect import StrideFeatures
 
 
@@ -205,23 +206,15 @@ def save_gait_model(model: GaitModel, path: str | Path) -> None:
         f"table.normal = {model.stride_table[Gait.NORMAL]!r}",
         f"table.fast = {model.stride_table[Gait.FAST]!r}",
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_gait_model(path: str | Path) -> GaitModel:
-    entries: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise GaitModelError(f"cannot read gait model {path}: {exc}") from None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise GaitModelError(f"bad model line: {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+    entries = {key: value for _, key, value in parse_key_values(text, str(path), GaitModelError)}
     try:
         def vec(key: str) -> tuple[float, float, float, float]:
             parts = tuple(float(v) for v in entries[key].split())

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .heading import wrap_angle
-from .logio import _BSSID_RE, SensorLog, SensorStream, WifiObservation, serialize_log
+from .logio import _BSSID_RE, SensorLog, SensorStream, WifiObservation, serialize_log, write_json, write_text
 from .stride import DEFAULT_STRIDE_TABLE, Gait
 
 BASE_PRESSURE_HPA = 1013.25
@@ -502,7 +502,12 @@ def load_script(path: str | Path) -> WalkScript:
 
 
 def save_script(script: WalkScript, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(script.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, script.to_json())
+
+
+def truth_path(log_path: Path) -> Path:
+    """The ground-truth sidecar of a rendered log: ``<stem>.truth.json`` beside it."""
+    return log_path.with_name(f"{log_path.stem}.truth.json")
 
 
 def write_corpus(scripts: list[WalkScript], out_dir: str | Path) -> list[Path]:
@@ -513,10 +518,7 @@ def write_corpus(scripts: list[WalkScript], out_dir: str | Path) -> list[Path]:
     for script in scripts:
         log, truth = generate(script)
         log_path = out_dir / f"{script.source_id}.tsl"
-        log_path.write_text(serialize_log(log), encoding="utf-8")
-        truth_path = out_dir / f"{script.source_id}.truth.json"
-        truth_path.write_text(
-            json.dumps(truth.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_text(log_path, serialize_log(log))
+        write_json(truth_path(log_path), truth.to_json())
         written.append(log_path)
     return written

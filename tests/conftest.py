@@ -18,17 +18,10 @@ def default_corpus():
 
 
 @pytest.fixture(scope="session")
-def corpus_dir(tmp_path_factory, default_corpus):
-    """Default corpus rendered to disk as .tsl logs with truth sidecars."""
-    from trackforge.logio import serialize_log
-    import json
-
+def corpus_dir(tmp_path_factory):
+    """Default corpus rendered to disk by ``synth.write_corpus``: .tsl logs with truth sidecars."""
     out = tmp_path_factory.mktemp("default-corpus")
-    for script, log, truth in default_corpus:
-        (out / f"{script.source_id}.tsl").write_text(serialize_log(log), encoding="utf-8")
-        (out / f"{script.source_id}.truth.json").write_text(
-            json.dumps(truth.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    synth.write_corpus(synth.default_corpus_scripts(), out)
     return out
 
 

@@ -126,4 +126,4 @@ class TestSweep:
         assert lines[0] == "epsilon,window,precision,recall,f"
         assert lines[1].startswith("1.0,4,1.0,0.5,")
         plot = sweep_plot_data(rows)
-        assert '"epsilon": 1.0' in plot
+        assert plot["rows"][0]["epsilon"] == 1.0

@@ -28,10 +28,11 @@ from streams import trajectory
 
 
 def dbscan_brute(values, eps, min_pts):
-    """Textbook O(n^2) DBSCAN: full neighbor scan, FIFO expansion in seed order."""
+    """Textbook O(n^2) DBSCAN: full neighbor scan, FIFO expansion in seed order.
+    Values a <= b are neighbors when the lower plus eps reaches the higher."""
     n = len(values)
     nb = [
-        [j for j in range(n) if abs(values[i] - values[j]) <= eps]
+        [j for j in range(n) if max(values[i], values[j]) <= min(values[i], values[j]) + eps]
         for i in range(n)
     ]
     core = [len(nb[i]) >= min_pts for i in range(n)]
@@ -83,6 +84,21 @@ class TestDbscan1d:
     @settings(max_examples=80, deadline=None)
     def test_oracle_equivalence_property(self, values, eps, min_pts):
         assert dbscan_1d(values, eps, min_pts) == dbscan_brute(values, eps, min_pts)
+
+    # on a 0.1 grid, values one eps apart sit on the float boundary of the
+    # rule; near 0, v + eps and v - eps often round to different neighbors
+    @given(
+        st.lists(st.integers(0, 15).map(lambda k: k / 10), min_size=10, max_size=40),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_equivalence_on_a_tenth_grid(self, values, min_pts):
+        assert dbscan_1d(values, 0.1, min_pts) == dbscan_brute(values, 0.1, min_pts)
+
+    @pytest.mark.parametrize("values, min_pts", [([0.4, 0.3, 0.4], 2), ([0.3, 0.5, 0.4], 3)])
+    def test_neighbor_rule_symmetric_on_float_boundary(self, values, min_pts):
+        # 0.3 + 0.1 reaches 0.4 but 0.4 - 0.1 does not reach 0.3
+        assert dbscan_1d(values, 0.1, min_pts) == dbscan_brute(values, 0.1, min_pts) == [0, 0, 0]
 
     def test_labels_canonical_by_first_occurrence(self):
         values = [5.0, 5.0, 5.0, 1.0, 1.0, 1.0]

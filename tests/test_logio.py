@@ -242,8 +242,8 @@ def _two_vertex_graph():
 class TestChainGraphDocuments:
     def test_empty_sequence(self, tmp_path):
         out = tmp_path / "empty.json"
-        n = write_chain_graphs([], out)
-        assert n == len(out.read_bytes())
+        write_chain_graphs([], out)
+        assert out.read_bytes() == b'{\n "graphs": []\n}\n'
         assert parse_chain_graphs(out.read_text()) == []
 
     def test_one_graph_counts(self):

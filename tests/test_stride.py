@@ -179,6 +179,14 @@ class TestModelFile:
         with pytest.raises(GaitModelError):
             load_gait_model(path)
 
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        path = tmp_path / "gait.model"
+        save_gait_model(default_gait_model(), path)
+        path.write_text(path.read_text() + "table.fast 1.2\n")
+        with pytest.raises(GaitModelError) as excinfo:
+            load_gait_model(path)
+        assert f"{path}:8: expected 'key = value'" in str(excinfo.value)
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(GaitModelError):
             load_gait_model(tmp_path / "absent.model")
