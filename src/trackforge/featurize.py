@@ -197,9 +197,6 @@ def featurize_segment_report(
     vertices = detect_turning_points(seg.points, cfg)
     raw_groups = _group_at_successive(vertices)
     groups = split_frequent_turnings(seg.points, vertices, cfg)
-    graphs = []
-    for group in groups:
-        graph = build_chain_graph(seg, group, segment.floor or 0)
-        if graph is not None:
-            graphs.append(graph)
+    # every group has two or more vertices, so each builds a graph
+    graphs = [build_chain_graph(seg, group, segment.floor or 0) for group in groups]
     return graphs, len(raw_groups) - len(graphs)

@@ -13,11 +13,12 @@ the half-axis at an acute angle to the phone yaw. All angles are wrapped to
 [-pi, pi]; headings share one magnetic-frame convention: yaw 0 when the
 horizontal field lies along phone +y, +pi/2 when along phone +x.
 
-Gravity tracking and the trust gate depend on the previous sample, so they
-loop per sample on Python floats; the horizontal plane, compass yaw, gyro yaw
-turns and step projection run over columns. Every 3-element dot product goes
-to ``ndarray.dot`` (BLAS may fuse its multiply-adds, so another sum order
-could change the output bits); over columns that is the stacked matmul
+Gravity and yaw depend on the previous sample, so they loop per sample on
+Python floats; the horizontal plane, compass yaw, gyro yaw turns and step
+projection run over columns, and the trust gate runs once per compass fix,
+over fix columns. Every 3-element dot product goes to ``ndarray.dot`` (BLAS
+may fuse its multiply-adds, so another sum order could change the output
+bits); over columns that is the stacked matmul
 ``(a[:, None, :] @ b[:, :, None])``, which NumPy hands row by row to the same
 ``dot``, unlike ``einsum`` or ``(a * b).sum(axis=1)``.
 """
@@ -212,35 +213,29 @@ def track_attitude(
             g = accel_v[k] / norm
         gravity[k] = g
 
-    turns = (_row_dots(omega, gravity) * dts).tolist()
+    turns = _row_dots(omega, gravity) * dts
     mag_yaws = _compass_yaws(gravity, magn.values[nearest_index(magn.app_timestamp, times)]) if has_magn else [None] * n
 
-    yaw, mag_trust = 0.0, True
-    # trust-gate window: fixes[:, start:m] hold each fix's time, gyro yaw
-    # increment and mag yaw increment, for the fixes within corr_window_s;
-    # there is at most one fix per accelerometer sample
-    fixes = np.empty((3, n))
-    start = m = 0
-    prev_mag_yaw: float | None = None
-    yaws, trusts = [], []
-    for t, turn, mag_yaw in zip(times.tolist(), turns, mag_yaws):
-        if mag_yaw is not None:
-            fixes[0, m] = t
-            fixes[1, m] = turn
-            fixes[2, m] = wrap_angle(mag_yaw - prev_mag_yaw) if prev_mag_yaw is not None else 0.0
-            m += 1
-            prev_mag_yaw = mag_yaw
-            while start < m and fixes[0, start] < t - cfg.corr_window_s:
-                start += 1
-            if m - start >= 3:
-                mag_trust = _increment_correlation(fixes[1:3, start:m]) > cfg.corr_gate
+    # trust gate, once per compass fix: row 0 of incs is the gyro turn at each
+    # fix, row 1 the compass change since the previous fix. A fix's window
+    # holds the fixes within corr_window_s; one of fewer than 3 keeps the
+    # previous decision (True before the first fix). A sample takes the
+    # decision of the last fix at or before it.
+    fix = np.flatnonzero([mag_yaw is not None for mag_yaw in mag_yaws])
+    fix_yaws = [mag_yaws[k] for k in fix.tolist()]
+    incs = np.zeros((2, len(fix)))
+    incs[0] = turns[fix]
+    incs[1, 1:] = [wrap_angle(b - a) for a, b in zip(fix_yaws, fix_yaws[1:])]
+    starts = np.searchsorted(times[fix], times[fix] - cfg.corr_window_s)
+    decisions = [True]
+    for m, start in enumerate(starts.tolist(), start=1):
+        decisions.append(_increment_correlation(incs[:, start:m]) > cfg.corr_gate if m - start >= 3 else decisions[-1])
+    trusts = np.array(decisions)[np.searchsorted(fix, np.arange(n), side="right")]
 
-        if mag_trust and mag_yaw is not None:
-            yaw = mag_yaw
-        else:
-            yaw = wrap_angle(yaw + turn)
+    yaw, yaws = 0.0, []
+    for turn, mag_yaw, trusted in zip(turns.tolist(), mag_yaws, trusts.tolist()):
+        yaw = mag_yaw if trusted and mag_yaw is not None else wrap_angle(yaw + turn)
         yaws.append(yaw)
-        trusts.append(mag_trust)
 
     att = np.recarray(n, dtype=ATTITUDE_DTYPE)
     att.gravity, att.yaw, att.mag_trust = gravity, yaws, trusts

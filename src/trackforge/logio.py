@@ -224,25 +224,25 @@ def nearest_index(src_times, query_times, max_gap: float | None = None) -> np.nd
     return idx
 
 
-def _fmt(x: float) -> str:
-    # repr gives the shortest decimal that round-trips to the same float
-    return repr(float(x))
-
-
 def serialize_log(log: SensorLog) -> str:
-    """Render a SensorLog back to TSL text (streams interleaved by time)."""
+    """Render a SensorLog back to TSL text (streams interleaved by time).
+
+    Each float is written as the ``repr`` of a Python float, the shortest
+    decimal that round-trips to it (NumPy 2 reprs a NumPy scalar as
+    ``np.float64(...)``, and a ``WifiObservation`` may hold one).
+    """
     times: list[np.ndarray] = []
     lines: list[str] = []
     for tag, (name, _) in _SAMPLE_TAGS.items():
         stream = getattr(log, name)
         times.append(stream.app_timestamp)
         columns = (c.tolist() for c in (stream.app_timestamp, stream.sensor_timestamp, stream.values, stream.accuracy))
-        lines += [f"{tag};{_fmt(t)};{_fmt(ts)};{';'.join(map(_fmt, v))};{acc}" for t, ts, v, acc in zip(*columns)]
+        lines += [f"{tag};{t!r};{ts!r};{';'.join(map(repr, v))};{acc}" for t, ts, v, acc in zip(*columns)]
     for w in log.wifi:
         if ";" in w.ssid or "\n" in w.ssid or "\r" in w.ssid:
             raise ValueError(f"ssid must not contain ';' or newlines: {w.ssid!r}")
         lines.append(
-            f"WIFI;{_fmt(w.app_timestamp)};{_fmt(w.sensor_timestamp)};{w.ssid};{w.bssid};{w.frequency_mhz};{w.rssi_dbm}"
+            f"WIFI;{float(w.app_timestamp)!r};{float(w.sensor_timestamp)!r};{w.ssid};{w.bssid};{w.frequency_mhz};{w.rssi_dbm}"
         )
     times.append(np.array([w.app_timestamp for w in log.wifi], dtype=float))
     order = np.argsort(np.concatenate(times), kind="stable")  # ties keep stream, then record order

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .heading import wrap_angle
+from .heading import GRAVITY, wrap_angle
 from .logio import _BSSID_RE, SensorLog, SensorStream, WifiObservation, serialize_log, write_json, write_text
 from .stride import DEFAULT_STRIDE_TABLE, Gait
 
@@ -42,7 +42,6 @@ FLOOR_HEIGHT_M = 3.3
 
 FIELD_HORIZONTAL_UT = 25.0
 FIELD_VERTICAL_UT = 40.0
-G = 9.80665
 
 LEAD_SECONDS = 1.0       # quiet lead-in and lead-out
 STAIR_GAIT = Gait.NORMAL  # stairs are climbed at normal cadence
@@ -253,7 +252,7 @@ def _expand_drift(spec: WalkSegmentSpec, rng: np.random.Generator) -> list[float
     drift = [0.0]
     for _ in range(spec.steps - 1):
         step = rng.uniform(-jitter, jitter)
-        drift.append(float(np.clip(drift[-1] + step, -clip, clip)))
+        drift.append(min(max(drift[-1] + step, -clip), clip))
     return drift
 
 
@@ -303,7 +302,7 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
     n_imu = int(round(total_t * script.imu_rate_hz)) + 1
     times = np.arange(n_imu) * dt
     accel = np.zeros((n_imu, 3))
-    accel[:, 2] = G
+    accel[:, 2] = GRAVITY
 
     step_times: list[float] = []
     step_gaits: list[str] = []
@@ -384,7 +383,7 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
                     bssid = leaks[int(rng.integers(len(leaks)))]
                 chosen_bssids.append(bssid)
         for slot, bssid in enumerate(chosen_bssids):
-            rssi = int(np.clip(round(-50 + rng.normal(0.0, 8.0)), -95, -30))
+            rssi = min(max(round(-50 + rng.normal(0.0, 8.0)), -95), -30)
             ts = burst_t + slot * 0.01
             wifi_obs.append(
                 WifiObservation(ts, ts, f"ap-{bssid[-5:].replace(':', '')}", bssid, 2412, rssi)

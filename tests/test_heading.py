@@ -462,6 +462,27 @@ class TestAttitudeReference:
         _assert_columns_equal(att, _ref_track_attitude(accel, NO_SAMPLES, magn))
 
     @given(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.booleans()), min_size=3, max_size=60),
+        st.floats(0.05, 2.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_timestamps_and_sparse_fixes(self, records, window, has_gyro, seed):
+        # one accel and one magnetometer record about every 80 ms, each
+        # written 1-3 times, so times repeat; a magnetometer record that is
+        # not live reads a zero field, so fixes are sparse, some windows hold
+        # fewer than 3 of them, and some logs have no, 1 or 2 fixes
+        accel_copies, magn_copies, live = zip(*records)
+        accel, gyro, magn = _turning_phone(seed, n=2 * len(records))
+        field = magn.values * np.array(live)[:, None]
+        accel = stream(*(np.repeat(c[::2], accel_copies, axis=0) for c in (4 * accel.app_timestamp, accel.values)))
+        magn = stream(np.repeat(4 * magn.app_timestamp, magn_copies), np.repeat(field, magn_copies, axis=0))
+        gyro = stream(4 * gyro.app_timestamp, gyro.values) if has_gyro else NO_SAMPLES
+        cfg = HeadingConfig(corr_window_s=window)
+        _assert_columns_equal(track_attitude(accel, gyro, magn, cfg), _ref_track_attitude(accel, gyro, magn, cfg))
+
+    @given(
         st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
         st.lists(st.floats(-10, 10), min_size=3, max_size=3),
         st.floats(0.0, 0.05),
@@ -627,7 +648,8 @@ class TestTrustGate:
 
     @pytest.mark.parametrize("kind", ["flat", "one-flat", "near-flat", "near-gate"])
     def test_strided_rows_of_a_fix_buffer(self, kind):
-        # track_attitude passes rows 1 and 2 of a (3, k) buffer, starting mid-row
+        # track_attitude passes a column slice of a (2, k) array, which is not
+        # contiguous; so is this one, rows 1 and 2 of a (3, k) buffer
         a, b = _window_pair(kind, 57, 12, 0.8, 0.0)
         fixes = np.random.default_rng(13).normal(size=(3, 100))
         fixes[1:3, 20:77] = a, b
