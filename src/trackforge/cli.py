@@ -101,9 +101,10 @@ def _load_truth(path: Path) -> synth.GroundTruth:
         raise PipelineError(f"bad truth sidecar {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig) -> tuple[RunReport, list] | None:
+def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig, output: Path | None) -> tuple[RunReport, list] | None:
     """The corpus report and (trajectory, segments, truth) triples, floors
-    numbered, for every log with a ``<stem>.truth.json``.
+    numbered, for every log with a ``<stem>.truth.json``. The report goes to
+    ``output/report.json`` (when ``output`` is given) before any check below.
 
     Raises PipelineError when there is no such pair, a sidecar is malformed
     (checked before any log is processed) or floor clustering failed.
@@ -119,6 +120,8 @@ def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig) -> tuple[RunReport, 
     if not truths:
         raise PipelineError(f"no (.tsl, .truth.json) pairs in {input_dir}")
     report, processed = process_corpus(list(truths), cfg)
+    if output is not None:
+        write_json(output / "report.json", report.to_json())
     if any(r.error is not None for r in report.files):
         return None
     if report.error is not None:
@@ -130,7 +133,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if args.output:
         args.output.mkdir(parents=True, exist_ok=True)
-    loaded = _load_eval_corpus(args.input, cfg)
+    loaded = _load_eval_corpus(args.input, cfg, args.output)
     if loaded is None:
         return EXIT_ERROR
     report, corpus = loaded
@@ -181,7 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     win_grid = _parse_grid("--window-grid", args.window_grid, "turn.window_min")
     out = args.output
     out.mkdir(parents=True, exist_ok=True)
-    loaded = _load_eval_corpus(args.input, cfg)
+    loaded = _load_eval_corpus(args.input, cfg, out)
     if loaded is None:
         return EXIT_ERROR
     rows = evalkit.sweep(

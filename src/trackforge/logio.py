@@ -29,12 +29,14 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 _BSSID_RE = re.compile(r"^[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}$")
+_NUMERIC = b"0123456789.eE+-;"  # the only bytes of the sample records _parse_bulk converts
 
 # sample tag -> (SensorLog stream, value components); every tag -> record fields
 _SAMPLE_TAGS = {"ACCE": ("accel", 3), "GYRO": ("gyro", 3), "MAGN": ("magn", 3), "PRES": ("baro", 1)}
@@ -141,22 +143,10 @@ def _parse_number(token: str, line_no: int, what: str, kind: type = float, lo=-m
     return value
 
 
-def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
-    """Parse TSL bytes (or text) into a SensorLog.
-
-    Streams come back sorted by app_timestamp (stable, so equal timestamps
-    keep file order). Unknown tags are counted in ``skipped_records``.
-    Raises TslParseError for malformed known-tag records and TslEncodingError
-    for non-UTF-8 input; never anything else.
-    """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TslEncodingError(f"input is not UTF-8: {exc}") from None
-    else:
-        text = data
-
+def _parse_lines(text: str):
+    """``(tables, wifi, skipped)``, one record at a time: the parse that raises
+    every TslParseError. ``tables`` maps each stream to its ``(n, 2 + width)``
+    float rows (timestamps, values) and int64 accuracy codes."""
     rows: dict[str, list[list[float]]] = {name: [] for name, _ in _SAMPLE_TAGS.values()}
     codes: dict[str, list[int]] = {name: [] for name, _ in _SAMPLE_TAGS.values()}
     wifi: list[WifiObservation] = []
@@ -190,12 +180,69 @@ def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
             rows[name].append([app_ts, sensor_ts, *(_parse_number(v, line_no, what) for v in fields[3:-1])])
             codes[name].append(_parse_number(fields[-1], line_no, "accuracy code", int, _INT64_MIN, _INT64_MAX))
 
-    streams = {}
-    for name, width in _SAMPLE_TAGS.values():
-        table = np.array(rows[name], dtype=float).reshape(-1, 2 + width)
-        streams[name] = SensorStream(table[:, 0], table[:, 1], table[:, 2:], codes[name])
+    tables = {name: (np.array(rows[name], dtype=float).reshape(-1, 2 + width), np.array(codes[name], dtype=np.int64))
+              for name, width in _SAMPLE_TAGS.values()}
+    return tables, wifi, skipped
+
+
+def _parse_bulk(text: str):
+    """``_parse_lines(text)``, with one NumPy call for each sample tag's
+    accuracy codes and one for its other fields; other lines go through
+    ``_parse_lines``. Raises ValueError or OverflowError on any record it
+    cannot vouch for. Sample fields may hold only ``[0-9.eE+-]``, where NumPy
+    takes exactly what ``float()`` and ``int()`` take, as the tests check."""
+    tails: dict[str, list[str]] = {tag: [] for tag in _SAMPLE_TAGS}
+    rest: list[str] = []
+    for line in map(str.strip, text.split("\n"), repeat("\r")) if "\r" in text else text.split("\n"):
+        tag, _, tail = line.partition(";")
+        if tag in tails:
+            tails[tag].append(tail)
+        else:
+            rest.append(line)
+    _, wifi, skipped = _parse_lines("\n".join(rest))
+
+    tables = {}
+    for tag, (name, width) in _SAMPLE_TAGS.items():
+        block, k = tails.pop(tag), width + 3  # k fields after the tag, accuracy code last
+        joined = ";".join(block)
+        fields_ok = set(map(str.count, block, repeat(";"))) <= {k - 1}
+        # deleting every byte a sample field may hold must leave nothing; non-ASCII fails to encode
+        if not fields_ok or joined.encode("ascii").translate(None, _NUMERIC):
+            raise TslParseError(0, f"{tag} records need the line-by-line parse")
+        tokens = joined.split(";") if block else []
+        codes = np.array(tokens[k - 1::k], dtype=np.int64)
+        del tokens[k - 1::k]
+        table = np.array(tokens, dtype=float).reshape(-1, k - 1)
+        if not np.isfinite(table).all() or (table[:, 0] < 0).any():
+            raise TslParseError(0, f"{tag} records need the line-by-line parse")
+        tables[name] = table, codes
+        del block, joined, tokens  # frees this tag's strings before the next tag's are made
+    return tables, wifi, skipped
+
+
+def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
+    """Parse TSL bytes (or text) into a SensorLog.
+
+    Streams come back sorted by app_timestamp (stable, so equal timestamps
+    keep file order). Unknown tags are counted in ``skipped_records``.
+    Raises TslParseError for malformed known-tag records and TslEncodingError
+    for non-UTF-8 input; never anything else. A well-formed text is converted
+    in bulk; after any failed check it is parsed again line by line, which
+    alone decides errors and their line numbers.
+    """
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TslEncodingError(f"input is not UTF-8: {exc}") from None
+    else:
+        text = data
+    try:
+        tables, wifi, skipped = _parse_bulk(text)
+    except (ValueError, OverflowError):  # TslParseError is a ValueError
+        tables, wifi, skipped = _parse_lines(text)
     return SensorLog(
-        **streams,
+        **{name: SensorStream(rows[:, 0], rows[:, 1], rows[:, 2:], codes) for name, (rows, codes) in tables.items()},
         wifi=tuple(sorted(wifi, key=lambda w: w.app_timestamp)),
         source_id=source_id,
         skipped_records=skipped,

@@ -248,6 +248,13 @@ class TestEvalCommand:
         report = json.loads((run_out / "report.json").read_text())
         assert report["floor_count"] == 3
         assert report["totals"]["errors"] == 0
+        # eval builds no graphs; every other field of its report is run's
+        eval_report = json.loads((out / "report.json").read_text())
+        for doc in (report, eval_report):
+            for f in doc["files"]:
+                f["graphs"] = f["dropped_subtrajectories"] = 0
+            doc["totals"]["graphs"] = doc["totals"]["dropped_subtrajectories"] = 0
+        assert eval_report == report
 
     def test_dotted_stem_scored_against_its_own_truth(self, tmp_path):
         # a.b.tsl must be scored against a.b.truth.json, never a.truth.json
@@ -280,6 +287,9 @@ class TestEvalCommand:
         argv = [command, "--input", str(corpus), "--output", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "radio.tsl" in caplog.text
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        errors = {f["name"]: f["error"] for f in report["files"]}
+        assert errors == {"radio.tsl": "log has no accelerometer samples", "walk.tsl": None}
 
     def test_no_floor_segments_exit_0(self, short_corpus, tmp_path):
         out = tmp_path / "eval"
@@ -292,6 +302,8 @@ class TestEvalCommand:
         argv = [command, "--input", str(mixed_baro_corpus), "--output", str(tmp_path / "out")]
         assert main(argv) == 2
         assert "fatal: floor clustering failed" in caplog.text
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["error"].startswith("floor clustering failed") and report["floor_count"] == 0
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize("sidecar", [

@@ -1,9 +1,13 @@
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streams import stream
+from trackforge import logio
 from trackforge.featurize import ChainEdge, ChainGraph, ChainVertex
 from trackforge.logio import (
     SensorLog,
@@ -99,6 +103,8 @@ class TestParseErrors:
             parse_log(b"\xff\xfe\x00ACCE")
 
     def test_fuzz_never_crashes(self):
+        """Random character swaps in records of every tag: parse_log gives the
+        line loop's columns bit for bit, or the same error."""
         import random
 
         rng = random.Random(99)
@@ -106,16 +112,82 @@ class TestParseErrors:
             "ACCE;1.0;1.0;0.1;0.2;9.8;3\nGYRO;1.0;1.0;0;0;0.1;3\n"
             "MAGN;1.0;1.0;20;5;40;3\nPRES;1.0;1.0;1013.2;0\n"
             "WIFI;1.0;1.0;lab;aa:bb:cc:dd:ee:ff;2412;-60\n"
+            "ACCE;2.5;2.5;-1e-3;+2;9.75;-7\nPRES;2.5;2.5;1013.25;1\n"
         )
-        for _ in range(500):
+        # printable ASCII, the numeric bytes again, and what float() or the line split treat specially
+        alphabet = [chr(c) for c in range(32, 127)] + list("0123456789.eE+-;" * 3) + list("\r\n\t\x00_٣１")
+        for _ in range(3000):
             chars = list(base)
             for _ in range(rng.randint(1, 6)):
-                pos = rng.randrange(len(chars))
-                chars[pos] = chr(rng.randrange(32, 127))
-            try:
-                parse_log("".join(chars).encode())
-            except (TslParseError, TslEncodingError):
-                pass
+                chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+            _assert_parse_matches_line_loop("".join(chars).encode())
+
+
+def _outcome(data, line_loop=False):
+    """Every stream column's dtype, shape and bytes, the WiFi records and the
+    skip count of ``parse_log(data)``; or the error's type and text."""
+    try:
+        with mock.patch.object(logio, "_parse_bulk", side_effect=ValueError) if line_loop else nullcontext():
+            log = parse_log(data)
+    except (TslParseError, TslEncodingError) as exc:
+        return type(exc), str(exc)
+    columns = [getattr(getattr(log, name), c) for name in ("accel", "gyro", "magn", "baro")
+               for c in ("app_timestamp", "sensor_timestamp", "values", "accuracy")]
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in columns], log.wifi, log.skipped_records
+
+
+def _assert_parse_matches_line_loop(data):
+    assert _outcome(data) == _outcome(data, line_loop=True)
+
+
+class TestBulkParse:
+    """parse_log converts whole sample blocks at once and falls back to the
+    line loop on any failed check; both must always agree."""
+
+    @pytest.mark.parametrize("token", [
+        "1_000", " 1 ", "٣", "１", "inf", "1e400", "9223372036854775808", "+3", "-0", "", "1e", "-1",
+    ])
+    @pytest.mark.parametrize("field", range(1, 7))
+    def test_token_in_any_field_matches_line_loop(self, token, field):
+        fields = "ACCE;1.0;1.0;0.1;0.2;9.8;3".split(";")
+        fields[field] = token
+        text = "GYRO;0.5;0.5;0;0;0.1;3\n" + ";".join(fields) + "\nACCE;2.0;2.0;0;0;9.8;3\n"
+        _assert_parse_matches_line_loop(text.encode())
+
+    @pytest.mark.parametrize("text", [
+        "ACCE;1.0;1.0;0;0;9.8;3\r\nPRES;1.0;1.0;1013.2;0\r\n",
+        "\rACCE;1.0;1.0;0;0;9.8;3\r\r\n% note\r\n",
+        "ACCE;1.0;1.0;0;0;9.8;;3\n",
+        "ACCE\nACCE;1.0;1.0;0;0;9.8;3\n",
+        "ACCE;1.0;1.0;0;0;9.8;3;4\nACCE;2.0;2.0;0;0;3\n",  # one field too many, one too few
+        "PRES;1.0;1.0;1013.2;0\nPRES;2.0;1013.2;0;0;0\nPRES;3.0;3.0;0\n",
+        "ACCE;1.0;1.0;0;0;9.8;3\nACCE;1.0;1.0;0;0;9.8;3\rACCE;1.0;1.0;0;0;9.8;3\n",
+    ])
+    def test_layouts_match_line_loop(self, text):
+        _assert_parse_matches_line_loop(text.encode())
+
+    def test_crlf_parses_as_lf(self):
+        text = serialize_log(_small_log())
+        assert parse_log(text.replace("\n", "\r\n"), source_id="unit") == _small_log()
+        logio._parse_bulk(text.replace("\n", "\r\n"))  # no fallback
+
+    @pytest.mark.parametrize("token, value", [("1_000", 1000), (" 1 ", 1), ("٣", 3), ("１", 1)])
+    def test_tokens_outside_the_numeric_bytes_take_the_line_loop(self, token, value):
+        """float() and int() take these, so parse_log does; the bulk pass leaves
+        them to the line loop, whatever NumPy's own parser would take."""
+        text = f"ACCE;1.0;1.0;{token};0;9.8;{token}\n"
+        with pytest.raises(ValueError):
+            logio._parse_bulk(text)
+        log = parse_log(text)
+        assert log.accel.values[0, 0] == value and log.accel.accuracy[0] == value
+
+    def test_bad_line_after_many_good_ones_keeps_its_line_number(self):
+        good = "ACCE;1.0;1.0;0;0;9.8;3\n" * 10_000
+        assert len(parse_log(good.encode()).accel) == 10_000
+        with pytest.raises(TslParseError) as err:
+            parse_log((good + "ACCE;2.0;2.0;0;0;9.8;x\n" + good).encode())
+        assert err.value.line_no == 10_001
+        assert str(err.value) == "line 10001: unparsable accuracy code: 'x'"
 
 
 def _small_log():
@@ -173,6 +245,7 @@ class TestRoundTrip:
             expected = sorted(rows, key=lambda r: r[0])  # Python's sort is stable
             assert [streams[name][i] for i in range(len(rows))] == [SensorSample(*r) for r in expected]
         log = SensorLog(**streams)
+        logio._parse_bulk(serialize_log(log))  # a serialized log never needs the line loop
         again = parse_log(serialize_log(log).encode())
         assert again == log
         for name in streams:
