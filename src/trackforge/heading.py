@@ -14,13 +14,15 @@ the half-axis at an acute angle to the phone yaw. All angles are wrapped to
 horizontal field lies along phone +y, +pi/2 when along phone +x.
 
 Gravity and yaw depend on the previous sample, so they loop per sample on
-Python floats; the horizontal plane, compass yaw, gyro yaw turns and step
-projection run over columns, and the trust gate runs once per compass fix,
-over fix columns. Every 3-element dot product goes to ``ndarray.dot`` (BLAS
-may fuse its multiply-adds, so another sum order could change the output
-bits); over columns that is the stacked matmul
-``(a[:, None, :] @ b[:, :, None])``, which NumPy hands row by row to the same
-``dot``, unlike ``einsum`` or ``(a * b).sum(axis=1)``.
+Python floats. Everything else runs over columns: which samples snap, the
+gyro rotation angle and axis of the samples that rotate, the horizontal
+plane, compass yaw, gyro yaw turns and step projection; the gravity loop only
+takes a snapped row or rotates. The trust gate correlates every compass fix's
+window at once, in batches of windows of one length. Every 3-element dot
+product goes to ``ndarray.dot`` (BLAS may fuse its multiply-adds, so another
+sum order could change the output bits); over columns that is the stacked
+matmul ``(a[:, None, :] @ b[:, :, None])``, which NumPy hands row by row to
+the same ``dot``, unlike ``einsum`` or ``(a * b).sum(axis=1)``.
 """
 
 from __future__ import annotations
@@ -79,18 +81,26 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def rotate_by_gyro(v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    """Rotate an Earth-fixed vector expressed in the phone frame.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[k].dot(b[k])`` for each row k of two (n, 3) arrays, with its bits."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    The phone rotates with angular velocity omega, so fixed vectors rotate by
-    -|omega|*dt about the omega axis in phone coordinates (dv/dt = -omega x v).
-    Renormalized to keep unit length under long integrations.
+
+def _gyro_rotations(omega: np.ndarray, dt: np.ndarray | float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotation angle |omega| * dt of each (n, 3) gyro row, whether it spins
+    (``not angle < 1e-15``), and the unit axis of the rows that spin (zero in
+    the others). ``_row_dots`` gives each rate ``_norm``'s bits.
     """
-    rate = _norm(omega)
+    rate = np.sqrt(_row_dots(omega, omega))
     angle = rate * dt
-    if angle < 1e-15:
-        return v
-    axis = omega / rate
+    spins = ~(angle < 1e-15)
+    axis = np.zeros(np.shape(omega))
+    axis[spins] = omega[spins] / rate[spins, None]
+    return angle, spins, axis
+
+
+def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues rotation of v by -angle about the unit axis, renormalized."""
     c, s = math.cos(-angle), math.sin(-angle)
     d = float(axis.dot(v))
     k = 1.0 - c
@@ -104,14 +114,21 @@ def rotate_by_gyro(v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
     return rotated / _norm(rotated)
 
 
+def rotate_by_gyro(v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
+    """Rotate an Earth-fixed vector expressed in the phone frame.
+
+    The phone rotates with angular velocity omega, so fixed vectors rotate by
+    -|omega|*dt about the omega axis in phone coordinates (dv/dt = -omega x v).
+    Renormalized to keep unit length under long integrations. The one-sample
+    case of ``track_attitude``'s gravity loop.
+    """
+    angle, spins, axis = _gyro_rotations(np.reshape(omega, (1, 3)), dt)
+    return _rotate(v, axis[0], float(angle[0])) if spins[0] else v
+
+
 def roll_pitch(gravity: Sequence[float]) -> tuple[float, float]:
     gx, gy, gz = gravity
     return math.atan2(gy, gz), math.atan2(-gx, math.hypot(gy, gz))
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[k].dot(b[k])`` for each row k of two (n, 3) arrays, with its bits."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _horizontal_basis(gravity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,32 +167,57 @@ def tilt_compensated_yaw(gravity: np.ndarray, mag: np.ndarray) -> float | None:
     return _compass_yaws(np.reshape(gravity, (1, 3)), np.reshape(mag, (1, 3)))[0]
 
 
-def _increment_correlation(w: np.ndarray) -> float:
-    """Pearson correlation of the two rows of a (2, n) window of (gyro,
-    magnetometer) yaw increments, n >= 3 (``track_attitude`` guarantees it):
-    two flat rows agree (1.0), one flat against one moving disagrees (0.0).
+def _increment_correlation(w: np.ndarray) -> np.ndarray:
+    """Pearson correlation of the two rows of each window in a (b, 2, n) stack
+    of (gyro, magnetometer) yaw increments, n >= 3 (``track_attitude``
+    guarantees it): two flat rows agree (1.0), one flat against one moving
+    disagrees (0.0). A single window is the b = 1 case.
 
-    Each step is the operation that ``np.std`` and ``np.corrcoef`` apply, in
-    their order, so the value has their bits and needs no error bound; the
-    scalar steps run on Python floats, which round as float64 does. A row's
-    mean is its sum over n, as in both. The flatness test is ``np.std``'s
-    root of the summed ``x * x`` over n (a BLAS ``dot`` may sum in another
-    order). ``x.dot(x.T)`` goes to BLAS ``syrk``, as ``np.cov``'s product of
-    a matrix with its own transpose does. ``np.cov`` multiplies by
-    1 / (n - 1), and ``np.corrcoef`` divides by one root of the diagonal,
-    then by the other, and clips to [-1, 1].
+    Each step is the operation that ``np.std`` and ``np.corrcoef`` apply to
+    one window, in their order, so each value has their bits and needs no
+    error bound. The steps are elementwise (roots are correctly rounded, as
+    ``math.sqrt``'s are) or reduce over the last axis, so no window's value
+    depends on the others in its batch. A row's mean is its sum over n, as
+    in both. The flatness test is ``np.std``'s root of the summed
+    ``x * x`` over n (a BLAS ``dot`` may sum in another order). The stacked
+    ``x @ x.transpose(0, 2, 1)`` hands each window to BLAS ``syrk``, as
+    ``x.dot(x.T)`` and ``np.cov``'s product of a matrix with its own
+    transpose do. ``np.cov`` multiplies by 1 / (n - 1), and ``np.corrcoef``
+    divides by one root of the diagonal, then by the other, and clips to
+    [-1, 1].
     """
-    n = w.shape[1]
-    x = w - w.sum(axis=1, keepdims=True) / n
-    ss_a, ss_b = (x * x).sum(axis=1).tolist()
-    flat_a, flat_b = math.sqrt(ss_a / n) < _FLAT_STD, math.sqrt(ss_b / n) < _FLAT_STD
-    if flat_a and flat_b:
-        return 1.0
-    if flat_a or flat_b:
-        return 0.0
+    n = w.shape[-1]
+    x = w - w.sum(axis=-1, keepdims=True) / n
+    flat = np.sqrt((x * x).sum(axis=-1) / n) < _FLAT_STD
+    corr = np.where(flat.all(axis=1), 1.0, 0.0)
+    moving = ~flat.any(axis=1)
     scale = 1 / (n - 1)
-    (p_aa, p_ab), (_, p_bb) = x.dot(x.T).tolist()
-    return min(max(p_ab * scale / math.sqrt(p_aa * scale) / math.sqrt(p_bb * scale), -1.0), 1.0)
+    p = (x @ x.transpose(0, 2, 1))[moving] * scale
+    corr[moving] = np.clip(p[:, 0, 1] / np.sqrt(p[:, 0, 0]) / np.sqrt(p[:, 1, 1]), -1.0, 1.0)
+    return corr
+
+
+_GATE_CHUNK = 1 << 13  # elements per batch of gate windows: a batch's arrays stay near 64 KiB each
+
+
+def _window_correlations(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``_increment_correlation`` of each window ``incs[:, starts[i]:stops[i]]``
+    of a (2, k) array, every window 3 or more long. Windows of one length go
+    to it together, contiguous, in batches of at most ``_GATE_CHUNK`` elements.
+    """
+    lengths = stops - starts
+    order = np.argsort(lengths, kind="stable")
+    # where the sorted length changes, and both ends (lengths are positive)
+    edges = np.flatnonzero(np.diff(lengths[order], prepend=0, append=0)).tolist()
+    corr = np.empty(len(lengths))
+    for lo, hi in zip(edges, edges[1:]):
+        length = int(lengths[order[lo]])
+        window = np.arange(2)[:, None] * incs.shape[1] + np.arange(length)  # flat indices from start 0
+        step = max(1, _GATE_CHUNK // (2 * length))
+        for at in range(lo, hi, step):
+            batch = order[at:min(at + step, hi)]
+            corr[batch] = _increment_correlation(incs.take(starts[batch, None, None] + window))
+    return corr
 
 
 def track_attitude(
@@ -202,35 +244,40 @@ def track_attitude(
     omega = gyro.values[nearest_index(gyro.app_timestamp, times)] if has_gyro else np.zeros((n, 3))
     dts = np.diff(times, prepend=times[0])
 
-    # gravity depends on neither yaw nor trust: gyro rotation plus snaps
-    norms = np.sqrt(_row_dots(accel_v, accel_v)).tolist()
+    # gravity depends on neither yaw nor trust: gyro rotation plus snaps. A
+    # sample that snaps overwrites its rotation, so only the others rotate.
+    norms = np.sqrt(_row_dots(accel_v, accel_v))
+    snap = (np.abs(norms - GRAVITY) <= cfg.g_tol) & (norms > 1e-9)
+    snapped = iter(accel_v[snap] / norms[snap, None])
+    angle, spins, axis = _gyro_rotations(omega, dts)
+    rotate = spins & (dts > 0) & has_gyro & ~snap
     g = accel_v[0] / norms[0] if norms[0] > 1e-9 else np.array([0.0, 0.0, 1.0])
     gravity = np.empty((n, 3))
-    for k, (dt, norm) in enumerate(zip(dts.tolist(), norms)):
-        if dt > 0 and has_gyro:
-            g = rotate_by_gyro(g, omega[k], dt)
-        if abs(norm - GRAVITY) <= cfg.g_tol and norm > 1e-9:
-            g = accel_v[k] / norm
+    for k, (snaps, rotates, a) in enumerate(zip(snap.tolist(), rotate.tolist(), angle.tolist())):
+        if snaps:
+            g = next(snapped)
+        elif rotates:
+            g = _rotate(g, axis[k], a)
         gravity[k] = g
 
     turns = _row_dots(omega, gravity) * dts
     mag_yaws = _compass_yaws(gravity, magn.values[nearest_index(magn.app_timestamp, times)]) if has_magn else [None] * n
 
-    # trust gate, once per compass fix: row 0 of incs is the gyro turn at each
+    # trust gate over compass fixes: row 0 of incs is the gyro turn at each
     # fix, row 1 the compass change since the previous fix. A fix's window
-    # holds the fixes within corr_window_s; one of fewer than 3 keeps the
-    # previous decision (True before the first fix). A sample takes the
-    # decision of the last fix at or before it.
+    # holds the fixes within corr_window_s; one of 3 or more decides, one of
+    # fewer keeps the previous decision. So a sample takes the decision of the
+    # last deciding fix at or before it (True before the first).
     fix = np.flatnonzero([mag_yaw is not None for mag_yaw in mag_yaws])
     fix_yaws = [mag_yaws[k] for k in fix.tolist()]
     incs = np.zeros((2, len(fix)))
     incs[0] = turns[fix]
     incs[1, 1:] = [wrap_angle(b - a) for a, b in zip(fix_yaws, fix_yaws[1:])]
     starts = np.searchsorted(times[fix], times[fix] - cfg.corr_window_s)
-    decisions = [True]
-    for m, start in enumerate(starts.tolist(), start=1):
-        decisions.append(_increment_correlation(incs[:, start:m]) > cfg.corr_gate if m - start >= 3 else decisions[-1])
-    trusts = np.array(decisions)[np.searchsorted(fix, np.arange(n), side="right")]
+    stops = np.arange(1, len(fix) + 1)
+    decides = stops - starts >= 3
+    passed = _window_correlations(incs, starts[decides], stops[decides]) > cfg.corr_gate
+    trusts = np.concatenate(([True], passed))[np.searchsorted(fix[decides], np.arange(n), side="right")]
 
     yaw, yaws = 0.0, []
     for turn, mag_yaw, trusted in zip(turns.tolist(), mag_yaws, trusts.tolist()):

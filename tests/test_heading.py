@@ -412,6 +412,25 @@ def _turning_phone(seed, n=600, gimbal=False, dyadic=False):
     return stream(t, accel), stream(t_gyro, gyro), stream(t_magn, magn[::2])
 
 
+def _in_fix_order(windows):
+    """Gate windows, as (gyro bytes, compass bytes) pairs, sorted by their last
+    fix. Each window is a run of consecutive fixes, so the neighbouring
+    columns of all windows chain the fixes in order; that needs every fix's
+    (gyro, compass) column to be distinct, and one unbroken chain."""
+    columns = [list(zip(np.frombuffer(a).tolist(), np.frombuffer(b).tolist())) for a, b in windows]
+    after = {}
+    for cols in columns:
+        for col, nxt in zip(cols, cols[1:]):
+            assert after.setdefault(col, nxt) == nxt
+    [col] = set(after) - set(after.values())
+    position = {}
+    while col is not None:
+        position[col] = len(position)
+        col = after.get(col)
+    order = sorted(range(len(windows)), key=lambda i: position[columns[i][-1]])
+    return [windows[i] for i in order]
+
+
 class TestAttitudeReference:
     """track_attitude gives bit-for-bit the states of the per-sample NumPy loop."""
 
@@ -434,15 +453,16 @@ class TestAttitudeReference:
     @pytest.mark.parametrize("dyadic", [False, True])
     def test_gate_sees_the_reference_windows(self, dyadic, monkeypatch):
         accel, gyro, magn = _turning_phone(4, n=900, dyadic=dyadic)
-        seen = []
+        batches = []
         correlation = heading._increment_correlation
 
         def recording(w):
-            seen.append((w[0].tobytes(), w[1].tobytes()))
+            batches.extend((window[0].tobytes(), window[1].tobytes()) for window in w)
             return correlation(w)
 
         monkeypatch.setattr(heading, "_increment_correlation", recording)
         track_attitude(accel, gyro, magn)
+        seen = _in_fix_order(batches)
         expected = []
         _ref_track_attitude(accel, gyro, magn, windows=expected)
         assert len(seen) > 800
@@ -460,6 +480,38 @@ class TestAttitudeReference:
         att = track_attitude(accel, NO_SAMPLES, magn)
         assert att.mag_trust[126:].tolist() == [True, True, False, False]
         _assert_columns_equal(att, _ref_track_attitude(accel, NO_SAMPLES, magn))
+
+    @pytest.mark.parametrize("case", ["all-snap", "no-snap", "zero-first-accel", "zero-gyro", "repeated-times"])
+    def test_gravity_edge_cases_equal_reference(self, case):
+        accel, gyro, magn = _turning_phone(6)
+        t, a = accel.app_timestamp, accel.values.copy()
+        unit = a / np.linalg.norm(a, axis=1, keepdims=True)
+        if case == "all-snap":
+            a = unit * GRAVITY
+        elif case == "no-snap":
+            a = unit * (GRAVITY + 1.0)
+        elif case == "zero-first-accel":
+            a[0] = 0.0
+        elif case == "zero-gyro":
+            gyro = stream(gyro.app_timestamp, np.zeros_like(gyro.values))
+        else:
+            # each record written twice; the copy (dt = 0) snaps at even
+            # samples and not at odd ones, whatever the first did
+            t, a = np.repeat(t, 2), np.repeat(a, 2, axis=0)
+            a[1::2] = unit * (GRAVITY + np.arange(len(unit))[:, None] % 2)
+        accel = stream(t, a)
+        _assert_columns_equal(track_attitude(accel, gyro, magn), _ref_track_attitude(accel, gyro, magn))
+
+    @pytest.mark.parametrize("window", [0.05, 1.0, 30.0])
+    def test_default_corpus_slice_equals_reference(self, window, default_corpus):
+        # 20 s of a 100 Hz phone: about 100 fixes per 1 s window, so many
+        # batches per length; 30 s windows grow past the slice, one length each
+        _, log, _ = default_corpus[0]
+        lo, hi = np.searchsorted(log.accel.app_timestamp, log.accel.app_timestamp[0] + np.array([40.0, 60.0]))
+        accel = stream(log.accel.app_timestamp[lo:hi], log.accel.values[lo:hi])
+        cfg = HeadingConfig(corr_window_s=window)
+        ref = _ref_track_attitude(accel, log.gyro, log.magn, cfg)
+        _assert_columns_equal(track_attitude(accel, log.gyro, log.magn, cfg), ref)
 
     @given(
         st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.booleans()), min_size=3, max_size=60),
@@ -573,6 +625,9 @@ class TestHorizontalPlane:
             assert repr(yaws[k]) == repr(_ref_tilt_compensated_yaw(gravity[k], field[k]))
 
 
+_WINDOW_KINDS = ["flat", "one-flat", "near-flat", "near-gate"]
+
+
 def _window_pair(kind, n, seed, gate, offset):
     """(gyro increments, magnetometer increments) of one trust-gate window."""
     rng = np.random.default_rng(seed)
@@ -595,26 +650,32 @@ def _window_pair(kind, n, seed, gate, offset):
     return 0.01 * x + base[0], 0.02 * b + base[1]
 
 
+def _correlation(window):
+    """_increment_correlation of one (2, n) window: its b = 1 case, as a float."""
+    [value] = _increment_correlation(window[None]).tolist()
+    return value
+
+
 class TestTrustGate:
     """The gate's correlation has the bits of np.std and np.corrcoef."""
 
     @staticmethod
     def _assert_same_value(a, b):
-        assert repr(_increment_correlation(np.array((a, b)))) == repr(_ref_increment_correlation(a, b))
+        assert repr(_correlation(np.array((a, b)))) == repr(_ref_increment_correlation(a, b))
 
     def test_two_flat_series_agree(self):
         a, b = np.full(10, 0.01), np.zeros(10)
-        assert _increment_correlation(np.array((a, b))) == 1.0
+        assert _correlation(np.array((a, b))) == 1.0
         self._assert_same_value(a, b)
 
     def test_one_flat_series_disagrees(self):
         a, b = np.zeros(10), np.sin(np.arange(10.0))
-        assert _increment_correlation(np.array((a, b))) == 0.0
-        assert _increment_correlation(np.array((b, a))) == 0.0
+        assert _correlation(np.array((a, b))) == 0.0
+        assert _correlation(np.array((b, a))) == 0.0
         self._assert_same_value(a, b)
 
     @given(
-        st.sampled_from(["flat", "one-flat", "near-flat", "near-gate"]),
+        st.sampled_from(_WINDOW_KINDS),
         st.integers(3, 150),
         st.integers(0, 2**32 - 1),
         st.floats(-1.0, 1.0),
@@ -637,22 +698,49 @@ class TestTrustGate:
     def test_perfect_correlation_is_clipped(self, r):
         # unclipped, this window's correlation rounds one ulp beyond r
         a, b = _window_pair("near-gate", 20, 0, r, 0.0)
-        assert _increment_correlation(np.array((a, b))) == r
+        assert _correlation(np.array((a, b))) == r
         self._assert_same_value(a, b)
 
-    @pytest.mark.parametrize("kind", ["flat", "one-flat", "near-flat", "near-gate"])
+    @pytest.mark.parametrize("kind", _WINDOW_KINDS)
     def test_window_longer_than_the_reduction_buffer(self, kind):
         # NumPy reduces in blocks of 8192 elements
         a, b = _window_pair(kind, 8192 + 1000, 11, 0.8, 0.0)
         self._assert_same_value(a, b)
 
-    @pytest.mark.parametrize("kind", ["flat", "one-flat", "near-flat", "near-gate"])
+    @pytest.mark.parametrize("kind", _WINDOW_KINDS)
     def test_strided_rows_of_a_fix_buffer(self, kind):
-        # track_attitude passes a column slice of a (2, k) array, which is not
-        # contiguous; so is this one, rows 1 and 2 of a (3, k) buffer
+        # a window that is not contiguous, rows 1 and 2 of a (3, k) buffer,
+        # has the value of its contiguous copy
         a, b = _window_pair(kind, 57, 12, 0.8, 0.0)
         fixes = np.random.default_rng(13).normal(size=(3, 100))
         fixes[1:3, 20:77] = a, b
         window = fixes[1:3, 20:77]
         assert not window.flags.c_contiguous
-        assert repr(_increment_correlation(window)) == repr(_ref_increment_correlation(a, b))
+        assert repr(_correlation(window)) == repr(_ref_increment_correlation(a, b))
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(_WINDOW_KINDS), st.integers(3, 150)), min_size=1, max_size=20),
+        st.sampled_from(_WINDOW_KINDS),
+        st.integers(3, 150),
+        st.integers(0, 2**32 - 1),
+        st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batches_of_mixed_lengths_match_reference(self, mixed, crowded_kind, crowded_length, seed, gate):
+        # more windows of one length than one batch holds, windows of other
+        # lengths, and one longer than a batch, overlapping in one (2, k)
+        # buffer and in no order; each value must be the reference's
+        crowded = [(crowded_kind, crowded_length)] * (heading._GATE_CHUNK // (2 * crowded_length) + 1)
+        specs = mixed + crowded + [(crowded_kind, 8192 + 1000)]
+        order = np.random.default_rng(seed).permutation(len(specs))
+        pairs = [_window_pair(*specs[i], seed + i, gate, 0.0) for i in order.tolist()]
+        incs = np.concatenate([np.array(pair) for pair in pairs], axis=1)
+        stops = np.cumsum([len(a) for a, _ in pairs])
+        starts = stops - [len(a) for a, _ in pairs]
+        # every other window moves one column back, into the previous one
+        starts[1::2] -= 1
+        stops[1::2] -= 1
+        values = heading._window_correlations(incs, starts, stops).tolist()
+        assert len(values) == len(pairs)
+        for value, start, stop in zip(values, starts.tolist(), stops.tolist()):
+            assert repr(value) == repr(_ref_increment_correlation(incs[0, start:stop], incs[1, start:stop]))
