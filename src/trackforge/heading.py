@@ -18,11 +18,17 @@ Python floats. Everything else runs over columns: which samples snap, the
 gyro rotation angle and axis of the samples that rotate, the horizontal
 plane, compass yaw, gyro yaw turns and step projection; the gravity loop only
 takes a snapped row or rotates. The trust gate correlates every compass fix's
-window at once, in batches of windows of one length. Every 3-element dot
-product goes to ``ndarray.dot`` (BLAS may fuse its multiply-adds, so another
-sum order could change the output bits); over columns that is the stacked
-matmul ``(a[:, None, :] @ b[:, :, None])``, which NumPy hands row by row to
-the same ``dot``, unlike ``einsum`` or ``(a * b).sum(axis=1)``.
+window at once, in batches of windows of one length, and the PCA of every
+step's window runs at once too.
+
+No value goes through BLAS, whose kernel is picked at run time from the CPU
+and rounds differently from one kernel to the next. Every dot product, cross
+product and norm is written out as multiplies and adds in one fixed order,
+``a0*b0 + a1*b1 + a2*b2``: NumPy ufuncs over columns and the same expression
+on Python floats per sample, so the two forms agree bit for bit. Sums over
+windows are NumPy reductions, whose order depends only on the window's
+length. Sines, cosines and arctangents come from libm (``math``), per value:
+NumPy's SIMD kernels for them may round differently.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .logio import SensorLog, SensorStream, nearest_index
-from .stepdetect import Step, moving_average
+from .stepdetect import Step, fixed_dot, moving_average, window_rows
 
 logger = logging.getLogger(__name__)
 
@@ -69,29 +75,19 @@ def wrap_angle(x: float) -> float:
     return math.atan2(math.sin(x), math.cos(x))
 
 
-def _cross(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
-    """``np.cross`` of two 3-vectors: the same products and differences, in floats."""
+def _cross(a, b):
+    """Cross product of two 3-vectors, of floats or of columns as ``fixed_dot``'s."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a float vector, which is sqrt(v . v)."""
-    return math.sqrt(v.dot(v))
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[k].dot(b[k])`` for each row k of two (n, 3) arrays, with its bits."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _gyro_rotations(omega: np.ndarray, dt: np.ndarray | float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rotation angle |omega| * dt of each (n, 3) gyro row, whether it spins
     (``not angle < 1e-15``), and the unit axis of the rows that spin (zero in
-    the others). ``_row_dots`` gives each rate ``_norm``'s bits.
+    the others).
     """
-    rate = np.sqrt(_row_dots(omega, omega))
+    rate = np.sqrt(fixed_dot(omega.T, omega.T))
     angle = rate * dt
     spins = ~(angle < 1e-15)
     axis = np.zeros(np.shape(omega))
@@ -99,19 +95,20 @@ def _gyro_rotations(omega: np.ndarray, dt: np.ndarray | float) -> tuple[np.ndarr
     return angle, spins, axis
 
 
-def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation of v by -angle about the unit axis, renormalized."""
+def _rotate(v: Sequence[float], axis: Sequence[float], angle: float) -> tuple[float, float, float]:
+    """Rodrigues rotation of the 3-vector v by -angle about the unit axis,
+    renormalized, on Python floats: ``fixed_dot`` and ``_cross`` written
+    out, as it runs once per sample. A result too short to square (v zero
+    or below about 1e-154) has no direction: NaN."""
     c, s = math.cos(-angle), math.sin(-angle)
-    d = float(axis.dot(v))
+    (v0, v1, v2), (a0, a1, a2) = v, axis
+    d = a0 * v0 + a1 * v1 + a2 * v2
     k = 1.0 - c
-    (v0, v1, v2), (a0, a1, a2) = v.tolist(), axis.tolist()
-    x0, x1, x2 = _cross((a0, a1, a2), (v0, v1, v2))
-    rotated = np.array((
-        v0 * c + x0 * s + a0 * d * k,
-        v1 * c + x1 * s + a1 * d * k,
-        v2 * c + x2 * s + a2 * d * k,
-    ))
-    return rotated / _norm(rotated)
+    r0 = v0 * c + (a1 * v2 - a2 * v1) * s + a0 * d * k
+    r1 = v1 * c + (a2 * v0 - a0 * v2) * s + a1 * d * k
+    r2 = v2 * c + (a0 * v1 - a1 * v0) * s + a2 * d * k
+    norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2) or math.nan
+    return (r0 / norm, r1 / norm, r2 / norm)
 
 
 def rotate_by_gyro(v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
@@ -123,7 +120,9 @@ def rotate_by_gyro(v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
     case of ``track_attitude``'s gravity loop.
     """
     angle, spins, axis = _gyro_rotations(np.reshape(omega, (1, 3)), dt)
-    return _rotate(v, axis[0], float(angle[0])) if spins[0] else v
+    if not spins[0]:
+        return v
+    return np.array(_rotate(np.asarray(v, dtype=float).tolist(), axis[0].tolist(), float(angle[0])))
 
 
 def roll_pitch(gravity: Sequence[float]) -> tuple[float, float]:
@@ -139,10 +138,10 @@ def _horizontal_basis(gravity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     """
     g = np.asarray(gravity, dtype=float)
     f = np.array((0.0, 1.0, 0.0)) - g[:, 1:2] * g
-    norm = np.sqrt(_row_dots(f, f))
+    norm = np.sqrt(fixed_dot(f.T, f.T))
     defined = ~(norm < 1e-9)
     e1 = f / np.where(defined, norm, 1.0)[:, None]
-    return e1, np.cross(e1, g), defined
+    return e1, np.column_stack(_cross(e1.T, g.T)), defined
 
 
 def _compass_yaws(gravity: np.ndarray, mag: np.ndarray) -> list[float | None]:
@@ -153,8 +152,8 @@ def _compass_yaws(gravity: np.ndarray, mag: np.ndarray) -> list[float | None]:
     """
     mag = np.asarray(mag, dtype=float)
     e1, e2, defined = _horizontal_basis(gravity)
-    usable = defined & ~(np.sqrt(_row_dots(mag, mag)) < 1e-12)
-    rows = zip(usable.tolist(), _row_dots(mag, e1).tolist(), _row_dots(mag, e2).tolist())
+    usable = defined & ~(np.sqrt(fixed_dot(mag.T, mag.T)) < 1e-12)
+    rows = zip(usable.tolist(), fixed_dot(mag.T, e1.T).tolist(), fixed_dot(mag.T, e2.T).tolist())
     return [math.atan2(s, c) if ok and not math.hypot(c, s) < 1e-12 else None for ok, c, s in rows]
 
 
@@ -173,27 +172,26 @@ def _increment_correlation(w: np.ndarray) -> np.ndarray:
     guarantees it): two flat rows agree (1.0), one flat against one moving
     disagrees (0.0). A single window is the b = 1 case.
 
-    Each step is the operation that ``np.std`` and ``np.corrcoef`` apply to
-    one window, in their order, so each value has their bits and needs no
-    error bound. The steps are elementwise (roots are correctly rounded, as
-    ``math.sqrt``'s are) or reduce over the last axis, so no window's value
-    depends on the others in its batch. A row's mean is its sum over n, as
-    in both. The flatness test is ``np.std``'s root of the summed
-    ``x * x`` over n (a BLAS ``dot`` may sum in another order). The stacked
-    ``x @ x.transpose(0, 2, 1)`` hands each window to BLAS ``syrk``, as
-    ``x.dot(x.T)`` and ``np.cov``'s product of a matrix with its own
-    transpose do. ``np.cov`` multiplies by 1 / (n - 1), and ``np.corrcoef``
-    divides by one root of the diagonal, then by the other, and clips to
-    [-1, 1].
+    The steps are those of ``np.std`` and ``np.corrcoef`` on one window, in
+    their order, except that every sum of products is a NumPy sum over the
+    last axis rather than a BLAS product. Each step is elementwise or reduces
+    over the last axis, so no window's value depends on the others in its
+    batch. A row's mean is its sum over n. The flatness test is ``np.std``'s
+    root of the summed ``x * x`` over n; the same sums, times 1 / (n - 1),
+    are the covariance's diagonal, and the summed ``x[:, 0] * x[:, 1]`` its
+    off-diagonal. The correlation divides by one root of the diagonal, then
+    by the other, and clips to [-1, 1], as ``np.corrcoef`` does.
     """
     n = w.shape[-1]
     x = w - w.sum(axis=-1, keepdims=True) / n
-    flat = np.sqrt((x * x).sum(axis=-1) / n) < _FLAT_STD
+    squares = (x * x).sum(axis=-1)
+    flat = np.sqrt(squares / n) < _FLAT_STD
     corr = np.where(flat.all(axis=1), 1.0, 0.0)
     moving = ~flat.any(axis=1)
     scale = 1 / (n - 1)
-    p = (x @ x.transpose(0, 2, 1))[moving] * scale
-    corr[moving] = np.clip(p[:, 0, 1] / np.sqrt(p[:, 0, 0]) / np.sqrt(p[:, 1, 1]), -1.0, 1.0)
+    var = squares[moving] * scale
+    cov = (x[moving, 0] * x[moving, 1]).sum(axis=-1) * scale
+    corr[moving] = np.clip(cov / np.sqrt(var[:, 0]) / np.sqrt(var[:, 1]), -1.0, 1.0)
     return corr
 
 
@@ -246,21 +244,24 @@ def track_attitude(
 
     # gravity depends on neither yaw nor trust: gyro rotation plus snaps. A
     # sample that snaps overwrites its rotation, so only the others rotate.
-    norms = np.sqrt(_row_dots(accel_v, accel_v))
+    norms = np.sqrt(fixed_dot(accel_v.T, accel_v.T))
     snap = (np.abs(norms - GRAVITY) <= cfg.g_tol) & (norms > 1e-9)
-    snapped = iter(accel_v[snap] / norms[snap, None])
+    snapped = iter((accel_v[snap] / norms[snap, None]).tolist())
     angle, spins, axis = _gyro_rotations(omega, dts)
     rotate = spins & (dts > 0) & has_gyro & ~snap
-    g = accel_v[0] / norms[0] if norms[0] > 1e-9 else np.array([0.0, 0.0, 1.0])
-    gravity = np.empty((n, 3))
-    for k, (snaps, rotates, a) in enumerate(zip(snap.tolist(), rotate.tolist(), angle.tolist())):
+    rotations = zip(angle[rotate].tolist(), axis[rotate].tolist())
+    g = (accel_v[0] / norms[0]).tolist() if norms[0] > 1e-9 else [0.0, 0.0, 1.0]
+    rows = []
+    for snaps, rotates in zip(snap.tolist(), rotate.tolist()):
         if snaps:
             g = next(snapped)
         elif rotates:
-            g = _rotate(g, axis[k], a)
-        gravity[k] = g
+            a, ax = next(rotations)
+            g = _rotate(g, ax, a)
+        rows.append(g)
+    gravity = np.array(rows)
 
-    turns = _row_dots(omega, gravity) * dts
+    turns = fixed_dot(omega.T, gravity.T) * dts
     mag_yaws = _compass_yaws(gravity, magn.values[nearest_index(magn.app_timestamp, times)]) if has_magn else [None] * n
 
     # trust gate over compass fixes: row 0 of incs is the gyro turn at each
@@ -297,12 +298,54 @@ def earth_horizontal(vec: np.ndarray, gravity: np.ndarray, yaw: np.ndarray) -> t
     headings. Returns the (n, 2) rows and which are defined.
     """
     e1, e2, defined = _horizontal_basis(gravity)
-    c, s = _row_dots(vec, e1), -_row_dots(vec, e2)
+    c, s = fixed_dot(vec.T, e1.T), -fixed_dot(vec.T, e2.T)
     # cos and sin from libm, per row: NumPy ships AVX-512 (SVML) kernels for
     # them, which may round differently
     yaw = np.asarray(yaw, dtype=float).tolist()
     cy, sy = np.array([math.cos(y) for y in yaw]), np.array([math.sin(y) for y in yaw])
     return np.column_stack((cy * c - sy * s, sy * c + cy * s)), defined
+
+
+def _motion_directions(
+    xy: np.ndarray, counts: np.ndarray, phone_yaws: Sequence[float], cfg: HeadingConfig
+) -> list[HeadingEstimate]:
+    """``motion_direction`` of every window of (m, 2) rows ``xy``: the
+    windows lie back to back, window i holding ``counts[i]`` rows.
+
+    The 2x2 covariance of each window with ``PCA_MIN_SAMPLES`` or more rows
+    comes from sums over all windows at once (``np.add.reduceat``), and its
+    eigenvalues and principal axis in closed form: the half trace plus and
+    minus sqrt(d*d + sxy*sxy), d half the difference of the variances, and
+    the axis at ``0.5 * atan2(2*sxy, sxx - syy)``.
+    """
+    counts = np.asarray(counts)
+    enough = counts >= PCA_MIN_SAMPLES
+    n = counts[enough]
+    starts = np.cumsum(n) - n
+    x, y = np.ascontiguousarray(xy[np.repeat(enough, counts)].T)
+    window = np.repeat(np.arange(len(n)), n)
+    cx = x - (np.add.reduceat(x, starts) / n)[window]
+    cy = y - (np.add.reduceat(y, starts) / n)[window]
+    sxx = np.add.reduceat(cx * cx, starts) / n
+    syy = np.add.reduceat(cy * cy, starts) / n
+    sxy = np.add.reduceat(cx * cy, starts) / n
+    diff = sxx - syy
+    half, d = (sxx + syy) / 2, diff / 2
+    root = np.sqrt(d * d + sxy * sxy)
+    ratios = ((half + root) / np.maximum(half - root, 1e-18)).tolist()
+    axes = zip(ratios, (2 * sxy).tolist(), diff.tolist())
+
+    estimates = []
+    for ok, phone_yaw in zip(enough.tolist(), phone_yaws):
+        ratio, sxy2, diff_xy = next(axes) if ok else (1.0, 0.0, 0.0)
+        if not ok or ratio < cfg.pca_min_ratio:
+            estimates.append(HeadingEstimate(phone_yaw, wrap_angle(phone_yaw), max(ratio, 1.0), low_confidence=True))
+            continue
+        heading = 0.5 * math.atan2(sxy2, diff_xy)
+        if abs(wrap_angle(heading - phone_yaw)) > math.pi / 2:
+            heading = wrap_angle(heading + math.pi)
+        estimates.append(HeadingEstimate(phone_yaw, heading, ratio))
+    return estimates
 
 
 def motion_direction(
@@ -311,26 +354,15 @@ def motion_direction(
     """PCA motion direction over an Earth-horizontal linear-acceleration window.
 
     Picks, of the principal axis's two opposite directions, the one at an acute
-    angle to phone_yaw. A near-isotropic covariance (eigenvalue ratio below
-    ``cfg.pca_min_ratio``) is flagged low-confidence and falls back to the
-    phone yaw.
+    angle to phone_yaw. A window of fewer than ``PCA_MIN_SAMPLES`` rows or a
+    near-isotropic covariance (eigenvalue ratio below ``cfg.pca_min_ratio``)
+    is flagged low-confidence and falls back to the phone yaw. The
+    one-window case of ``_motion_directions``.
     """
     window_2d = np.asarray(window_2d, dtype=float)
-    if window_2d.ndim != 2 or window_2d.shape[1] != 2 or len(window_2d) < PCA_MIN_SAMPLES:
+    if window_2d.ndim != 2 or window_2d.shape[1] != 2:
         return HeadingEstimate(phone_yaw, wrap_angle(phone_yaw), 1.0, low_confidence=True)
-
-    centered = window_2d - window_2d.mean(axis=0)
-    cov = centered.T @ centered / len(centered)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    ratio = float(eigvals[1] / max(eigvals[0], 1e-18))
-    if ratio < cfg.pca_min_ratio:
-        return HeadingEstimate(phone_yaw, wrap_angle(phone_yaw), max(ratio, 1.0), low_confidence=True)
-
-    axis = eigvecs[:, 1]
-    heading = math.atan2(axis[1], axis[0])
-    if abs(wrap_angle(heading - phone_yaw)) > math.pi / 2:
-        heading = wrap_angle(heading + math.pi)
-    return HeadingEstimate(phone_yaw, heading, ratio)
+    return _motion_directions(window_2d, np.array([len(window_2d)]), [phone_yaw], cfg)[0]
 
 
 def _smoothed_gravity(grav: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -376,14 +408,20 @@ def step_headings(
     times = log.accel.app_timestamp
     grav = _smoothed_gravity(att.gravity, times)
     horizontal, defined = earth_horizontal(log.accel.values - GRAVITY * grav, grav, att.yaw)
-    yaw = att.yaw.tolist()
+
+    # the defined rows of every step's window [lo, hi), the windows back to back
+    lookbacks = [min(step.pace, 2.5 * max(step.valley_time - step.peak_time, 1e-3)) for step in steps]
+    lo = np.searchsorted(times, np.array([step.peak_time for step in steps]) - lookbacks, side="right")
+    hi = np.maximum(np.searchsorted(times, [step.valley_time for step in steps], side="right"), lo)
+    rows = window_rows(lo, hi)
+    defined_before = np.concatenate(([0], np.cumsum(defined)))
+    phone_yaws = att.yaw[[step.peak_index for step in steps]].tolist()
+    estimates = _motion_directions(
+        horizontal[rows[defined[rows]]], defined_before[hi] - defined_before[lo], phone_yaws, cfg
+    )
 
     prev_heading: float | None = None
-    for step in steps:
-        lookback = min(step.pace, 2.5 * max(step.valley_time - step.peak_time, 1e-3))
-        lo = int(np.searchsorted(times, step.peak_time - lookback, side="right"))
-        hi = int(np.searchsorted(times, step.valley_time, side="right"))
-        est = motion_direction(horizontal[lo:hi][defined[lo:hi]], yaw[step.peak_index], cfg)
+    for step, est in zip(steps, estimates):
         if est.low_confidence:
             step.heading_rad = prev_heading if prev_heading is not None else est.phone_yaw
         else:

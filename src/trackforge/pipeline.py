@@ -22,8 +22,8 @@ from .floors import FloorClusteringError, TrajectorySegment, cluster_floors, seg
 from .heading import step_headings
 from .logio import SensorLog, parse_log, write_chain_graphs, write_json
 from .pdr import PdrTrajectory, integrate
-from .stepdetect import Step, detect_steps, magnitude_series
-from .stride import GaitModel, classify_gait, default_gait_model, extract_features, load_gait_model, stride_length
+from .stepdetect import Step, StrideFeatures, detect_steps, magnitude_series
+from .stride import GaitModel, classify_gaits, default_gait_model, load_gait_model, step_features, stride_length
 
 logger = logging.getLogger(__name__)
 
@@ -85,13 +85,13 @@ def process_log(log: SensorLog, cfg: PipelineConfig, gait_model: GaitModel) -> P
     times, mags = magnitude_series(log.accel, cfg.step.smooth_window)
     steps = detect_steps(times, mags, cfg.step)
 
-    for step in steps:
-        lo = int(np.searchsorted(times, step.peak_time - step.pace, side="right"))
-        hi = step.peak_index + 1
-        if hi - lo < 2:
-            lo = max(0, hi - 2)
-        step.features = extract_features(times[lo:hi], mags[lo:hi])
-        gait = classify_gait(step.features, gait_model)
+    # each step's window runs back one pace from its peak, over 2 samples or more
+    hi = np.array([step.peak_index for step in steps], dtype=int) + 1
+    lo = np.searchsorted(times, np.array([step.peak_time - step.pace for step in steps]), side="right")
+    lo = np.where(hi - lo < 2, np.maximum(0, hi - 2), lo)
+    features = step_features(times, mags, lo, hi)
+    for step, row, gait in zip(steps, features.tolist(), classify_gaits(features, gait_model)):
+        step.features = StrideFeatures(*row)
         step.stride_m = stride_length(gait, gait_model)
 
     step_headings(steps, log, cfg.heading)

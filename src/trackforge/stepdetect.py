@@ -93,6 +93,25 @@ class Step:
     heading_rad: float | None = None
 
 
+def fixed_dot(x, w):
+    """``x[0]*w[0] + x[1]*w[1] + ...``, added left to right: of Python floats,
+    or of columns (an (n, d) array passed as ``rows.T``), so a column and its
+    per-row value have the same bits. Outputs take no dot product from BLAS,
+    whose rounding depends on the kernel it picks for the CPU."""
+    total = x[0] * w[0]
+    for xj, wj in zip(x[1:], w[1:]):
+        total = total + xj * wj
+    return total
+
+
+def window_rows(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The row indices of every window ``[starts[i], stops[i])`` back to back,
+    each window ``stops[i] - starts[i] >= 0`` rows long."""
+    lengths = np.asarray(stops) - starts
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average with shrinking edge windows (constant-preserving).
 

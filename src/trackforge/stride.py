@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .logio import parse_key_values, write_text
-from .stepdetect import StrideFeatures
+from .stepdetect import StrideFeatures, fixed_dot, window_rows
 
 
 class Gait(str, enum.Enum):
@@ -45,8 +45,8 @@ class GaitModelError(RuntimeError):
 class GaitModel:
     """Two linear separators plus the gait -> stride-length table.
 
-    Scores are plain dot products on raw feature vectors
-    (duration, variance, peak, rms): ``score = w . x + b``.
+    Scores are dot products on raw feature vectors (duration, variance, peak,
+    rms), summed in order: ``score = w0*x0 + w1*x1 + w2*x2 + w3*x3 + b``.
     level1 >= 0 selects the {normal, fast} branch; level2 >= 0 selects fast.
     """
 
@@ -78,35 +78,70 @@ def default_gait_model() -> GaitModel:
     )
 
 
+def _window_features(first_t, last_t, m: np.ndarray, n: np.ndarray) -> list[np.ndarray]:
+    """(duration, variance, peak, rms) columns of the windows of m that lie
+    back to back, window i holding n[i] >= 1 values. Each window's sums are
+    ``np.add.reduceat`` sums, whose order depends only on the window's
+    length, so a window has the same features alone as among others."""
+    offsets = np.cumsum(n) - n
+    centered = m - np.repeat(np.add.reduceat(m, offsets) / n, n)
+    return [
+        last_t - first_t,
+        np.add.reduceat(centered * centered, offsets) / n,
+        np.maximum.reduceat(m, offsets),
+        np.sqrt(np.add.reduceat(m * m, offsets) / n),
+    ]
+
+
+def step_features(times: np.ndarray, magnitudes: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``extract_features`` of every window ``[starts[i], stops[i])`` of the
+    magnitude series at once, each window one or more samples long: a (k, 4)
+    array of (duration, variance, peak, rms) rows."""
+    times, magnitudes = np.asarray(times, dtype=float), np.asarray(magnitudes, dtype=float)
+    starts, stops = np.asarray(starts), np.asarray(stops)
+    m = magnitudes[window_rows(starts, stops)]
+    return np.column_stack(_window_features(times[starts], times[stops - 1], m, stops - starts))
+
+
 def extract_features(times: np.ndarray, magnitudes: np.ndarray) -> StrideFeatures:
     """Features over the magnitude window spanning one step.
 
     duration = last - first time (translation-invariant); variance is the
-    population variance; rms = sqrt(mean(m^2)).
+    population variance; rms = sqrt(mean(m^2)). The one-window case of
+    ``step_features``.
     """
-    times = np.asarray(times, dtype=float)
-    magnitudes = np.asarray(magnitudes, dtype=float)
+    times, magnitudes = np.asarray(times, dtype=float), np.asarray(magnitudes, dtype=float)
     if len(times) == 0:
         raise ValueError("step window is empty")
-    return StrideFeatures(
-        stride_duration=float(times[-1] - times[0]),
-        accel_variance=float(np.var(magnitudes)),
-        accel_peak=float(np.max(magnitudes)),
-        accel_rms=float(np.sqrt(np.mean(magnitudes**2))),
-    )
+    columns = _window_features(times[:1], times[-1:], magnitudes, np.array([len(magnitudes)]))
+    return StrideFeatures(*(column.item() for column in columns))
+
+
+def _scores(x, model: GaitModel | None):
+    """Level-1 and level-2 scores ``w0*x0 + w1*x1 + w2*x2 + w3*x3 + b`` of
+    the (duration, variance, peak, rms) values x: floats or columns."""
+    if model is None:
+        raise GaitModelError("no gait model loaded")
+    return fixed_dot(x, model.l1_weights) + model.l1_bias, fixed_dot(x, model.l2_weights) + model.l2_bias
+
+
+def _gait(s1: float, s2: float) -> Gait:
+    """Level 1 below 0 is slow; else level 2 at or above 0 is fast."""
+    return Gait.SLOW if s1 < 0 else Gait.FAST if s2 >= 0 else Gait.NORMAL
+
+
+def classify_gaits(features: np.ndarray, model: GaitModel | None) -> list[Gait]:
+    """``classify_gait`` of each row of a (k, 4) feature array: the same
+    scores, over columns."""
+    s1, s2 = _scores(np.asarray(features, dtype=float).T, model)
+    return [_gait(a, b) for a, b in zip(s1.tolist(), s2.tolist())]
 
 
 def classify_gait(features: StrideFeatures, model: GaitModel | None) -> Gait:
     """Deterministic class in {slow, normal, fast}; boundary goes to the
-    larger-stride side at both levels."""
-    if model is None:
-        raise GaitModelError("no gait model loaded")
-    x = features.as_vector()
-    s1 = float(np.dot(model.l1_weights, x)) + model.l1_bias
-    if s1 < 0:
-        return Gait.SLOW
-    s2 = float(np.dot(model.l2_weights, x)) + model.l2_bias
-    return Gait.FAST if s2 >= 0 else Gait.NORMAL
+    larger-stride side at both levels. Scored on Python floats."""
+    f = features
+    return _gait(*_scores((f.stride_duration, f.accel_variance, f.accel_peak, f.accel_rms), model))
 
 
 def stride_length(gait: Gait, model: GaitModel) -> float:
@@ -129,7 +164,7 @@ def _fit_linear(
     w = np.zeros(d)
     b = 0.0
     for t in range(1, epochs + 1):
-        margins = y * (Xs @ w + b)
+        margins = y * (fixed_dot(Xs.T, w) + b)
         active = margins < 1.0
         lr = 1.0 / (lam * t)
         grad_w = lam * w - (y[active, None] * Xs[active]).sum(axis=0) / n
@@ -137,7 +172,7 @@ def _fit_linear(
         w = w - lr * grad_w
         b = b - lr * grad_b
     w_raw = w / sd
-    b_raw = b - float(np.dot(w, mu / sd))
+    b_raw = b - float(fixed_dot(w, mu / sd))
     return w_raw, float(b_raw)
 
 

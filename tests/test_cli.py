@@ -358,6 +358,62 @@ def test_run_without_scipy(straight_corpus, tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+# the labels of the CI smoke job's train-gait step
+SMOKE_LABELS = (
+    "duration,variance,peak,rms,gait\n0.80,0.70,11.0,9.9,slow\n0.82,0.75,11.1,9.9,slow\n"
+    "0.55,3.00,12.4,10.0,normal\n0.57,3.20,12.5,10.0,normal\n0.40,8.00,13.8,10.2,fast\n0.42,8.30,13.9,10.2,fast\n"
+)
+
+
+def _openblas_kernels() -> tuple[list[str], str]:
+    """Two OPENBLAS_CORETYPE kernels this CPU runs, the oldest x86-64 one and
+    the newest it has, or no kernels and why NumPy cannot switch them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # NumPy before 1.26 does not report its build this way
+        return [], "NumPy does not report whether its BLAS is an OpenBLAS with DYNAMIC_ARCH"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return [], f"NumPy's BLAS ({blas.get('name')}) is not an OpenBLAS built with DYNAMIC_ARCH"
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        flags = set()
+    newest = "SkylakeX" if "avx512f" in flags else "Haswell" if "avx2" in flags else "Nehalem"
+    return ["Prescott", newest], ""
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel(corpus_dir, tmp_path):
+    """``run`` and ``train-gait`` write the same bytes under two OpenBLAS
+    kernels: no output value goes through BLAS, whose kernels round
+    differently. No digest is pinned, as libm may differ between machines."""
+    kernels, why = _openblas_kernels()
+    if not kernels:
+        pytest.skip(why)
+    labels = tmp_path / "labels.csv"
+    labels.write_text(SMOKE_LABELS)
+    code = "import sys; from trackforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for kernel in kernels:
+        env = {
+            **os.environ,
+            "OPENBLAS_CORETYPE": kernel,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        out = tmp_path / kernel
+        for argv in (
+            ["run", "--input", str(corpus_dir), "--output", str(out / "run")],
+            ["train-gait", "--labels", str(labels), "--out", str(out / "gait.model")],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert done.returncode == 0, done.stderr
+        outputs.append({p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(outputs[0]) == 5  # three graph files, report.json and the model
+    assert outputs[0] == outputs[1]
+
+
 class TestSweepCommand:
     def test_sweep_outputs(self, straight_corpus, tmp_path):
         out = tmp_path / "sweep"

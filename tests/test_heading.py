@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trackforge import heading
 from trackforge.heading import (
     ATTITUDE_DTYPE,
     GRAVITY,
+    PCA_MIN_SAMPLES,
     HeadingConfig,
     _cross,
     _increment_correlation,
@@ -22,7 +23,7 @@ from trackforge.heading import (
     wrap_angle,
 )
 from trackforge.logio import SensorLog, nearest_index
-from trackforge.stepdetect import Step, moving_average
+from trackforge.stepdetect import Step, fixed_dot, moving_average
 from streams import stream
 
 NO_SAMPLES = stream([])
@@ -228,27 +229,53 @@ class TestSmoothedGravity:
         assert np.allclose(smoothed, self._normalized(grav.mean(axis=0, keepdims=True)), atol=1e-15)
 
 
+# The oracles below compute per sample on Python floats. Every dot product,
+# cross product and norm is written out in one order, a0*b0 + a1*b1 + a2*b2,
+# as heading.py declares it; np.linalg.norm and np.cross, whose dot products
+# may go to BLAS, are only compared within a tolerance (TestLibraryForms).
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross3(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _norm3(v):
+    return math.sqrt(_dot3(v, v))
+
+
 def _ref_rotate_by_gyro(v, omega, dt):
-    angle = float(np.linalg.norm(omega)) * dt
+    """Rodrigues rotation by -|omega| dt; a result too short to square has
+    no direction (NaN)."""
+    omega = np.asarray(omega).tolist()
+    rate = _norm3(omega)
+    angle = rate * dt
     if angle < 1e-15:
         return v
-    axis = omega / np.linalg.norm(omega)
+    axis = [w / rate for w in omega]
+    vs = np.asarray(v).tolist()
     c, s = math.cos(-angle), math.sin(-angle)
-    rotated = v * c + np.cross(axis, v) * s + axis * np.dot(axis, v) * (1.0 - c)
-    return rotated / np.linalg.norm(rotated)
+    d = _dot3(axis, vs)
+    x = _cross3(axis, vs)
+    rotated = [vs[i] * c + x[i] * s + axis[i] * d * (1.0 - c) for i in range(3)]
+    norm = _norm3(rotated)
+    if norm == 0.0:
+        norm = math.nan
+    return np.array([r / norm for r in rotated])
 
 
 def _ref_tilt_compensated_yaw(gravity, mag):
-    if float(np.linalg.norm(mag)) < 1e-12:
+    g, m = np.asarray(gravity).tolist(), np.asarray(mag).tolist()
+    if _norm3(m) < 1e-12:
         return None
-    f = np.array([0.0, 1.0, 0.0]) - gravity[1] * gravity
-    norm = np.linalg.norm(f)
-    if norm < 1e-9:
+    basis = _ref_horizontal_basis(gravity)
+    if basis is None:
         return None
-    e1 = f / norm
-    e2 = np.cross(e1, gravity)
-    c = float(np.dot(mag, e1))
-    s = float(np.dot(mag, e2))
+    e1, e2 = basis
+    c = _dot3(m, e1.tolist())
+    s = _dot3(m, e2.tolist())
     if math.hypot(c, s) < 1e-12:
         return None
     return math.atan2(s, c)
@@ -256,13 +283,13 @@ def _ref_tilt_compensated_yaw(gravity, mag):
 
 def _ref_horizontal_basis(gravity):
     """(e1, e2) of one gravity row, or None when gravity is along phone +y."""
-    g0, g1, g2 = gravity.tolist()
-    f = np.array((0.0 - g1 * g0, 1.0 - g1 * g1, 0.0 - g1 * g2))
-    norm = math.sqrt(f.dot(f))
+    g = np.asarray(gravity).tolist()
+    f = [0.0 - g[1] * g[0], 1.0 - g[1] * g[1], 0.0 - g[1] * g[2]]
+    norm = _norm3(f)
     if norm < 1e-9:
         return None
-    e1 = f / norm
-    return e1, np.array(_cross(e1.tolist(), (g0, g1, g2)))
+    e1 = [x / norm for x in f]
+    return np.array(e1), np.array(_cross3(e1, g))
 
 
 def _ref_earth_horizontal(vec, gravity, yaw):
@@ -270,8 +297,9 @@ def _ref_earth_horizontal(vec, gravity, yaw):
     if basis is None:
         return None
     e1, e2 = basis
-    c = float(np.dot(vec, e1))
-    s = float(np.dot(vec, e2))
+    v = np.asarray(vec).tolist()
+    c = _dot3(v, e1.tolist())
+    s = _dot3(v, e2.tolist())
     cy, sy = math.cos(yaw), math.sin(yaw)
     return np.array([cy * c - sy * (-s), sy * c + cy * (-s)])
 
@@ -309,7 +337,9 @@ def _ref_step_headings(steps, log, cfg=HeadingConfig(), windows=None):
 
 def _ref_increment_correlation(a, b):
     """Pearson correlation with degenerate-window conventions: two flat series
-    agree (1.0), one flat against one moving disagrees (0.0)."""
+    agree (1.0), one flat against one moving disagrees (0.0). The covariances
+    are NumPy sums of products over one window, in np.corrcoef's order of
+    steps, clipped to [-1, 1]."""
     if len(a) < 3:
         return 1.0
     sa, sb = float(np.std(a)), float(np.std(b))
@@ -318,7 +348,11 @@ def _ref_increment_correlation(a, b):
         return 1.0
     if sa < flat or sb < flat:
         return 0.0
-    return float(np.corrcoef(a, b)[0, 1])
+    n = len(a)
+    xa, xb = a - a.sum() / n, b - b.sum() / n
+    scale = 1 / (n - 1)
+    corr = (xa * xb).sum() * scale / math.sqrt((xa * xa).sum() * scale) / math.sqrt((xb * xb).sum() * scale)
+    return min(max(float(corr), -1.0), 1.0)
 
 
 def _ref_track_attitude(accel, gyro, magn, cfg=HeadingConfig(), windows=None):
@@ -333,7 +367,7 @@ def _ref_track_attitude(accel, gyro, magn, cfg=HeadingConfig(), windows=None):
         magn_v = magn.values
         magn_idx = nearest_index(magn.app_timestamp, times)
 
-    norm0 = float(np.linalg.norm(accel_v[0]))
+    norm0 = _norm3(accel_v[0].tolist())
     gravity = accel_v[0] / norm0 if norm0 > 1e-9 else np.array([0.0, 0.0, 1.0])
     yaw = 0.0
     mag_trust = True
@@ -346,10 +380,10 @@ def _ref_track_attitude(accel, gyro, magn, cfg=HeadingConfig(), windows=None):
         if dt > 0 and gyro_v is not None:
             gravity = _ref_rotate_by_gyro(gravity, omega, dt)
         a = accel_v[k]
-        norm = float(np.linalg.norm(a))
+        norm = _norm3(a.tolist())
         if abs(norm - GRAVITY) <= cfg.g_tol and norm > 1e-9:
             gravity = a / norm
-        gyro_rate = float(np.dot(omega, gravity))
+        gyro_rate = _dot3(omega.tolist(), gravity.tolist())
         mag_yaw = None
         if magn_v is not None:
             mag_yaw = _ref_tilt_compensated_yaw(gravity, magn_v[magn_idx[k]])
@@ -432,7 +466,7 @@ def _in_fix_order(windows):
 
 
 class TestAttitudeReference:
-    """track_attitude gives bit-for-bit the states of the per-sample NumPy loop."""
+    """track_attitude gives bit-for-bit the states of the per-sample loop."""
 
     @pytest.mark.parametrize("mode", ["gyro+magn", "no-gyro", "no-magn", "gimbal-lock"])
     @pytest.mark.parametrize("seed,dyadic", [(3, False), (8, True)])
@@ -591,14 +625,16 @@ class TestHorizontalPlane:
         log = SensorLog(accel=accel, gyro=NO_SAMPLES if mode == "no-gyro" else gyro,
                         magn=NO_SAMPLES if mode == "no-magn" else magn)
         seen = []
+        motion_directions = heading._motion_directions
 
-        def recording(window, phone_yaw, cfg):
-            seen.append((window.shape, window.tobytes()))
-            return motion_direction(window, phone_yaw, cfg)
+        def recording(xy, counts, phone_yaws, cfg):
+            seen.extend((w.shape, w.tobytes()) for w in np.split(xy, np.cumsum(counts)[:-1]))
+            return motion_directions(xy, counts, phone_yaws, cfg)
 
-        monkeypatch.setattr(heading, "motion_direction", recording)
+        monkeypatch.setattr(heading, "_motion_directions", recording)
         new, ref = _steps(accel.app_timestamp), _steps(accel.app_timestamp)
         step_headings(new, log)
+        monkeypatch.undo()  # the reference's motion_direction calls go unrecorded
         expected = []
         _ref_step_headings(ref, log, windows=expected)
         assert len(new) >= 10
@@ -657,7 +693,8 @@ def _correlation(window):
 
 
 class TestTrustGate:
-    """The gate's correlation has the bits of np.std and np.corrcoef."""
+    """The gate's correlation has the bits of a per-window computation in
+    np.std's and np.corrcoef's order of steps."""
 
     @staticmethod
     def _assert_same_value(a, b):
@@ -744,3 +781,84 @@ class TestTrustGate:
         assert len(values) == len(pairs)
         for value, start, stop in zip(values, starts.tolist(), stops.tolist()):
             assert repr(value) == repr(_ref_increment_correlation(incs[0, start:stop], incs[1, start:stop]))
+
+
+def _eigh_heading(window, yaw):
+    """Motion heading and eigenvalue ratio of a window from np.linalg.eigh
+    of its covariance, the half-axis taken at an acute angle to yaw."""
+    centered = window - window.mean(axis=0)
+    vals, vecs = np.linalg.eigh(centered.T @ centered / len(window))
+    heading = math.atan2(vecs[1, 1], vecs[0, 1])
+    if abs(wrap_angle(heading - yaw)) > math.pi / 2:
+        heading = wrap_angle(heading + math.pi)
+    return heading, vals[1] / max(vals[0], 1e-18)
+
+
+_VECTOR = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)
+
+
+class TestLibraryForms:
+    """The fixed-order arithmetic of heading.py and of the oracles above
+    agrees with NumPy's library forms within 1e-12, relative to the scale of
+    the inputs. The library forms may go through BLAS, so only a tolerance
+    holds."""
+
+    @given(_VECTOR)
+    @settings(max_examples=300, deadline=None)
+    def test_norm(self, v):
+        ref = float(np.linalg.norm(v))
+        assert _norm3(v) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        assert math.sqrt(fixed_dot(v, v)) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @given(_VECTOR, _VECTOR)
+    @settings(max_examples=300, deadline=None)
+    def test_cross(self, a, b):
+        scale = float(np.linalg.norm(a) * np.linalg.norm(b))
+        ref = np.cross(a, b)
+        assert np.abs(np.array(_cross3(a, b)) - ref).max() <= 1e-12 * scale
+        assert np.abs(np.array(heading._cross(a, b)) - ref).max() <= 1e-12 * scale
+
+    @given(st.lists(st.tuples(_VECTOR, _VECTOR), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_columns_have_the_per_row_bits(self, pairs):
+        a = np.array([p for p, _ in pairs])
+        b = np.array([q for _, q in pairs])
+        dots = fixed_dot(a.T, b.T)
+        crosses = np.column_stack(heading._cross(a.T, b.T))
+        for k, (p, q) in enumerate(pairs):
+            assert repr(dots[k].item()) == repr(_dot3(p, q))
+            assert repr(crosses[k].tolist()) == repr(_cross3(p, q))
+
+    @given(
+        st.sampled_from(["random", "near-gate"]),
+        st.integers(3, 150),
+        st.integers(0, 2**32 - 1),
+        st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_correlation(self, kind, n, seed, gate):
+        if kind == "random":
+            a, b = np.random.default_rng(seed).normal(0, 0.01, (2, n))
+        else:
+            a, b = _window_pair(kind, n, seed, gate, 0.0)
+        assert _correlation(np.array((a, b))) == pytest.approx(float(np.corrcoef(a, b)[0, 1]), abs=1e-12)
+
+    @given(
+        st.integers(PCA_MIN_SAMPLES, 200),
+        st.integers(0, 2**32 - 1),
+        st.floats(-math.pi, math.pi),
+        st.floats(0.05, 0.8),
+        st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_principal_axis(self, n, seed, angle, aspect, scale):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(0, scale, (n, 2)) * (1.0, aspect) + rng.normal(0, 10 * scale, 2)
+        c, s = math.cos(angle), math.sin(angle)
+        window = np.column_stack((c * u[:, 0] - s * u[:, 1], s * u[:, 0] + c * u[:, 1]))
+        heading_ref, ratio_ref = _eigh_heading(window, angle)
+        assume(ratio_ref >= HeadingConfig().pca_min_ratio * (1 + 1e-9))
+        est = motion_direction(window, heading_ref)
+        assert not est.low_confidence
+        assert wrap_angle(est.motion_heading - heading_ref) == pytest.approx(0.0, abs=1e-12)
+        assert est.pca_confidence == pytest.approx(ratio_ref, rel=1e-12)

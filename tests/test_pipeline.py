@@ -5,15 +5,17 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackforge import pipeline
+from trackforge import heading, pipeline
 from trackforge.config import PipelineConfig
 from trackforge.logio import serialize_log
 from trackforge.pipeline import RunReport, process_corpus, run_pipeline
-from trackforge.stride import Gait
+from trackforge.stepdetect import detect_steps, magnitude_series
+from trackforge.stride import Gait, classify_gait, default_gait_model, extract_features, stride_length
 from trackforge.synth import WalkScript, WalkSegmentSpec, generate
 
 TAGS = ("ACCE", "GYRO", "MAGN", "PRES", "WIFI")
@@ -43,6 +45,49 @@ def _process(lines, directory: Path) -> RunReport:
 
 def _repeat(lines, k):
     return [line for line in lines for _ in range(k)]
+
+
+def _one_window_steps(log, cfg, model):
+    """process_log's steps from one call per step window: extract_features
+    and classify_gait on each step's magnitude window, and motion_direction
+    on each step's horizontal-plane window, as step_headings once did."""
+    times, mags = magnitude_series(log.accel, cfg.step.smooth_window)
+    steps = detect_steps(times, mags, cfg.step)
+    for step in steps:
+        lo = int(np.searchsorted(times, step.peak_time - step.pace, side="right"))
+        hi = step.peak_index + 1
+        if hi - lo < 2:
+            lo = max(0, hi - 2)
+        step.features = extract_features(times[lo:hi], mags[lo:hi])
+        step.stride_m = stride_length(classify_gait(step.features, model), model)
+
+    att = heading.track_attitude(log.accel, log.gyro, log.magn, cfg.heading)
+    times = log.accel.app_timestamp
+    grav = heading._smoothed_gravity(att.gravity, times)
+    horizontal, defined = heading.earth_horizontal(log.accel.values - heading.GRAVITY * grav, grav, att.yaw)
+    prev_heading = None
+    for step in steps:
+        lookback = min(step.pace, 2.5 * max(step.valley_time - step.peak_time, 1e-3))
+        lo = int(np.searchsorted(times, step.peak_time - lookback, side="right"))
+        hi = int(np.searchsorted(times, step.valley_time, side="right"))
+        est = heading.motion_direction(horizontal[lo:hi][defined[lo:hi]], float(att.yaw[step.peak_index]), cfg.heading)
+        if est.low_confidence:
+            step.heading_rad = prev_heading if prev_heading is not None else est.phone_yaw
+        else:
+            step.heading_rad = est.motion_heading
+        prev_heading = step.heading_rad
+    return steps
+
+
+def test_steps_have_the_bits_of_one_window_calls(default_corpus):
+    # process_log computes every step's features, gait and heading at once;
+    # perfbench/composed.py calls extract_features and classify_gait per step
+    # and checks its outputs against the pipeline's byte for byte
+    cfg, model = PipelineConfig(), default_gait_model()
+    for _, log, _ in default_corpus:
+        steps = pipeline.process_log(log, cfg, model).steps
+        assert len(steps) > 100
+        assert repr(steps) == repr(_one_window_steps(log, cfg, model))
 
 
 def test_twice_written_log_is_processed(short_walk_lines, tmp_path):

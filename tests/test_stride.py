@@ -13,10 +13,12 @@ from trackforge.stride import (
     GaitModelError,
     GaitTrainingError,
     classify_gait,
+    classify_gaits,
     default_gait_model,
     extract_features,
     load_gait_model,
     save_gait_model,
+    step_features,
     stride_length,
     train_gait_model,
 )
@@ -55,6 +57,36 @@ class TestExtractFeatures:
             (a.accel_variance, a.accel_peak, a.accel_rms)
 
 
+    @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=300), st.floats(0.0, 1e5))
+    @settings(max_examples=200, deadline=None)
+    def test_library_forms(self, mags, t0):
+        # np.var, np.max and the root mean square within 1e-12 of the window's
+        # mean square; only the order of the sums differs
+        m = np.array(mags)
+        f = extract_features(t0 + 0.01 * np.arange(len(m)), m)
+        scale = 1e-12 * float(np.mean(m * m)) + 1e-300
+        assert abs(f.accel_variance - float(np.var(m))) <= scale
+        assert f.accel_peak == float(np.max(m))
+        assert f.accel_rms == pytest.approx(math.sqrt(float(np.mean(m * m))), rel=1e-12, abs=1e-300)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 400), st.integers(1, 120)), min_size=1, max_size=30),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_windows_together_have_their_bits_alone(self, windows, seed):
+        # overlapping windows in no order, as process_log passes them
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.005, 0.015, 520))
+        mags = 9.8 + rng.normal(0, 2.0, 520)
+        starts = np.array([a for a, _ in windows])
+        stops = starts + [n for _, n in windows]
+        rows = step_features(times, mags, starts, stops).tolist()
+        for row, lo, hi in zip(rows, starts.tolist(), stops.tolist()):
+            alone = extract_features(times[lo:hi], mags[lo:hi])
+            assert repr(row) == repr(alone.as_vector().tolist())
+
+
 class TestClassifyGait:
     def test_boundary_goes_to_branch(self):
         # score exactly 0 at level 1 must land in {normal, fast}, and exactly 0
@@ -90,6 +122,31 @@ class TestClassifyGait:
                   StrideFeatures(0.556, 3.1, 12.3, 10.0),
                   StrideFeatures(0.476, 8.0, 13.8, 10.2)):
             assert classify_gait(f, base) is classify_gait(f, scaled)
+
+
+    @given(
+        st.lists(st.tuples(*[st.floats(-20.0, 20.0)] * 4), min_size=1, max_size=30),
+        st.tuples(*[st.floats(-10.0, 10.0)] * 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_together_classify_as_alone(self, rows, weights):
+        *w, b = weights
+        model = GaitModel(tuple(w), b, tuple(reversed(w)), -b, dict(DEFAULT_STRIDE_TABLE))
+        together = classify_gaits(np.array(rows), model)
+        assert together == [classify_gait(StrideFeatures(*row), model) for row in rows]
+
+    @pytest.mark.parametrize("features,weights,bias", [
+        # (1e16 + 1) rounds to 1e16, so the score is 0 - 0.5, not 1 - 0.5
+        ((1e16, 1.0, 1e16, 0.0), (1.0, 1.0, -1.0, 0.0), -0.5),
+        # (1 + 2**-30)**2 rounds to 1 + 2**-29 before it is added, so the
+        # score is -2**-61, not a fused multiply-add's 2**-60 - 2**-61
+        ((-1.0 - 2.0**-29, 1.0 + 2.0**-30, 0.0, 0.0), (1.0, 1.0 + 2.0**-30, 0.0, 0.0), -(2.0**-61)),
+    ])
+    def test_score_is_summed_in_feature_order(self, features, weights, bias):
+        # each product is rounded, then added left to right, then the bias
+        model = GaitModel(weights, bias, (0.0,) * 4, 0.0, dict(DEFAULT_STRIDE_TABLE))
+        assert classify_gait(StrideFeatures(*features), model) is Gait.SLOW
+        assert classify_gaits(np.array([features]), model) == [Gait.SLOW]
 
 
 class TestStrideLength:
