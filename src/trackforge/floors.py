@@ -194,11 +194,55 @@ def _make_segment(traj: PdrTrajectory, start: int, stop: int) -> TrajectorySegme
 
 
 def jaccard(f_i: frozenset[str] | set[str], f_j: frozenset[str] | set[str]) -> float:
-    """|intersection| / |union|; 1.0 for two empty sets, 0.0 when one is empty."""
+    """|intersection| / |union|; 1.0 for two empty sets, 0.0 when one is empty.
+    The one-pair case of ``cluster_floors``'s distance matrix, 1 - jaccard."""
     if not f_i and not f_j:
         return 1.0
     union = len(f_i | f_j)
     return len(f_i & f_j) / union
+
+
+def _jaccard_distances(mac_sets: Sequence[frozenset[str]]) -> np.ndarray:
+    """``1 - jaccard`` of every pair of MAC sets, with jaccard's bits. The
+    product of a set x MAC incidence matrix with itself counts the shared
+    MACs: an integer product, exact and without BLAS."""
+    macs = {mac: k for k, mac in enumerate(set().union(*mac_sets))}
+    incidence = np.zeros((len(mac_sets), len(macs)), dtype=np.int64)
+    for i, mac_set in enumerate(mac_sets):
+        incidence[i, [macs[mac] for mac in mac_set]] = 1
+    shared = incidence @ incidence.T
+    del incidence  # freed before the n x n arrays are made
+    union = shared.diagonal()[:, None] + shared.diagonal()
+    union -= shared
+    # two empty sets (union 0) have similarity 1, so distance 0
+    similarity = np.divide(shared, union, out=np.ones(shared.shape), where=union > 0)
+    return np.subtract(1.0, similarity, out=similarity)
+
+
+def _average_linkages(base: np.ndarray, clusters: list[list[int]], a: int, others: list[int]) -> np.ndarray:
+    """Average linkage of cluster ``a`` with each cluster ``c`` in ``others``:
+    ``sum(base[i, j] for i in lo for j in hi) / (len(lo) * len(hi))``, where
+    ``lo`` holds the members of the earlier slot of ``a`` and ``c``. The terms
+    of every sum over clusters of one size, on one side of ``a``, are gathered
+    at once as one row per sum, in the generator's order; ``np.cumsum`` adds
+    along a row left to right, as the generator does, so each linkage has its
+    bits.
+    """
+    members = np.array(clusters[a])
+    p = len(members)
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for r, c in enumerate(others):
+        groups.setdefault((len(clusters[c]), c > a), []).append(r)
+    sums = np.empty(len(others))
+    sizes = np.empty(len(others), dtype=int)
+    for (q, later), rows in groups.items():
+        flat = np.array([i for r in rows for i in clusters[others[r]]]).reshape(len(rows), 1, q)
+        # a's members first when a is the earlier slot
+        terms = base[members[:, None], flat] if later else base[flat.reshape(-1, 1), members]
+        terms = terms.reshape(len(rows), p * q)
+        sums[rows] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+        sizes[rows] = q
+    return sums / (p * sizes)
 
 
 def cluster_floors(
@@ -220,9 +264,7 @@ def cluster_floors(
     if floor_count is not None and floor_count < 1:
         raise ValueError(f"floor_count must be >= 1, got {floor_count}")
     n = len(segments)
-    base = np.zeros((n, n))
-    for i, j in itertools.combinations(range(n), 2):
-        base[i, j] = base[j, i] = 1.0 - jaccard(segments[i].mac_set, segments[j].mac_set)
+    base = _jaccard_distances([seg.mac_set for seg in segments])
 
     # link holds the average linkage between live clusters, inf elsewhere;
     # clusters keep their slot, and a merge empties the later slot
@@ -245,12 +287,9 @@ def cluster_floors(
         clusters[b] = []
         rank[a] = min(rank[a], rank[b])
         link[b, :] = link[:, b] = np.inf
-        for c in range(n):
-            if c != a and clusters[c]:
-                # the earlier slot's members first: the sum adds in the same
-                # order, to the same bits, as a linkage computed anew
-                lo, hi = (clusters[a], clusters[c]) if a < c else (clusters[c], clusters[a])
-                link[a, c] = link[c, a] = sum(base[i, j] for i in lo for j in hi) / (len(lo) * len(hi))
+        others = [c for c in range(n) if c != a and clusters[c]]
+        if others:
+            link[a, others] = link[others, a] = _average_linkages(base, clusters, a, others)
 
     clusters = [members for members in clusters if members]
     pressures = [float(np.mean([segments[i].mean_pressure for i in members])) for members in clusters]

@@ -17,9 +17,10 @@ Gravity and yaw depend on the previous sample, so they loop per sample on
 Python floats. Everything else runs over columns: which samples snap, the
 gyro rotation angle and axis of the samples that rotate, the horizontal
 plane, compass yaw, gyro yaw turns and step projection; the gravity loop only
-takes a snapped row or rotates. The trust gate correlates every compass fix's
-window at once, in batches of windows of one length, and the PCA of every
-step's window runs at once too.
+takes a snapped row or rotates, one block of ``_GRAVITY_BLOCK`` samples at a
+time, so its Python floats never cover the whole log. The trust gate
+correlates every compass fix's window at once, in batches of windows of one
+length, and the PCA of every step's window runs at once too.
 
 No value goes through BLAS, whose kernel is picked at run time from the CPU
 and rounds differently from one kernel to the next. Every dot product, cross
@@ -196,6 +197,7 @@ def _increment_correlation(w: np.ndarray) -> np.ndarray:
 
 
 _GATE_CHUNK = 1 << 13  # elements per batch of gate windows: a batch's arrays stay near 64 KiB each
+_GRAVITY_BLOCK = 1 << 12  # samples per block of the gravity loop
 
 
 def _window_correlations(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -246,20 +248,24 @@ def track_attitude(
     # sample that snaps overwrites its rotation, so only the others rotate.
     norms = np.sqrt(fixed_dot(accel_v.T, accel_v.T))
     snap = (np.abs(norms - GRAVITY) <= cfg.g_tol) & (norms > 1e-9)
-    snapped = iter((accel_v[snap] / norms[snap, None]).tolist())
     angle, spins, axis = _gyro_rotations(omega, dts)
     rotate = spins & (dts > 0) & has_gyro & ~snap
-    rotations = zip(angle[rotate].tolist(), axis[rotate].tolist())
     g = (accel_v[0] / norms[0]).tolist() if norms[0] > 1e-9 else [0.0, 0.0, 1.0]
-    rows = []
-    for snaps, rotates in zip(snap.tolist(), rotate.tolist()):
-        if snaps:
-            g = next(snapped)
-        elif rotates:
-            a, ax = next(rotations)
-            g = _rotate(g, ax, a)
-        rows.append(g)
-    gravity = np.array(rows)
+    gravity = np.empty((n, 3))
+    for lo in range(0, n, _GRAVITY_BLOCK):  # Python floats for one block's rows at a time
+        block = slice(lo, lo + _GRAVITY_BLOCK)
+        snaps, rotates = snap[block], rotate[block]
+        snapped = iter((accel_v[block][snaps] / norms[block][snaps, None]).tolist())
+        rotations = zip(angle[block][rotates].tolist(), axis[block][rotates].tolist())
+        rows = []
+        for takes_snap, takes_rotation in zip(snaps.tolist(), rotates.tolist()):
+            if takes_snap:
+                g = next(snapped)
+            elif takes_rotation:
+                a, ax = next(rotations)
+                g = _rotate(g, ax, a)
+            rows.append(g)
+        gravity[block] = rows
 
     turns = fixed_dot(omega.T, gravity.T) * dts
     mag_yaws = _compass_yaws(gravity, magn.values[nearest_index(magn.app_timestamp, times)]) if has_magn else [None] * n

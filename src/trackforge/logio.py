@@ -15,6 +15,12 @@ still parse. Timestamps are 64-bit float seconds; serialization uses the
 shortest round-trip decimal representation (``repr``), which makes
 parse(serialize(log)) bit-exact.
 
+Both directions work a bounded piece at a time, so their transient memory
+follows the piece, not the log: ``parse_log`` converts its input in chunks
+of ``_CHUNK`` that end at a newline, and decodes the whole input only when
+it falls back to the line-by-line parse; ``serialize_log`` formats
+``_SERIALIZE_RUN`` records at a time.
+
 Chain graphs are written as a JSON document: ``{"graphs": [...]}`` where each
 graph carries ``floor``, ``vertices`` (``origin_index``, ``x``, ``y``, ``t``,
 ``rss``) and ``edges`` (``dx``, ``dy``).
@@ -43,6 +49,8 @@ _SAMPLE_TAGS = {"ACCE": ("accel", 3), "GYRO": ("gyro", 3), "MAGN": ("magn", 3), 
 _FIELD_COUNTS = {"WIFI": 7, **{tag: width + 4 for tag, (_, width) in _SAMPLE_TAGS.items()}}
 _COLUMNS = ("app_timestamp", "sensor_timestamp", "values", "accuracy")
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max  # np.iinfo computes these per read
+_CHUNK = 1 << 18  # bytes (or characters) of input the bulk parse converts at a time
+_SERIALIZE_RUN = 1 << 12  # records serialize_log formats at a time
 
 
 class TslParseError(ValueError):
@@ -185,38 +193,66 @@ def _parse_lines(text: str):
     return tables, wifi, skipped
 
 
-def _parse_bulk(text: str):
-    """``_parse_lines(text)``, with one NumPy call for each sample tag's
-    accuracy codes and one for its other fields; other lines go through
-    ``_parse_lines``. Raises ValueError or OverflowError on any record it
-    cannot vouch for. Sample fields may hold only ``[0-9.eE+-]``, where NumPy
-    takes exactly what ``float()`` and ``int()`` take, as the tests check."""
-    tails: dict[str, list[str]] = {tag: [] for tag in _SAMPLE_TAGS}
+def _chunks(data: bytes | str) -> Iterator[str]:
+    """``data`` as text, in pieces of about ``_CHUNK`` that end just after a
+    newline: the last newline within ``_CHUNK``, else the first after it.
+    A bytes piece is decoded on its own, as a newline byte is never part of
+    a multibyte UTF-8 sequence."""
+    newline = b"\n" if isinstance(data, bytes) else "\n"
+    start = 0
+    while start < len(data):
+        stop = len(data)
+        if start + _CHUNK < stop:
+            stop = data.rfind(newline, start, start + _CHUNK) + 1 or data.find(newline, start + _CHUNK) + 1 or stop
+        piece = data[start:stop]
+        yield piece.decode("utf-8") if isinstance(piece, bytes) else piece
+        start = stop
+
+
+def _parse_bulk(data: bytes | str):
+    """``_parse_lines`` of the decoded ``data``, converted ``_CHUNK`` at a
+    time: per chunk, one NumPy call for each sample tag's accuracy codes and
+    one for its other fields. Each tag's chunk tables are concatenated once,
+    at the end; other lines are collected across chunks and go through
+    ``_parse_lines``. So no decoded copy of the whole input, nor a string per
+    line of it, exists at once. Raises ValueError (UnicodeDecodeError
+    included) or OverflowError on any record it cannot vouch for. Sample
+    fields may hold only ``[0-9.eE+-]``, where NumPy takes exactly what
+    ``float()`` and ``int()`` take, as the tests check."""
+    parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {tag: [] for tag in _SAMPLE_TAGS}
     rest: list[str] = []
-    for line in map(str.strip, text.split("\n"), repeat("\r")) if "\r" in text else text.split("\n"):
-        tag, _, tail = line.partition(";")
-        if tag in tails:
-            tails[tag].append(tail)
-        else:
-            rest.append(line)
+    for text in _chunks(data):
+        tails: dict[str, list[str]] = {tag: [] for tag in _SAMPLE_TAGS}
+        for line in map(str.strip, text.split("\n"), repeat("\r")) if "\r" in text else text.split("\n"):
+            tag, _, tail = line.partition(";")
+            if tag in tails:
+                tails[tag].append(tail)
+            elif line:
+                rest.append(line)
+        for tag, (_, width) in _SAMPLE_TAGS.items():
+            block, k = tails.pop(tag), width + 3  # k fields after the tag, accuracy code last
+            if not block:
+                continue
+            joined = ";".join(block)
+            fields_ok = set(map(str.count, block, repeat(";"))) <= {k - 1}
+            # deleting every byte a sample field may hold must leave nothing; non-ASCII fails to encode
+            if not fields_ok or joined.encode("ascii").translate(None, _NUMERIC):
+                raise TslParseError(0, f"{tag} records need the line-by-line parse")
+            tokens = joined.split(";")
+            codes = np.array(tokens[k - 1::k], dtype=np.int64)
+            del tokens[k - 1::k]
+            table = np.array(tokens, dtype=float).reshape(-1, k - 1)
+            if not np.isfinite(table).all() or (table[:, 0] < 0).any():
+                raise TslParseError(0, f"{tag} records need the line-by-line parse")
+            parts[tag].append((table, codes))
+            del block, joined, tokens  # frees this tag's strings before the next tag's are made
     _, wifi, skipped = _parse_lines("\n".join(rest))
 
     tables = {}
     for tag, (name, width) in _SAMPLE_TAGS.items():
-        block, k = tails.pop(tag), width + 3  # k fields after the tag, accuracy code last
-        joined = ";".join(block)
-        fields_ok = set(map(str.count, block, repeat(";"))) <= {k - 1}
-        # deleting every byte a sample field may hold must leave nothing; non-ASCII fails to encode
-        if not fields_ok or joined.encode("ascii").translate(None, _NUMERIC):
-            raise TslParseError(0, f"{tag} records need the line-by-line parse")
-        tokens = joined.split(";") if block else []
-        codes = np.array(tokens[k - 1::k], dtype=np.int64)
-        del tokens[k - 1::k]
-        table = np.array(tokens, dtype=float).reshape(-1, k - 1)
-        if not np.isfinite(table).all() or (table[:, 0] < 0).any():
-            raise TslParseError(0, f"{tag} records need the line-by-line parse")
-        tables[name] = table, codes
-        del block, joined, tokens  # frees this tag's strings before the next tag's are made
+        chunks = parts.pop(tag) or [(np.empty((0, width + 2)), np.empty(0, dtype=np.int64))]
+        tables[name] = tuple(map(np.concatenate, zip(*chunks)))
+        del chunks  # frees this tag's chunk tables before the next tag's are joined
     return tables, wifi, skipped
 
 
@@ -226,21 +262,21 @@ def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
     Streams come back sorted by app_timestamp (stable, so equal timestamps
     keep file order). Unknown tags are counted in ``skipped_records``.
     Raises TslParseError for malformed known-tag records and TslEncodingError
-    for non-UTF-8 input; never anything else. A well-formed text is converted
-    in bulk; after any failed check it is parsed again line by line, which
-    alone decides errors and their line numbers.
+    for non-UTF-8 input; never anything else. A well-formed input is
+    converted in bulk, ``_CHUNK`` at a time. After any failed check the whole
+    input is decoded, which raises TslEncodingError if it is not UTF-8, and
+    parsed again line by line; the line loop alone decides errors and their
+    line numbers.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TslEncodingError(f"input is not UTF-8: {exc}") from None
-    else:
-        text = data
     try:
-        tables, wifi, skipped = _parse_bulk(text)
-    except (ValueError, OverflowError):  # TslParseError is a ValueError
-        tables, wifi, skipped = _parse_lines(text)
+        tables, wifi, skipped = _parse_bulk(data)
+    except (ValueError, OverflowError):  # TslParseError and UnicodeDecodeError are ValueErrors
+        if isinstance(data, bytes):
+            try:
+                data = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TslEncodingError(f"input is not UTF-8: {exc}") from None
+        tables, wifi, skipped = _parse_lines(data)
     return SensorLog(
         **{name: SensorStream(rows[:, 0], rows[:, 1], rows[:, 2:], codes) for name, (rows, codes) in tables.items()},
         wifi=tuple(sorted(wifi, key=lambda w: w.app_timestamp)),
@@ -276,25 +312,37 @@ def serialize_log(log: SensorLog) -> str:
 
     Each float is written as the ``repr`` of a Python float, the shortest
     decimal that round-trips to it (NumPy 2 reprs a NumPy scalar as
-    ``np.float64(...)``, and a ``WifiObservation`` may hold one).
+    ``np.float64(...)``, and a ``WifiObservation`` may hold one). Records are
+    formatted ``_SERIALIZE_RUN`` at a time, in time order, and each run is
+    joined into one string, so the line strings of one run at most exist at
+    once.
     """
-    times: list[np.ndarray] = []
-    lines: list[str] = []
-    for tag, (name, _) in _SAMPLE_TAGS.items():
-        stream = getattr(log, name)
-        times.append(stream.app_timestamp)
-        columns = (c.tolist() for c in (stream.app_timestamp, stream.sensor_timestamp, stream.values, stream.accuracy))
-        lines += [f"{tag};{t!r};{ts!r};{';'.join(map(repr, v))};{acc}" for t, ts, v, acc in zip(*columns)]
     for w in log.wifi:
         if ";" in w.ssid or "\n" in w.ssid or "\r" in w.ssid:
             raise ValueError(f"ssid must not contain ';' or newlines: {w.ssid!r}")
-        lines.append(
-            f"WIFI;{float(w.app_timestamp)!r};{float(w.sensor_timestamp)!r};{w.ssid};{w.bssid};{w.frequency_mhz};{w.rssi_dbm}"
-        )
+    streams = [(tag, getattr(log, name)) for tag, (name, _) in _SAMPLE_TAGS.items()]
+    times = [stream.app_timestamp for _, stream in streams]
     times.append(np.array([w.app_timestamp for w in log.wifi], dtype=float))
+    sizes = [len(t) for t in times]
     order = np.argsort(np.concatenate(times), kind="stable")  # ties keep stream, then record order
-    body = "\n".join([lines[k] for k in order.tolist()])
-    return body + "\n" if body else ""
+    source = np.repeat(np.arange(len(sizes)), sizes)[order]  # which stream each record in order comes from
+    index = order - (np.cumsum(sizes) - sizes)[source]  # and its row there
+
+    runs: list[str] = []
+    for at in range(0, len(order), _SERIALIZE_RUN):
+        src, idx = source[at:at + _SERIALIZE_RUN], index[at:at + _SERIALIZE_RUN]
+        lines = np.empty(len(src), dtype=object)
+        for k, (tag, stream) in enumerate(streams):
+            here = src == k
+            columns = (c[idx[here]].tolist() for c in (stream.app_timestamp, stream.sensor_timestamp, stream.values, stream.accuracy))
+            lines[here] = [f"{tag};{t!r};{ts!r};{';'.join(map(repr, v))};{acc}\n" for t, ts, v, acc in zip(*columns)]
+        here = src == len(streams)
+        lines[here] = [
+            f"WIFI;{float(w.app_timestamp)!r};{float(w.sensor_timestamp)!r};{w.ssid};{w.bssid};{w.frequency_mhz};{w.rssi_dbm}\n"
+            for w in map(log.wifi.__getitem__, idx[here].tolist())
+        ]
+        runs.append("".join(lines.tolist()))
+    return "".join(runs)
 
 
 def parse_key_values(text: str, source: str, error: type[Exception]) -> Iterator[tuple[int, str, str]]:

@@ -536,6 +536,28 @@ class TestAttitudeReference:
         accel = stream(t, a)
         _assert_columns_equal(track_attitude(accel, gyro, magn), _ref_track_attitude(accel, gyro, magn))
 
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("mode", ["gyro+magn", "no-gyro", "all-snap", "no-snap"])
+    def test_gravity_blocks_give_the_same_bits(self, block, mode, monkeypatch):
+        # the gravity loop walks _GRAVITY_BLOCK samples at a time; a block of
+        # 1 or 7 samples splits runs of snaps and of rotations at every place
+        accel, gyro, magn = _turning_phone(9)
+        unit = accel.values / np.linalg.norm(accel.values, axis=1, keepdims=True)
+        if mode == "no-gyro":
+            gyro = NO_SAMPLES
+        elif mode != "gyro+magn":
+            accel = stream(accel.app_timestamp, unit * (GRAVITY + (mode == "no-snap")))
+        expected = track_attitude(accel, gyro, magn)
+        monkeypatch.setattr(heading, "_GRAVITY_BLOCK", block)
+        assert track_attitude(accel, gyro, magn).tobytes() == expected.tobytes()
+
+    def test_default_corpus_log_in_blocks_equals_one_block(self, default_corpus, monkeypatch):
+        _, log, _ = default_corpus[0]
+        assert len(log.accel) > 3 * heading._GRAVITY_BLOCK
+        blocks = track_attitude(log.accel, log.gyro, log.magn)
+        monkeypatch.setattr(heading, "_GRAVITY_BLOCK", len(log.accel))
+        assert blocks.tobytes() == track_attitude(log.accel, log.gyro, log.magn).tobytes()
+
     @pytest.mark.parametrize("window", [0.05, 1.0, 30.0])
     def test_default_corpus_slice_equals_reference(self, window, default_corpus):
         # 20 s of a 100 Hz phone: about 100 fixes per 1 s window, so many

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
@@ -105,22 +106,29 @@ class TestParseErrors:
     def test_fuzz_never_crashes(self):
         """Random character swaps in records of every tag: parse_log gives the
         line loop's columns bit for bit, or the same error."""
-        import random
+        for data in _fuzzed_logs(3000):
+            _assert_parse_matches_line_loop(data)
 
-        rng = random.Random(99)
-        base = (
-            "ACCE;1.0;1.0;0.1;0.2;9.8;3\nGYRO;1.0;1.0;0;0;0.1;3\n"
-            "MAGN;1.0;1.0;20;5;40;3\nPRES;1.0;1.0;1013.2;0\n"
-            "WIFI;1.0;1.0;lab;aa:bb:cc:dd:ee:ff;2412;-60\n"
-            "ACCE;2.5;2.5;-1e-3;+2;9.75;-7\nPRES;2.5;2.5;1013.25;1\n"
-        )
-        # printable ASCII, the numeric bytes again, and what float() or the line split treat specially
-        alphabet = [chr(c) for c in range(32, 127)] + list("0123456789.eE+-;" * 3) + list("\r\n\t\x00_٣１")
-        for _ in range(3000):
-            chars = list(base)
-            for _ in range(rng.randint(1, 6)):
-                chars[rng.randrange(len(chars))] = rng.choice(alphabet)
-            _assert_parse_matches_line_loop("".join(chars).encode())
+
+def _fuzzed_logs(count):
+    """``count`` TSL inputs, each a small log of every tag with 1 to 6
+    random characters swapped in, from a fixed seed."""
+    import random
+
+    rng = random.Random(99)
+    base = (
+        "ACCE;1.0;1.0;0.1;0.2;9.8;3\nGYRO;1.0;1.0;0;0;0.1;3\n"
+        "MAGN;1.0;1.0;20;5;40;3\nPRES;1.0;1.0;1013.2;0\n"
+        "WIFI;1.0;1.0;lab;aa:bb:cc:dd:ee:ff;2412;-60\n"
+        "ACCE;2.5;2.5;-1e-3;+2;9.75;-7\nPRES;2.5;2.5;1013.25;1\n"
+    )
+    # printable ASCII, the numeric bytes again, and what float() or the line split treat specially
+    alphabet = [chr(c) for c in range(32, 127)] + list("0123456789.eE+-;" * 3) + list("\r\n\t\x00_٣１")
+    for _ in range(count):
+        chars = list(base)
+        for _ in range(rng.randint(1, 6)):
+            chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+        yield "".join(chars).encode()
 
 
 def _outcome(data, line_loop=False):
@@ -140,29 +148,35 @@ def _assert_parse_matches_line_loop(data):
     assert _outcome(data) == _outcome(data, line_loop=True)
 
 
+_TOKENS = ["1_000", " 1 ", "٣", "１", "inf", "1e400", "9223372036854775808", "+3", "-0", "", "1e", "-1"]
+_LAYOUTS = [
+    "ACCE;1.0;1.0;0;0;9.8;3\r\nPRES;1.0;1.0;1013.2;0\r\n",
+    "\rACCE;1.0;1.0;0;0;9.8;3\r\r\n% note\r\n",
+    "ACCE;1.0;1.0;0;0;9.8;;3\n",
+    "ACCE\nACCE;1.0;1.0;0;0;9.8;3\n",
+    "ACCE;1.0;1.0;0;0;9.8;3;4\nACCE;2.0;2.0;0;0;3\n",  # one field too many, one too few
+    "PRES;1.0;1.0;1013.2;0\nPRES;2.0;1013.2;0;0;0\nPRES;3.0;3.0;0\n",
+    "ACCE;1.0;1.0;0;0;9.8;3\nACCE;1.0;1.0;0;0;9.8;3\rACCE;1.0;1.0;0;0;9.8;3\n",
+]
+
+
+def _token_log(token, field):
+    """A three-record log whose middle ACCE record holds ``token`` in ``field``."""
+    fields = "ACCE;1.0;1.0;0.1;0.2;9.8;3".split(";")
+    fields[field] = token
+    return ("GYRO;0.5;0.5;0;0;0.1;3\n" + ";".join(fields) + "\nACCE;2.0;2.0;0;0;9.8;3\n").encode()
+
+
 class TestBulkParse:
     """parse_log converts whole sample blocks at once and falls back to the
     line loop on any failed check; both must always agree."""
 
-    @pytest.mark.parametrize("token", [
-        "1_000", " 1 ", "٣", "１", "inf", "1e400", "9223372036854775808", "+3", "-0", "", "1e", "-1",
-    ])
+    @pytest.mark.parametrize("token", _TOKENS)
     @pytest.mark.parametrize("field", range(1, 7))
     def test_token_in_any_field_matches_line_loop(self, token, field):
-        fields = "ACCE;1.0;1.0;0.1;0.2;9.8;3".split(";")
-        fields[field] = token
-        text = "GYRO;0.5;0.5;0;0;0.1;3\n" + ";".join(fields) + "\nACCE;2.0;2.0;0;0;9.8;3\n"
-        _assert_parse_matches_line_loop(text.encode())
+        _assert_parse_matches_line_loop(_token_log(token, field))
 
-    @pytest.mark.parametrize("text", [
-        "ACCE;1.0;1.0;0;0;9.8;3\r\nPRES;1.0;1.0;1013.2;0\r\n",
-        "\rACCE;1.0;1.0;0;0;9.8;3\r\r\n% note\r\n",
-        "ACCE;1.0;1.0;0;0;9.8;;3\n",
-        "ACCE\nACCE;1.0;1.0;0;0;9.8;3\n",
-        "ACCE;1.0;1.0;0;0;9.8;3;4\nACCE;2.0;2.0;0;0;3\n",  # one field too many, one too few
-        "PRES;1.0;1.0;1013.2;0\nPRES;2.0;1013.2;0;0;0\nPRES;3.0;3.0;0\n",
-        "ACCE;1.0;1.0;0;0;9.8;3\nACCE;1.0;1.0;0;0;9.8;3\rACCE;1.0;1.0;0;0;9.8;3\n",
-    ])
+    @pytest.mark.parametrize("text", _LAYOUTS)
     def test_layouts_match_line_loop(self, text):
         _assert_parse_matches_line_loop(text.encode())
 
@@ -182,12 +196,86 @@ class TestBulkParse:
         assert log.accel.values[0, 0] == value and log.accel.accuracy[0] == value
 
     def test_bad_line_after_many_good_ones_keeps_its_line_number(self):
-        good = "ACCE;1.0;1.0;0;0;9.8;3\n" * 10_000
-        assert len(parse_log(good.encode()).accel) == 10_000
-        with pytest.raises(TslParseError) as err:
-            parse_log((good + "ACCE;2.0;2.0;0;0;9.8;x\n" + good).encode())
-        assert err.value.line_no == 10_001
-        assert str(err.value) == "line 10001: unparsable accuracy code: 'x'"
+        _assert_bad_line_keeps_its_number()
+
+
+def _assert_bad_line_keeps_its_number():
+    good = "ACCE;1.0;1.0;0;0;9.8;3\n" * 10_000
+    assert len(parse_log(good.encode()).accel) == 10_000
+    with pytest.raises(TslParseError) as err:
+        parse_log((good + "ACCE;2.0;2.0;0;0;9.8;x\n" + good).encode())
+    assert err.value.line_no == 10_001
+    assert str(err.value) == "line 10001: unparsable accuracy code: 'x'"
+
+
+# chunk sizes that put a boundary after every line (1) or between most lines (40)
+_SMALL_CHUNKS = [1, 40]
+
+
+class TestChunkedParse:
+    """The bulk parse converts its input in chunks that end at a newline; the
+    parse differential tests hold whatever the chunk size."""
+
+    @pytest.fixture(params=_SMALL_CHUNKS, autouse=True)
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(logio, "_CHUNK", request.param)
+
+    def test_fuzz_never_crashes(self):
+        for data in _fuzzed_logs(1000):
+            _assert_parse_matches_line_loop(data)
+
+    @pytest.mark.parametrize("text", _LAYOUTS)
+    def test_layouts_match_line_loop(self, text):
+        _assert_parse_matches_line_loop(text.encode())
+
+    def test_token_in_any_field_matches_line_loop(self):
+        for token in _TOKENS:
+            for field in range(1, 7):
+                _assert_parse_matches_line_loop(_token_log(token, field))
+
+    def test_bad_line_after_many_good_ones_keeps_its_line_number(self):
+        _assert_bad_line_keeps_its_number()
+
+    def test_crlf_parses_as_lf(self):
+        crlf = serialize_log(_small_log()).replace("\n", "\r\n").encode()
+        assert parse_log(crlf, source_id="unit") == _small_log()
+        logio._parse_bulk(crlf)  # no fallback
+
+
+def _boundary_logs():
+    """A log with a CRLF line and a multibyte SSID, and the same log with a bad
+    UTF-8 byte or a malformed record put in, each near the middle."""
+    lines = [
+        "ACCE;1.0;1.0;0.1;0.2;9.8;3",
+        "PRES;1.5;1.5;1013.2;0\r",
+        "WIFI;2.0;2.0;café ☕;aa:bb:cc:dd:ee:ff;2412;-60",
+        "GYRO;2.5;2.5;0;0;0.1;3",
+        "MAGN;3.0;3.0;20;5;40;3",
+    ]
+    good = "\n".join(lines + lines) + "\n"
+    middle = good.index("GYRO")
+    return {
+        "good": good.encode(),
+        "bad-utf8": good[:middle].encode() + b"\xff" + good[middle:].encode(),
+        "malformed": (good[:middle] + "ACCE;4.0;4.0;0;x;9.8;3\n" + good[middle:]).encode(),
+    }
+
+
+@pytest.mark.parametrize("case", ["good", "bad-utf8", "malformed"])
+def test_chunk_boundary_on_both_sides_of_each_special_line(case, monkeypatch):
+    """Every chunk size from one byte to the whole input, so each boundary
+    falls before and after the CRLF line, the SSID's multibyte characters,
+    the bad byte and the malformed record."""
+    data = _boundary_logs()[case]
+    expected = _outcome(data, line_loop=True)
+    if case != "good":
+        assert expected[0] is (TslEncodingError if case == "bad-utf8" else TslParseError)
+    for chunk in range(1, len(data) + 2):
+        monkeypatch.setattr(logio, "_CHUNK", chunk)
+        assert _outcome(data) == expected
+        if case == "good":
+            logio._parse_bulk(data)  # no fallback
+            assert _outcome(data.decode()) == expected
 
 
 def _small_log():
@@ -256,6 +344,90 @@ class TestRoundTrip:
         log = SensorLog(wifi=(WifiObservation(0.0, 0.0, "a;b", "aa:bb:cc:00:11:22", 2412, -60),))
         with pytest.raises(ValueError):
             serialize_log(log)
+
+
+def _ref_serialize_log(log):
+    """The serializer before it formatted records in runs: every line string
+    at once, ordered, then joined."""
+    times, lines = [], []
+    for tag, (name, _) in logio._SAMPLE_TAGS.items():
+        s = getattr(log, name)
+        times.append(s.app_timestamp)
+        columns = (c.tolist() for c in (s.app_timestamp, s.sensor_timestamp, s.values, s.accuracy))
+        lines += [f"{tag};{t!r};{ts!r};{';'.join(map(repr, v))};{acc}" for t, ts, v, acc in zip(*columns)]
+    for w in log.wifi:
+        lines.append(
+            f"WIFI;{float(w.app_timestamp)!r};{float(w.sensor_timestamp)!r};{w.ssid};{w.bssid};{w.frequency_mhz};{w.rssi_dbm}"
+        )
+    times.append(np.array([w.app_timestamp for w in log.wifi], dtype=float))
+    order = np.argsort(np.concatenate(times), kind="stable")
+    body = "\n".join([lines[k] for k in order.tolist()])
+    return body + "\n" if body else ""
+
+
+class TestSerializeRuns:
+    """serialize_log formats records in runs of the global time order; the
+    text is the one-pass serializer's, whatever the run length."""
+
+    @pytest.mark.parametrize("run", [1, 3, logio._SERIALIZE_RUN])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_pass_serializer_and_round_trips(self, run, data):
+        times = st.integers(0, 4).map(lambda k: 0.25 * k)  # few distinct times: ties across streams
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        streams = {}
+        for name, width in (("accel", 3), ("gyro", 3), ("magn", 3), ("baro", 1)):
+            rows = data.draw(st.lists(st.tuples(times, finite, st.tuples(*[finite] * width),
+                                                st.integers(-(2**63), 2**63 - 1)), max_size=8), label=name)
+            app, sensor, values, codes = (list(c) for c in zip(*rows)) if rows else ([], [], [], [])
+            streams[name] = SensorStream(app, sensor, np.reshape(values, (-1, width)), codes)
+        wifi = data.draw(st.lists(st.builds(
+            WifiObservation, times, finite, st.sampled_from(["", "ap", "café ☕"]),
+            st.sampled_from(["aa:bb:cc:00:11:22", "02:00:00:00:01:00"]), st.integers(2400, 6000),
+            st.integers(-120, 0)), max_size=5), label="wifi")
+        log = SensorLog(**streams, wifi=tuple(wifi))
+        with mock.patch.object(logio, "_SERIALIZE_RUN", run):
+            text = serialize_log(log)
+        assert text == _ref_serialize_log(log)
+        again = parse_log(text.encode())
+        assert again == SensorLog(**streams, wifi=tuple(sorted(wifi, key=lambda w: w.app_timestamp)))
+
+    def test_default_corpus_log_matches_one_pass_serializer(self, default_corpus):
+        _, log, _ = default_corpus[0]
+        assert len(serialize_log(log).splitlines()) > 3 * logio._SERIALIZE_RUN
+        assert serialize_log(log) == _ref_serialize_log(log)
+
+
+class TestBoundedMemory:
+    """Traced (tracemalloc) peaks on a default-corpus log of about 3.7 MB,
+    15 chunks: the transient memory of parsing and serializing follows the
+    chunk, not the log."""
+
+    @staticmethod
+    def _traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_parse_peak_is_a_small_multiple_of_the_columns(self, corpus_dir):
+        data = (corpus_dir / "phone-a.tsl").read_bytes()
+        assert len(data) > 8 * logio._CHUNK
+        log, peak = self._traced_peak(parse_log, data)
+        columns = sum(getattr(getattr(log, name), c).nbytes for name in ("accel", "gyro", "magn", "baro")
+                      for c in ("app_timestamp", "sensor_timestamp", "values", "accuracy"))
+        # measured: peak 4.7 MB against 2.18 MB of columns (2.2x) with the
+        # chunked parse; 17.5 MB (8.0x) when the whole text was split at once
+        assert peak < 3 * columns + logio._CHUNK
+
+    def test_serialize_peak_is_a_small_multiple_of_the_text(self, default_corpus):
+        _, log, _ = default_corpus[0]
+        text, peak = self._traced_peak(serialize_log, log)
+        # measured: peak 8.7 MB for 3.7 MB of text (2.3x) with runs of 4096
+        # records; 14.2 MB (3.8x) with every line string at once
+        assert peak < 2.7 * len(text)
 
 
 class TestSensorStream:
