@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -369,8 +369,24 @@ def write_json(path: str | Path, doc) -> None:
 
 
 def graphs_to_document(graphs: Iterable) -> dict:
-    """Chain graphs -> plain-dict document: each ``ChainGraph`` as its fields."""
-    return {"graphs": [asdict(g) for g in graphs]}
+    """Chain graphs -> plain-dict document: each ``ChainGraph`` as its fields.
+
+    Built field by field, as ``dataclasses.asdict`` recurses into every value.
+    The document shares each vertex's ``rss`` dict with the graph.
+    """
+    return {
+        "graphs": [
+            {
+                "floor": g.floor,
+                "vertices": [
+                    {"origin_index": v.origin_index, "x": v.x, "y": v.y, "t": v.t, "rss": v.rss}
+                    for v in g.vertices
+                ],
+                "edges": [{"dx": e.dx, "dy": e.dy} for e in g.edges],
+            }
+            for g in graphs
+        ]
+    }
 
 
 def write_chain_graphs(graphs: Sequence, path: str | Path) -> None:

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -174,8 +176,22 @@ class GroundTruth:
     floor_pressures: dict[int, float]   # scripted plateau incl. phone bias
 
     def to_json(self) -> dict:
-        # str keys, so that sort_keys orders the floors as text: "1", "10", "2"
-        return {**asdict(self), "floor_pressures": {str(k): v for k, v in self.floor_pressures.items()}}
+        """The sidecar document; it shares this truth's lists."""
+        # Field by field, as dataclasses.asdict recurses into every value. str
+        # keys, so that sort_keys orders the floors as text: "1", "10", "2".
+        return {
+            "source_id": self.source_id,
+            "seed": self.seed,
+            "step_times": self.step_times,
+            "step_gaits": self.step_gaits,
+            "step_headings": self.step_headings,
+            "step_floors": self.step_floors,
+            "points": self.points,
+            "point_floors": self.point_floors,
+            "corner_indices": self.corner_indices,
+            "corner_points": self.corner_points,
+            "floor_pressures": {str(k): v for k, v in self.floor_pressures.items()},
+        }
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroundTruth":
@@ -509,15 +525,44 @@ def truth_path(log_path: Path) -> Path:
     return log_path.with_name(f"{log_path.stem}.truth.json")
 
 
+def _render(script: WalkScript, out_dir: Path) -> Path:
+    """Render one script to ``<source_id>.tsl`` and its truth sidecar; runs in a worker."""
+    log, truth = generate(script)
+    log_path = out_dir / f"{script.source_id}.tsl"
+    write_text(log_path, serialize_log(log))
+    write_json(truth_path(log_path), truth.to_json())
+    return log_path
+
+
 def write_corpus(scripts: list[WalkScript], out_dir: str | Path) -> list[Path]:
-    """Render scripts to <source_id>.tsl logs with .truth.json sidecars."""
+    """Render scripts to <source_id>.tsl logs with .truth.json sidecars; paths in script order.
+
+    Every script is validated, and source ids checked for duplicates, before
+    any file is written. Each script is then rendered in one worker process,
+    up to one worker per usable CPU. A render draws only on its own seeded
+    generator, so the bytes do not depend on the number of workers.
+    """
+    ids: set[str] = set()
+    for script in scripts:
+        script.validate()
+        if script.source_id in ids:
+            raise ValueError(f"duplicate source_id {script.source_id!r}")
+        ids.add(script.source_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for script in scripts:
-        log, truth = generate(script)
-        log_path = out_dir / f"{script.source_id}.tsl"
-        write_text(log_path, serialize_log(log))
-        write_json(truth_path(log_path), truth.to_json())
-        written.append(log_path)
+    if not scripts:
+        return []
+    # multiprocessing is imported here, so that run, eval and sweep, which
+    # import this module, do not load it. fork is named because Python 3.14
+    # changes the Linux default: forked workers inherit the imported modules
+    # instead of importing NumPy again. OpenBLAS joins its threads before a
+    # fork, and a render makes no BLAS call.
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # leaving the block terminates the pool, so no worker outlives an error
+    with multiprocessing.get_context("fork").Pool(min(len(scripts), cpus)) as pool:
+        written = pool.starmap(_render, zip(scripts, repeat(out_dir)))
+        pool.close()
+        pool.join()
     return written

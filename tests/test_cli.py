@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -199,6 +200,12 @@ class TestSynthCommand:
 
     def test_requires_script_or_default(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2
+
+    def test_unwritable_log_fatal_and_no_worker_left(self, tmp_path, caplog):
+        (tmp_path / "phone-b.tsl").mkdir()
+        assert main(["synth", "--default-corpus", "--out", str(tmp_path)]) == 2
+        assert "fatal: " in caplog.text and "phone-b.tsl" in caplog.text
+        assert multiprocessing.active_children() == []
 
 
 def _segment(floor, **extra):

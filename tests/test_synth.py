@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -126,6 +126,10 @@ class TestScriptIO:
         again = GroundTruth.from_json(json.loads(json.dumps(truth.to_json())))
         assert again == truth
 
+    def test_ground_truth_json_holds_every_field(self):
+        _, truth = generate(straight_script())
+        assert list(truth.to_json()) == [f.name for f in fields(GroundTruth)]
+
 
     def test_json_round_trip_every_optional_field(self, tmp_path):
         script = WalkScript(
@@ -168,6 +172,60 @@ class TestScriptIO:
         doc = json.loads((tmp_path / "tower.truth.json").read_bytes())
         assert list(doc["floor_pressures"]) == ["1", "10", "2", "3", "4", "5", "6", "7", "8", "9"]
         assert GroundTruth.from_json(doc) == generate(script)[1]
+
+
+def _serial_render(scripts):
+    """{file name: bytes} of the scripts rendered one after another in this process."""
+    files = {}
+    for script in scripts:
+        log, truth = generate(script)
+        files[f"{script.source_id}.tsl"] = serialize_log(log).encode()
+        files[f"{script.source_id}.truth.json"] = (json.dumps(truth.to_json(), indent=1, sort_keys=True) + "\n").encode()
+    return files
+
+
+def _mixed_scripts():
+    """A default-corpus phone, a 20 Hz three-floor walk and a short straight walk."""
+    return [
+        default_corpus_scripts()[1],
+        WalkScript(
+            source_id="slow-rate", seed=8, imu_rate_hz=20.0, stair_seconds=3.0,
+            noise={"accel": 0.2, "gyro": 0.02, "magn": 0.1, "baro": 0.02},
+            segments=[WalkSegmentSpec(floor=f, gait=Gait.FAST, heading_rad=0.4 * f, steps=6) for f in (3, 1, 2)],
+        ),
+        straight_script(seed=4),
+    ]
+
+
+class TestWriteCorpus:
+    @pytest.mark.parametrize("scripts", [
+        default_corpus_scripts, _mixed_scripts, lambda: [straight_script(seed=6)],
+    ], ids=["default-corpus", "mixed-rates", "single-script"])
+    def test_bytes_equal_serial_render(self, scripts, tmp_path):
+        write_corpus(scripts(), tmp_path)
+        written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert written == _serial_render(scripts())
+
+    def test_paths_in_script_order(self, tmp_path):
+        ids = ["zeta", "alpha", "mid", "beta", "omega", "a.b"]
+        scripts = [replace(straight_script(steps=3, seed=k), source_id=s) for k, s in enumerate(ids)]
+        assert write_corpus(scripts, tmp_path) == [tmp_path / f"{s}.tsl" for s in ids]
+
+    def test_duplicate_source_id_rejected_before_writing(self, tmp_path):
+        scripts = [straight_script(seed=1), straight_script(seed=2)]
+        with pytest.raises(ValueError, match="duplicate source_id 'straight'"):
+            write_corpus(scripts, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_script_writes_no_partial_corpus(self, tmp_path):
+        bad = replace(straight_script(), source_id="bad", wifi_leakage=1.5)
+        with pytest.raises(ValueError, match="wifi_leakage"):
+            write_corpus([straight_script(), bad], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_no_scripts_writes_nothing(self, tmp_path):
+        assert write_corpus([], tmp_path / "out") == []
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestDefaultCorpus:
