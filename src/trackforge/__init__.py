@@ -15,6 +15,6 @@ from .pdr import PdrTrajectory, integrate, pdr_update
 from .floors import FloorConfig, TrajectorySegment, cluster_floors, dbscan_1d, jaccard, segment_trajectory
 from .featurize import ChainGraph, TurningConfig, build_chain_graph, detect_turning_points, featurize_segment_report
 from .synth import GroundTruth, WalkScript, default_corpus_scripts, generate
-from .evalkit import score_floors, score_turnings, sweep
+from .evalkit import score_corpus, score_floors, score_turnings, sweep
 from .config import PipelineConfig, load_config
 from .pipeline import run_pipeline

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import evalkit, synth
 from .config import ConfigError, PipelineConfig, load_config, parse_value
 from .logio import write_json, write_text
-from .pipeline import PipelineError, RunReport, process_corpus, run_pipeline
+from .pipeline import PipelineError, process_corpus, run_pipeline
 from .stepdetect import StrideFeatures
 from .stride import Gait, GaitModelError, GaitTrainingError, save_gait_model, train_gait_model
 
@@ -101,9 +101,9 @@ def _load_truth(path: Path) -> synth.GroundTruth:
         raise PipelineError(f"bad truth sidecar {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig, output: Path | None) -> tuple[RunReport, list] | None:
-    """The corpus report and (trajectory, segments, truth) triples, floors
-    numbered, for every log with a ``<stem>.truth.json``. The report goes to
+def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig, output: Path | None) -> list | None:
+    """(trajectory, segments, truth) triples, floors numbered, for every log
+    with a ``<stem>.truth.json``. The corpus report goes to
     ``output/report.json`` (when ``output`` is given) before any check below.
 
     Raises PipelineError when there is no such pair, a sidecar is malformed
@@ -126,45 +126,20 @@ def _load_eval_corpus(input_dir: Path, cfg: PipelineConfig, output: Path | None)
         return None
     if report.error is not None:
         raise PipelineError(report.error)
-    return report, [(processed[p.name].trajectory, processed[p.name].segments, t) for p, t in truths.items()]
+    return [(processed[p.name].trajectory, processed[p.name].segments, t) for p, t in truths.items()]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if args.output:
         args.output.mkdir(parents=True, exist_ok=True)
-    loaded = _load_eval_corpus(args.input, cfg, args.output)
-    if loaded is None:
+    corpus = _load_eval_corpus(args.input, cfg, args.output)
+    if corpus is None:
         return EXIT_ERROR
-    report, corpus = loaded
-    predicted, truths = [], []
-    for _, segments, truth in corpus:
-        for seg in segments:
-            true_floor = evalkit.segment_truth_floor(seg, truth)
-            if true_floor is not None:
-                predicted.append(seg.floor)
-                truths.append(true_floor)
-    floor_acc = evalkit.score_floors(predicted, truths)
-
-    precision, recall, f = evalkit.corpus_turning_prf(corpus, cfg.turn, args.match_radius)
-
-    result = {
-        "floor_accuracy": floor_acc,
-        "floor_count": report.floor_count,
-        "segments_scored": len(predicted),
-        "turning": {
-            "epsilon": cfg.turn.epsilon_rad,
-            "window": cfg.turn.window_min,
-            "precision": precision,
-            "recall": recall,
-            "f": f,
-        },
-    }
-    print(
-        f"floors: {report.floor_count}, accuracy {floor_acc:.3f} over {len(predicted)} segments; "
-        f"turning P={precision:.3f} R={recall:.3f} F={f:.3f} "
-        f"(eps={cfg.turn.epsilon_rad}, t={cfg.turn.window_min})"
-    )
+    result = evalkit.score_corpus(corpus, cfg.turn, args.match_radius)
+    print("floors: {floor_count}, accuracy {floor_accuracy:.3f} over {segments_scored} segments; "
+          "turning P={precision:.3f} R={recall:.3f} F={f:.3f} (eps={epsilon}, t={window})"
+          .format(**result, **result["turning"]))
     if args.output:
         write_json(args.output / "eval.json", result)
     return EXIT_OK
@@ -184,11 +159,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     win_grid = _parse_grid("--window-grid", args.window_grid, "turn.window_min")
     out = args.output
     out.mkdir(parents=True, exist_ok=True)
-    loaded = _load_eval_corpus(args.input, cfg, out)
-    if loaded is None:
+    corpus = _load_eval_corpus(args.input, cfg, out)
+    if corpus is None:
         return EXIT_ERROR
     rows = evalkit.sweep(
-        loaded[1], eps_grid, win_grid,
+        corpus, eps_grid, win_grid,
         match_radius=args.match_radius, min_subtraj_len_m=cfg.turn.min_subtraj_len_m,
     )
     write_text(out / "sweep.csv", evalkit.sweep_table(rows))

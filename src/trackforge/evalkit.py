@@ -1,10 +1,12 @@
 """Turning-point and floor-classification scoring, plus parameter sweeps.
 
-Turning points are scored by greedy one-to-one matching between detected and
-true corner positions within a match radius (interior vertices only; segment
-endpoints never count). Floor accuracy is the fraction of segments whose
-assigned index equals the ground-truth floor; the pressure ordering fixes the
-label alignment, so no permutation search is involved.
+``score_corpus`` builds the ``eval.json`` document, and each ``sweep`` row is
+its turning block. Turning points are scored by greedy one-to-one matching
+between detected and true corner positions within a match radius (interior
+vertices only; segment endpoints never count), with counts pooled over the
+corpus. Floor accuracy is the fraction of segments whose assigned index equals
+their majority ground-truth floor, over the segments that have one; the
+pressure ordering fixes the label alignment, so no permutation search is needed.
 """
 
 from __future__ import annotations
@@ -114,18 +116,33 @@ def interior_turning_points(
     return out
 
 
-def corpus_turning_prf(
-    corpus: Corpus, cfg: TurningConfig, match_radius: float = 2.0
-) -> tuple[float, float, float]:
-    """Micro-averaged turning (precision, recall, F): counts pool across trajectories."""
+def score_corpus(corpus: Corpus, cfg: TurningConfig, match_radius: float = 2.0) -> dict:
+    """The ``eval.json`` document for trajectories whose segments carry floors.
+
+    ``floor_count`` is the number of distinct segment floors. Turning counts
+    pool across trajectories; an empty corpus scores 1.0 throughout.
+    """
+    predicted, true_floors = [], []
     tp = n_det = n_tru = 0
     for traj, segments, truth in corpus:
+        for seg in segments:
+            true_floor = segment_truth_floor(seg, truth)
+            if true_floor is not None:
+                predicted.append(seg.floor)
+                true_floors.append(true_floor)
         detected = interior_turning_points(traj, segments, cfg)
         score = score_turnings(detected, truth.corner_points, match_radius)
         tp += score.true_positives
         n_det += score.detected
         n_tru += score.truth
-    return prf(tp, n_det, n_tru)
+    precision, recall, f = prf(tp, n_det, n_tru)
+    return {
+        "floor_accuracy": score_floors(predicted, true_floors),
+        "floor_count": len({seg.floor for _, segments, _ in corpus for seg in segments} - {None}),
+        "segments_scored": len(predicted),
+        "turning": dict(epsilon=cfg.epsilon_rad, window=cfg.window_min,
+                        precision=precision, recall=recall, f=f),
+    }
 
 
 @dataclass(frozen=True)
@@ -149,8 +166,8 @@ def sweep(
     ``corpus`` holds already-processed trajectories with their floor segments
     and ground truths; only the turning stage depends on the swept parameters,
     so re-running it per cell is equivalent to re-running the whole pipeline.
-    Scores are micro-averaged (``corpus_turning_prf``); rows come back ordered
-    by (epsilon, window).
+    Each row is ``score_corpus``'s turning block for its cell; rows come back
+    ordered by (epsilon, window).
     """
     if not epsilon_grid or not window_grid:
         raise ValueError("sweep grids must be non-empty")
@@ -160,7 +177,8 @@ def sweep(
             cfg = TurningConfig(
                 epsilon_rad=float(eps), window_min=int(win), min_subtraj_len_m=min_subtraj_len_m
             )
-            rows.append(SweepRow(float(eps), int(win), *corpus_turning_prf(corpus, cfg, match_radius)))
+            t = score_corpus(corpus, cfg, match_radius)["turning"]
+            rows.append(SweepRow(t["epsilon"], t["window"], t["precision"], t["recall"], t["f"]))
     return rows
 
 

@@ -263,6 +263,15 @@ class TestEvalCommand:
             doc["totals"]["graphs"] = doc["totals"]["dropped_subtrajectories"] = 0
         assert eval_report == report
 
+    @pytest.mark.parametrize("floors", [[], ["--floors", "2"]], ids=["cut", "floors-2"])
+    def test_floor_count_is_the_reports(self, floors, corpus_dir, tmp_path):
+        # eval.json counts the distinct segment floors; report.json counts clusters
+        out = tmp_path / "eval"
+        assert main(["eval", "--input", str(corpus_dir), "--output", str(out), *floors]) == 0
+        result = json.loads((out / "eval.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert result["floor_count"] == report["floor_count"] == (2 if floors else 3)
+
     def test_dotted_stem_scored_against_its_own_truth(self, tmp_path):
         # a.b.tsl must be scored against a.b.truth.json, never a.truth.json
         corpus = tmp_path / "dotted"

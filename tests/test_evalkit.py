@@ -2,15 +2,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trackforge.config import PipelineConfig
 from trackforge.evalkit import (
     SweepRow,
+    interior_turning_points,
     prf,
+    score_corpus,
     score_floors,
     score_turnings,
+    segment_truth_floor,
     sweep,
     sweep_plot_data,
     sweep_table,
 )
+from trackforge.featurize import TurningConfig
+from trackforge.floors import cluster_floors, segment_trajectory
+from trackforge.pipeline import process_log
+from trackforge.stride import Gait, default_gait_model
+from trackforge.synth import WalkScript, WalkSegmentSpec, generate
 
 
 class TestScoreTurnings:
@@ -86,15 +95,62 @@ class TestScoreFloors:
             score_floors([1], [1, 2])
 
 
+VACUOUS = {
+    "floor_accuracy": 1.0,
+    "floor_count": 0,
+    "segments_scored": 0,
+    "turning": {"epsilon": 1.0, "window": 4, "precision": 1.0, "recall": 1.0, "f": 1.0},
+}
+
+
+class TestScoreCorpus:
+    def test_equals_document_built_by_hand(self, processed_corpus):
+        # number the floors over all segments, as process_corpus does
+        cluster_floors([seg for _, segments, _ in processed_corpus for seg in segments])
+        cfg = TurningConfig(epsilon_rad=1.2, window_min=3)
+        predicted, true_floors = [], []
+        tp = det = tru = 0
+        for traj, segments, truth in processed_corpus:
+            for seg in segments:
+                true_floor = segment_truth_floor(seg, truth)
+                if true_floor is not None:
+                    predicted.append(seg.floor)
+                    true_floors.append(true_floor)
+            s = score_turnings(interior_turning_points(traj, segments, cfg), truth.corner_points, 3.0)
+            tp, det, tru = tp + s.true_positives, det + s.detected, tru + s.truth
+        precision, recall, f = prf(tp, det, tru)
+        expected = {
+            "floor_accuracy": score_floors(predicted, true_floors),
+            "floor_count": 3,
+            "segments_scored": len(predicted),
+            "turning": {"epsilon": 1.2, "window": 3, "precision": precision, "recall": recall, "f": f},
+        }
+        assert score_corpus(processed_corpus, cfg, match_radius=3.0) == expected
+        assert (expected["floor_accuracy"], expected["segments_scored"]) == (1.0, 9)
+
+    def test_empty_corpus_is_vacuous(self):
+        assert score_corpus([], TurningConfig()) == VACUOUS
+
+    def test_logs_without_segments_are_vacuous(self):
+        # a straight walk has no corners; its first steps are too few for a
+        # floor segment
+        log, truth = generate(WalkScript(
+            source_id="walk", seed=31,
+            segments=[WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.0, steps=4)],
+        ))
+        cfg = PipelineConfig()
+        traj = process_log(log, cfg, default_gait_model()).trajectory
+        segments = segment_trajectory(traj, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters)
+        assert segments == [] and truth.corner_points == []
+        assert score_corpus([(traj, segments, truth)] * 2, cfg.turn) == VACUOUS
+
+
 class TestSweep:
     def test_single_cell_equals_score_turnings(self, processed_corpus):
         rows = sweep(processed_corpus, [1.0], [4])
         assert len(rows) == 1
         row = rows[0]
         # recompute the pooled score by hand
-        from trackforge.evalkit import interior_turning_points
-        from trackforge.featurize import TurningConfig
-
         tp = det = tru = 0
         cfg = TurningConfig(epsilon_rad=1.0, window_min=4)
         for traj, segments, truth in processed_corpus:
@@ -103,8 +159,11 @@ class TestSweep:
             tp += s.true_positives
             det += s.detected
             tru += s.truth
-        assert row.precision == pytest.approx(tp / det if det else 1.0)
-        assert row.recall == pytest.approx(tp / tru if tru else 1.0)
+        assert (row.precision, row.recall, row.f_measure) == prf(tp, det, tru)
+        turning = score_corpus(processed_corpus, cfg)["turning"]
+        assert (row.epsilon, row.window, row.precision, row.recall, row.f_measure) == (
+            turning["epsilon"], turning["window"], turning["precision"], turning["recall"], turning["f"]
+        )
 
     def test_rows_ordered_and_deterministic(self, processed_corpus):
         grid_e = [1.2, 0.6]

@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from trackforge.logio import WifiObservation
 from trackforge.pdr import WifiBatch
 from trackforge.pipeline import process_log
 from trackforge.stride import Gait, default_gait_model
-from trackforge.synth import WalkScript, WalkSegmentSpec, generate
+from trackforge.synth import WalkScript, WalkSegmentSpec, default_corpus_scripts, generate
 from streams import trajectory
 
 
@@ -226,6 +227,17 @@ class TestSegmentTrajectory:
         item = process_log(log, cfg, default_gait_model())
         with pytest.raises(FloorClusteringError):
             segment_trajectory(item.trajectory, eps=1e-6, min_pts=1, max_clusters=20)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ramp points chain the floors of a repeated walk (ROADMAP item 9)")
+    def test_repeated_walk_keeps_three_pressure_clusters(self):
+        # phone-a's segments twice over (the CI long-log step repeats them
+        # four times): the same 3 floors, each visited twice, where phone-a
+        # alone gives 3 clusters
+        script = default_corpus_scripts()[0]
+        traj, _, _ = _run_segmentation(replace(script, source_id="phone-a-x2", segments=script.segments * 2))
+        floor = PipelineConfig().floor
+        assert max(dbscan_1d(traj.baro_hpa, floor.eps_hpa, floor.min_pts)) + 1 == 3
 
 
 class TestJaccard:
