@@ -7,7 +7,7 @@ segmentation + WiFi MAC-set floor clustering -> turning-point chain graphs.
 
 __version__ = "0.1.0"
 
-from .logio import SensorLog, SensorSample, SensorStream, WifiObservation, parse_log, serialize_log
+from .logio import SensorLog, SensorSample, SensorStream, WifiObservation, parse_log, parse_log_file, serialize_log
 from .stepdetect import Step, StepConfig, detect_steps, magnitude_series
 from .stride import Gait, GaitModel, classify_gait, stride_length, train_gait_model
 from .heading import HeadingConfig, motion_direction, tilt_compensated_yaw, track_attitude

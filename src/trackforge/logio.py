@@ -16,10 +16,11 @@ shortest round-trip decimal representation (``repr``), which makes
 parse(serialize(log)) bit-exact.
 
 Both directions work a bounded piece at a time, so their transient memory
-follows the piece, not the log: ``parse_log`` converts its input in chunks
-of ``_CHUNK`` that end at a newline, and decodes the whole input only when
-it falls back to the line-by-line parse; ``serialize_log`` formats
-``_SERIALIZE_RUN`` records at a time.
+follows the piece, not the log: ``parse_log_file`` reads the file, and
+``parse_log`` its bytes or text, in chunks of ``_CHUNK`` that end at a
+newline, and each reads and decodes the whole input only when it falls back
+to the line-by-line parse; ``serialize_log`` formats ``_SERIALIZE_RUN``
+records at a time.
 
 Chain graphs are written as a JSON document: ``{"graphs": [...]}`` where each
 graph carries ``floor``, ``vertices`` (``origin_index``, ``x``, ``y``, ``t``,
@@ -31,13 +32,14 @@ through ``write_json``; ``parse_key_values`` reads config and gait-model files.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +51,7 @@ _SAMPLE_TAGS = {"ACCE": ("accel", 3), "GYRO": ("gyro", 3), "MAGN": ("magn", 3), 
 _FIELD_COUNTS = {"WIFI": 7, **{tag: width + 4 for tag, (_, width) in _SAMPLE_TAGS.items()}}
 _COLUMNS = ("app_timestamp", "sensor_timestamp", "values", "accuracy")
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max  # np.iinfo computes these per read
-_CHUNK = 1 << 18  # bytes (or characters) of input the bulk parse converts at a time
+_CHUNK = 1 << 18  # bytes of input the bulk parse reads and converts at a time
 _SERIALIZE_RUN = 1 << 12  # records serialize_log formats at a time
 
 
@@ -193,35 +195,37 @@ def _parse_lines(text: str):
     return tables, wifi, skipped
 
 
-def _chunks(data: bytes | str) -> Iterator[str]:
-    """``data`` as text, in pieces of about ``_CHUNK`` that end just after a
-    newline: the last newline within ``_CHUNK``, else the first after it.
-    A bytes piece is decoded on its own, as a newline byte is never part of
-    a multibyte UTF-8 sequence."""
-    newline = b"\n" if isinstance(data, bytes) else "\n"
-    start = 0
-    while start < len(data):
-        stop = len(data)
-        if start + _CHUNK < stop:
-            stop = data.rfind(newline, start, start + _CHUNK) + 1 or data.find(newline, start + _CHUNK) + 1 or stop
-        piece = data[start:stop]
-        yield piece.decode("utf-8") if isinstance(piece, bytes) else piece
-        start = stop
+def _chunks(stream: BinaryIO) -> Iterator[str]:
+    """The text of ``stream``, read in pieces of about ``_CHUNK`` bytes that
+    end just after a newline: the last newline within ``_CHUNK``, else the
+    first after it. The unfinished line after that newline is carried into the
+    next piece, and the last piece ends where the stream does. Each piece is
+    decoded on its own, as a newline byte is never part of a multibyte UTF-8
+    sequence."""
+    carry = b""
+    while piece := carry + stream.read(_CHUNK - len(carry)):
+        parts, cut = [piece], piece.rfind(b"\n") + 1
+        while not cut and (block := stream.read(_CHUNK)):  # a line longer than _CHUNK
+            parts.append(block)
+            cut = block.find(b"\n") + 1
+        cut = cut or len(parts[-1])  # at the end of the stream
+        parts[-1], carry = parts[-1][:cut], parts[-1][cut:]
+        yield b"".join(parts).decode("utf-8")
 
 
-def _parse_bulk(data: bytes | str):
-    """``_parse_lines`` of the decoded ``data``, converted ``_CHUNK`` at a
-    time: per chunk, one NumPy call for each sample tag's accuracy codes and
-    one for its other fields. Each tag's chunk tables are concatenated once,
-    at the end; other lines are collected across chunks and go through
-    ``_parse_lines``. So no decoded copy of the whole input, nor a string per
-    line of it, exists at once. Raises ValueError (UnicodeDecodeError
-    included) or OverflowError on any record it cannot vouch for. Sample
-    fields may hold only ``[0-9.eE+-]``, where NumPy takes exactly what
-    ``float()`` and ``int()`` take, as the tests check."""
+def _parse_bulk(stream: BinaryIO):
+    """``_parse_lines`` of the decoded ``stream``, read and converted
+    ``_CHUNK`` at a time: per chunk, one NumPy call for each sample tag's
+    accuracy codes and one for its other fields. Each tag's chunk tables are
+    concatenated once, at the end; other lines are collected across chunks
+    and go through ``_parse_lines``. So no copy of the whole input, nor a
+    string per line of it, exists at once. Raises ValueError
+    (UnicodeDecodeError included) or OverflowError on any record it cannot
+    vouch for. Sample fields may hold only ``[0-9.eE+-]``, where NumPy takes
+    exactly what ``float()`` and ``int()`` take, as the tests check."""
     parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {tag: [] for tag in _SAMPLE_TAGS}
     rest: list[str] = []
-    for text in _chunks(data):
+    for text in _chunks(stream):
         tails: dict[str, list[str]] = {tag: [] for tag in _SAMPLE_TAGS}
         for line in map(str.strip, text.split("\n"), repeat("\r")) if "\r" in text else text.split("\n"):
             tag, _, tail = line.partition(";")
@@ -256,6 +260,28 @@ def _parse_bulk(data: bytes | str):
     return tables, wifi, skipped
 
 
+def _parse_stream(stream: BinaryIO, source_id: str, text: str | None = None) -> SensorLog:
+    """``parse_log`` of the bytes of ``stream``, a seekable binary stream at
+    its start; the line-by-line parse reads ``text`` when given, else the
+    whole stream again from its start."""
+    try:
+        tables, wifi, skipped = _parse_bulk(stream)
+    except (ValueError, OverflowError):  # TslParseError and UnicodeDecodeError are ValueErrors
+        if text is None:
+            stream.seek(0)
+            try:
+                text = stream.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TslEncodingError(f"input is not UTF-8: {exc}") from None
+        tables, wifi, skipped = _parse_lines(text)
+    return SensorLog(
+        **{name: SensorStream(rows[:, 0], rows[:, 1], rows[:, 2:], codes) for name, (rows, codes) in tables.items()},
+        wifi=tuple(sorted(wifi, key=lambda w: w.app_timestamp)),
+        source_id=source_id,
+        skipped_records=skipped,
+    )
+
+
 def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
     """Parse TSL bytes (or text) into a SensorLog.
 
@@ -266,23 +292,24 @@ def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
     converted in bulk, ``_CHUNK`` at a time. After any failed check the whole
     input is decoded, which raises TslEncodingError if it is not UTF-8, and
     parsed again line by line; the line loop alone decides errors and their
-    line numbers.
+    line numbers. Text is encoded to UTF-8 once and goes through the same
+    chunks; ``surrogatepass`` lets any str encode, and a piece holding a
+    surrogate then fails to decode, so the line loop parses the text.
     """
-    try:
-        tables, wifi, skipped = _parse_bulk(data)
-    except (ValueError, OverflowError):  # TslParseError and UnicodeDecodeError are ValueErrors
-        if isinstance(data, bytes):
-            try:
-                data = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TslEncodingError(f"input is not UTF-8: {exc}") from None
-        tables, wifi, skipped = _parse_lines(data)
-    return SensorLog(
-        **{name: SensorStream(rows[:, 0], rows[:, 1], rows[:, 2:], codes) for name, (rows, codes) in tables.items()},
-        wifi=tuple(sorted(wifi, key=lambda w: w.app_timestamp)),
-        source_id=source_id,
-        skipped_records=skipped,
-    )
+    if isinstance(data, str):
+        return _parse_stream(io.BytesIO(data.encode("utf-8", "surrogatepass")), source_id, data)
+    return _parse_stream(io.BytesIO(data), source_id)
+
+
+def parse_log_file(path: str | Path, source_id: str = "") -> SensorLog:
+    """``parse_log`` of the file at ``path``, read from disk ``_CHUNK`` at a
+    time, so the file's whole text is never in memory at once. Only a file
+    that fails a check of the bulk parse is read again, whole, for the
+    line-by-line parse; errors and line numbers are ``parse_log``'s. Raises
+    OSError when the file cannot be opened or read.
+    """
+    with open(path, "rb") as fh:
+        return _parse_stream(fh, source_id)
 
 
 def nearest_index(src_times, query_times, max_gap: float | None = None) -> np.ndarray:

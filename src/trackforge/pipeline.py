@@ -20,7 +20,7 @@ from .config import PipelineConfig
 from .featurize import ChainGraph, featurize_segment_report
 from .floors import FloorClusteringError, TrajectorySegment, cluster_floors, segment_trajectory
 from .heading import step_headings
-from .logio import SensorLog, parse_log, write_chain_graphs, write_json
+from .logio import SensorLog, parse_log_file, write_chain_graphs, write_json
 from .pdr import PdrTrajectory, integrate
 from .stepdetect import Step, StrideFeatures, detect_steps, magnitude_series
 from .stride import GaitModel, classify_gaits, default_gait_model, load_gait_model, step_features, stride_length
@@ -109,7 +109,8 @@ def process_corpus(
     paths: Sequence[Path], cfg: PipelineConfig
 ) -> tuple[RunReport, dict[str, ProcessedLog]]:
     """Parse -> ``process_log`` -> floor segments for each log file, in order,
-    then number the floors over all their segments.
+    then number the floors over all their segments. Each file is parsed as
+    ``parse_log_file`` reads it, a chunk at a time.
 
     A file that fails with a documented error (unreadable: OSError; malformed
     or unusable: ValueError; FloorClusteringError) is logged and its error
@@ -125,7 +126,7 @@ def process_corpus(
         report = FileReport(name=path.name)
         run_report.files.append(report)
         try:
-            log = parse_log(path.read_bytes(), source_id=path.stem)
+            log = parse_log_file(path, source_id=path.stem)
             item = process_log(log, cfg, gait_model)
             item.segments = segment_trajectory(
                 item.trajectory, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters

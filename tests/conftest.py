@@ -2,7 +2,7 @@ import pytest
 
 from trackforge import synth
 from trackforge.config import PipelineConfig
-from trackforge.floors import segment_trajectory
+from trackforge.floors import cluster_floors, segment_trajectory
 from trackforge.pipeline import process_log
 from trackforge.stride import default_gait_model
 
@@ -27,7 +27,9 @@ def corpus_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def processed_corpus(default_corpus):
-    """(trajectory, segments, truth) per corpus log, default config."""
+    """(trajectory, segments, truth) per corpus log, default config, with the
+    floors numbered over all segments at the configured cut, as
+    ``process_corpus`` numbers them."""
     cfg = PipelineConfig()
     model = default_gait_model()
     triples = []
@@ -37,4 +39,5 @@ def processed_corpus(default_corpus):
             item.trajectory, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters
         )
         triples.append((item.trajectory, segments, truth))
+    cluster_floors([seg for _, segments, _ in triples for seg in segments], cut=cfg.floor.cut)
     return triples

@@ -16,7 +16,7 @@ from trackforge.evalkit import (
     sweep_table,
 )
 from trackforge.featurize import TurningConfig
-from trackforge.floors import cluster_floors, segment_trajectory
+from trackforge.floors import segment_trajectory
 from trackforge.pipeline import process_log
 from trackforge.stride import Gait, default_gait_model
 from trackforge.synth import WalkScript, WalkSegmentSpec, generate
@@ -105,8 +105,6 @@ VACUOUS = {
 
 class TestScoreCorpus:
     def test_equals_document_built_by_hand(self, processed_corpus):
-        # number the floors over all segments, as process_corpus does
-        cluster_floors([seg for _, segments, _ in processed_corpus for seg in segments])
         cfg = TurningConfig(epsilon_rad=1.2, window_min=3)
         predicted, true_floors = [], []
         tp = det = tru = 0

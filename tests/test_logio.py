@@ -1,5 +1,7 @@
+import io
 import tracemalloc
 from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from trackforge.logio import (
     nearest_index,
     parse_chain_graphs,
     parse_log,
+    parse_log_file,
     serialize_log,
     write_chain_graphs,
 )
@@ -133,10 +136,11 @@ def _fuzzed_logs(count):
 
 def _outcome(data, line_loop=False):
     """Every stream column's dtype, shape and bytes, the WiFi records and the
-    skip count of ``parse_log(data)``; or the error's type and text."""
+    skip count of ``parse_log(data)``, or ``parse_log_file(data)`` for a path;
+    or the error's type and text."""
     try:
         with mock.patch.object(logio, "_parse_bulk", side_effect=ValueError) if line_loop else nullcontext():
-            log = parse_log(data)
+            log = parse_log_file(data) if isinstance(data, Path) else parse_log(data)
     except (TslParseError, TslEncodingError) as exc:
         return type(exc), str(exc)
     columns = [getattr(getattr(log, name), c) for name in ("accel", "gyro", "magn", "baro")
@@ -144,8 +148,14 @@ def _outcome(data, line_loop=False):
     return [(c.dtype.str, c.shape, c.tobytes()) for c in columns], log.wifi, log.skipped_records
 
 
-def _assert_parse_matches_line_loop(data):
-    assert _outcome(data) == _outcome(data, line_loop=True)
+def _assert_parse_matches_line_loop(data, path=None):
+    """``parse_log(data)`` gives the line loop's outcome, and so does
+    ``parse_log_file`` of the same bytes written to ``path``, when given."""
+    expected = _outcome(data, line_loop=True)
+    assert _outcome(data) == expected
+    if path is not None:
+        path.write_bytes(data)
+        assert _outcome(path) == expected
 
 
 _TOKENS = ["1_000", " 1 ", "٣", "１", "inf", "1e400", "9223372036854775808", "+3", "-0", "", "1e", "-1"]
@@ -157,6 +167,9 @@ _LAYOUTS = [
     "ACCE;1.0;1.0;0;0;9.8;3;4\nACCE;2.0;2.0;0;0;3\n",  # one field too many, one too few
     "PRES;1.0;1.0;1013.2;0\nPRES;2.0;1013.2;0;0;0\nPRES;3.0;3.0;0\n",
     "ACCE;1.0;1.0;0;0;9.8;3\nACCE;1.0;1.0;0;0;9.8;3\rACCE;1.0;1.0;0;0;9.8;3\n",
+    "ACCE;1.0;1.0;0;0;9.8;3\nPRES;2.0;2.0;1013.2;0",  # no newline after the last line
+    "PRES;2.0;2.0;1013.2;0\nPRES;3.0;3.0;1013.2",
+    f"% {'long comment ' * 8}\nWIFI;1.0;1.0;{'ssid' * 12};aa:bb:cc:dd:ee:ff;2412;-60\nACCE;1.0;1.0;0;0;9.8;3\n",
 ]
 
 
@@ -183,7 +196,7 @@ class TestBulkParse:
     def test_crlf_parses_as_lf(self):
         text = serialize_log(_small_log())
         assert parse_log(text.replace("\n", "\r\n"), source_id="unit") == _small_log()
-        logio._parse_bulk(text.replace("\n", "\r\n"))  # no fallback
+        logio._parse_bulk(io.BytesIO(text.replace("\n", "\r\n").encode()))  # no fallback
 
     @pytest.mark.parametrize("token, value", [("1_000", 1000), (" 1 ", 1), ("٣", 3), ("１", 1)])
     def test_tokens_outside_the_numeric_bytes_take_the_line_loop(self, token, value):
@@ -191,21 +204,28 @@ class TestBulkParse:
         them to the line loop, whatever NumPy's own parser would take."""
         text = f"ACCE;1.0;1.0;{token};0;9.8;{token}\n"
         with pytest.raises(ValueError):
-            logio._parse_bulk(text)
+            logio._parse_bulk(io.BytesIO(text.encode()))
         log = parse_log(text)
         assert log.accel.values[0, 0] == value and log.accel.accuracy[0] == value
 
     def test_bad_line_after_many_good_ones_keeps_its_line_number(self):
         _assert_bad_line_keeps_its_number()
 
+    def test_text_with_a_lone_surrogate_matches_line_loop(self):
+        """Text goes through its UTF-8 bytes; a surrogate has none, so the
+        line loop parses such text, as a str."""
+        text = "ACCE;1.0;1.0;0;0;9.8;3\nWIFI;1.0;1.0;a\ud800b;aa:bb:cc:dd:ee:ff;2412;-60\n"
+        assert parse_log(text).wifi[0].ssid == "a\ud800b"
+        for data in (text, text + "ACCE;2.0;2.0;0;0;9.8;\ud800\n"):
+            _assert_parse_matches_line_loop(data)
 
-def _assert_bad_line_keeps_its_number():
+
+def _assert_bad_line_keeps_its_number(path=None):
     good = "ACCE;1.0;1.0;0;0;9.8;3\n" * 10_000
+    bad = (good + "ACCE;2.0;2.0;0;0;9.8;x\n" + good).encode()
     assert len(parse_log(good.encode()).accel) == 10_000
-    with pytest.raises(TslParseError) as err:
-        parse_log((good + "ACCE;2.0;2.0;0;0;9.8;x\n" + good).encode())
-    assert err.value.line_no == 10_001
-    assert str(err.value) == "line 10001: unparsable accuracy code: 'x'"
+    assert _outcome(bad, line_loop=True) == (TslParseError, "line 10001: unparsable accuracy code: 'x'")
+    _assert_parse_matches_line_loop(bad, path)
 
 
 # chunk sizes that put a boundary after every line (1) or between most lines (40)
@@ -214,32 +234,59 @@ _SMALL_CHUNKS = [1, 40]
 
 class TestChunkedParse:
     """The bulk parse converts its input in chunks that end at a newline; the
-    parse differential tests hold whatever the chunk size."""
+    parse differential tests hold whatever the chunk size, for bytes in
+    memory and for the same bytes read from a file."""
 
     @pytest.fixture(params=_SMALL_CHUNKS, autouse=True)
     def chunk(self, request, monkeypatch):
         monkeypatch.setattr(logio, "_CHUNK", request.param)
 
-    def test_fuzz_never_crashes(self):
+    @pytest.fixture
+    def path(self, tmp_path):
+        return tmp_path / "log.tsl"
+
+    def test_fuzz_never_crashes(self, path):
         for data in _fuzzed_logs(1000):
-            _assert_parse_matches_line_loop(data)
+            _assert_parse_matches_line_loop(data, path)
 
     @pytest.mark.parametrize("text", _LAYOUTS)
-    def test_layouts_match_line_loop(self, text):
-        _assert_parse_matches_line_loop(text.encode())
+    def test_layouts_match_line_loop(self, text, path):
+        _assert_parse_matches_line_loop(text.encode(), path)
 
-    def test_token_in_any_field_matches_line_loop(self):
+    def test_token_in_any_field_matches_line_loop(self, path):
         for token in _TOKENS:
             for field in range(1, 7):
-                _assert_parse_matches_line_loop(_token_log(token, field))
+                _assert_parse_matches_line_loop(_token_log(token, field), path)
 
-    def test_bad_line_after_many_good_ones_keeps_its_line_number(self):
-        _assert_bad_line_keeps_its_number()
+    def test_bad_line_after_many_good_ones_keeps_its_line_number(self, path):
+        _assert_bad_line_keeps_its_number(path)
 
-    def test_crlf_parses_as_lf(self):
+    def test_crlf_parses_as_lf(self, path):
         crlf = serialize_log(_small_log()).replace("\n", "\r\n").encode()
-        assert parse_log(crlf, source_id="unit") == _small_log()
-        logio._parse_bulk(crlf)  # no fallback
+        path.write_bytes(crlf)
+        assert parse_log(crlf, source_id="unit") == parse_log_file(path, source_id="unit") == _small_log()
+        with open(path, "rb") as fh:
+            logio._parse_bulk(fh)  # no fallback
+
+
+@pytest.mark.parametrize("template", [
+    "% {pad}",
+    "WIFI;1.5;1.5;{pad};aa:bb:cc:dd:ee:ff;2412;-60",
+    "ACCE;1.5;1.5;0;0;9.8;{pad}",
+], ids=["comment", "ssid", "bad-accuracy"])
+def test_line_longer_than_the_chunk(template, tmp_path):
+    """At the default chunk size, a line that runs past two whole chunks, and
+    a last line with no newline: bytes and file give the line loop's outcome,
+    and only the malformed record takes the line loop."""
+    filler = "ACCE;1.0;1.0;0;0;9.8;3\n" * 1000
+    long_line = template.format(pad="x" * (2 * logio._CHUNK + 100))
+    data = (filler + long_line + "\n" + filler + "PRES;2.0;2.0;1013.2;0").encode()
+    path = tmp_path / "log.tsl"
+    _assert_parse_matches_line_loop(data, path)
+    if not template.startswith("ACCE"):
+        assert len(parse_log_file(path).accel) == 2000
+        with open(path, "rb") as fh:
+            logio._parse_bulk(fh)  # no fallback
 
 
 def _boundary_logs():
@@ -256,25 +303,30 @@ def _boundary_logs():
     middle = good.index("GYRO")
     return {
         "good": good.encode(),
+        "unterminated": good.rstrip("\n").encode(),
         "bad-utf8": good[:middle].encode() + b"\xff" + good[middle:].encode(),
         "malformed": (good[:middle] + "ACCE;4.0;4.0;0;x;9.8;3\n" + good[middle:]).encode(),
     }
 
 
-@pytest.mark.parametrize("case", ["good", "bad-utf8", "malformed"])
-def test_chunk_boundary_on_both_sides_of_each_special_line(case, monkeypatch):
+@pytest.mark.parametrize("case", ["good", "unterminated", "bad-utf8", "malformed"])
+def test_chunk_boundary_on_both_sides_of_each_special_line(case, monkeypatch, tmp_path):
     """Every chunk size from one byte to the whole input, so each boundary
     falls before and after the CRLF line, the SSID's multibyte characters,
-    the bad byte and the malformed record."""
+    the bad byte, the malformed record and the unterminated last line; the
+    input is parsed as bytes and from a file."""
     data = _boundary_logs()[case]
+    path = tmp_path / "log.tsl"
+    path.write_bytes(data)
     expected = _outcome(data, line_loop=True)
-    if case != "good":
+    if case in ("bad-utf8", "malformed"):
         assert expected[0] is (TslEncodingError if case == "bad-utf8" else TslParseError)
     for chunk in range(1, len(data) + 2):
         monkeypatch.setattr(logio, "_CHUNK", chunk)
         assert _outcome(data) == expected
-        if case == "good":
-            logio._parse_bulk(data)  # no fallback
+        assert _outcome(path) == expected
+        if case in ("good", "unterminated"):
+            logio._parse_bulk(io.BytesIO(data))  # no fallback
             assert _outcome(data.decode()) == expected
 
 
@@ -333,7 +385,7 @@ class TestRoundTrip:
             expected = sorted(rows, key=lambda r: r[0])  # Python's sort is stable
             assert [streams[name][i] for i in range(len(rows))] == [SensorSample(*r) for r in expected]
         log = SensorLog(**streams)
-        logio._parse_bulk(serialize_log(log))  # a serialized log never needs the line loop
+        logio._parse_bulk(io.BytesIO(serialize_log(log).encode()))  # a serialized log never needs the line loop
         again = parse_log(serialize_log(log).encode())
         assert again == log
         for name in streams:
@@ -412,14 +464,29 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def _columns_nbytes(log):
+        return sum(getattr(getattr(log, name), c).nbytes for name in ("accel", "gyro", "magn", "baro")
+                   for c in ("app_timestamp", "sensor_timestamp", "values", "accuracy"))
+
     def test_parse_peak_is_a_small_multiple_of_the_columns(self, corpus_dir):
         data = (corpus_dir / "phone-a.tsl").read_bytes()
         assert len(data) > 8 * logio._CHUNK
         log, peak = self._traced_peak(parse_log, data)
-        columns = sum(getattr(getattr(log, name), c).nbytes for name in ("accel", "gyro", "magn", "baro")
-                      for c in ("app_timestamp", "sensor_timestamp", "values", "accuracy"))
+        columns = self._columns_nbytes(log)
         # measured: peak 4.7 MB against 2.18 MB of columns (2.2x) with the
         # chunked parse; 17.5 MB (8.0x) when the whole text was split at once
+        assert peak < 3 * columns + logio._CHUNK
+
+    def test_file_parse_peak_holds_no_whole_text(self, corpus_dir):
+        """The read is inside the trace: turning the file's path into a
+        SensorLog never holds the file's 3.7 MB of text at once."""
+        path = corpus_dir / "phone-a.tsl"
+        assert path.stat().st_size > 8 * logio._CHUNK
+        log, peak = self._traced_peak(parse_log_file, path)
+        columns = self._columns_nbytes(log)
+        # the columns are 2.18 MB, so the bound is 6.8 MB; reading the
+        # whole file first adds its 3.7 MB of bytes to the parse's 4.7 MB
         assert peak < 3 * columns + logio._CHUNK
 
     def test_serialize_peak_is_a_small_multiple_of_the_text(self, default_corpus):
