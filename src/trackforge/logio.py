@@ -17,10 +17,10 @@ parse(serialize(log)) bit-exact.
 
 Both directions work a bounded piece at a time, so their transient memory
 follows the piece, not the log: ``parse_log_file`` reads the file, and
-``parse_log`` its bytes or text, in chunks of ``_CHUNK`` that end at a
-newline, and each reads and decodes the whole input only when it falls back
-to the line-by-line parse; ``serialize_log`` formats ``_SERIALIZE_RUN``
-records at a time.
+``parse_log`` its bytes, in pieces of about ``_CHUNK`` that end at a
+newline, each converted in bulk or, when a check fails, line by line on its
+own; only input that is not UTF-8 is read again whole, for the error's
+position. ``serialize_log`` formats ``_SERIALIZE_RUN`` records at a time.
 
 Chain graphs are written as a JSON document: ``{"graphs": [...]}`` where each
 graph carries ``floor``, ``vertices`` (``origin_index``, ``x``, ``y``, ``t``,
@@ -37,7 +37,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -153,16 +153,16 @@ def _parse_number(token: str, line_no: int, what: str, kind: type = float, lo=-m
     return value
 
 
-def _parse_lines(text: str):
-    """``(tables, wifi, skipped)``, one record at a time: the parse that raises
-    every TslParseError. ``tables`` maps each stream to its ``(n, 2 + width)``
-    float rows (timestamps, values) and int64 accuracy codes."""
+def _parse_lines(text: str, first_line: int):
+    """``(tables, wifi, skipped)``, one record at a time from line number
+    ``first_line``: the parse that raises every TslParseError. ``tables`` maps
+    each stream to its ``(n, 2 + width)`` float rows and int64 accuracy codes."""
     rows: dict[str, list[list[float]]] = {name: [] for name, _ in _SAMPLE_TAGS.values()}
     codes: dict[str, list[int]] = {name: [] for name, _ in _SAMPLE_TAGS.values()}
     wifi: list[WifiObservation] = []
     skipped = 0
 
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=first_line):
         line = raw.strip("\r")
         if not line or line.startswith("%"):
             continue
@@ -213,100 +213,99 @@ def _chunks(stream: BinaryIO) -> Iterator[str]:
         yield b"".join(parts).decode("utf-8")
 
 
-def _parse_bulk(stream: BinaryIO):
-    """``_parse_lines`` of the decoded ``stream``, read and converted
-    ``_CHUNK`` at a time: per chunk, one NumPy call for each sample tag's
-    accuracy codes and one for its other fields. Each tag's chunk tables are
-    concatenated once, at the end; other lines are collected across chunks
-    and go through ``_parse_lines``. So no copy of the whole input, nor a
-    string per line of it, exists at once. Raises ValueError
-    (UnicodeDecodeError included) or OverflowError on any record it cannot
-    vouch for. Sample fields may hold only ``[0-9.eE+-]``, where NumPy takes
-    exactly what ``float()`` and ``int()`` take, as the tests check."""
-    parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {tag: [] for tag in _SAMPLE_TAGS}
+def _parse_bulk(text: str):
+    """``_parse_lines`` of ``text``, one piece from ``_chunks``, with one NumPy
+    call for each sample tag's accuracy codes and one for its other fields;
+    other lines go through ``_parse_lines``. Raises ValueError or
+    OverflowError on any record it cannot vouch for. Sample fields may hold
+    only ``[0-9.eE+-]``, where NumPy takes exactly what ``float()`` and
+    ``int()`` take, as the tests check."""
+    tails: dict[str, list[str]] = {tag: [] for tag in _SAMPLE_TAGS}
     rest: list[str] = []
-    for text in _chunks(stream):
-        tails: dict[str, list[str]] = {tag: [] for tag in _SAMPLE_TAGS}
-        for line in map(str.strip, text.split("\n"), repeat("\r")) if "\r" in text else text.split("\n"):
-            tag, _, tail = line.partition(";")
-            if tag in tails:
-                tails[tag].append(tail)
-            elif line:
-                rest.append(line)
-        for tag, (_, width) in _SAMPLE_TAGS.items():
-            block, k = tails.pop(tag), width + 3  # k fields after the tag, accuracy code last
-            if not block:
-                continue
-            joined = ";".join(block)
-            fields_ok = set(map(str.count, block, repeat(";"))) <= {k - 1}
-            # deleting every byte a sample field may hold must leave nothing; non-ASCII fails to encode
-            if not fields_ok or joined.encode("ascii").translate(None, _NUMERIC):
-                raise TslParseError(0, f"{tag} records need the line-by-line parse")
-            tokens = joined.split(";")
-            codes = np.array(tokens[k - 1::k], dtype=np.int64)
-            del tokens[k - 1::k]
-            table = np.array(tokens, dtype=float).reshape(-1, k - 1)
-            if not np.isfinite(table).all() or (table[:, 0] < 0).any():
-                raise TslParseError(0, f"{tag} records need the line-by-line parse")
-            parts[tag].append((table, codes))
-            del block, joined, tokens  # frees this tag's strings before the next tag's are made
-    _, wifi, skipped = _parse_lines("\n".join(rest))
-
-    tables = {}
+    for line in map(str.strip, text.split("\n"), repeat("\r")) if "\r" in text else text.split("\n"):
+        tag, _, tail = line.partition(";")
+        if tag in tails:
+            tails[tag].append(tail)
+        elif line:
+            rest.append(line)
+    tables, wifi, skipped = _parse_lines("\n".join(rest), 1)
     for tag, (name, width) in _SAMPLE_TAGS.items():
-        chunks = parts.pop(tag) or [(np.empty((0, width + 2)), np.empty(0, dtype=np.int64))]
-        tables[name] = tuple(map(np.concatenate, zip(*chunks)))
-        del chunks  # frees this tag's chunk tables before the next tag's are joined
+        block, k = tails.pop(tag), width + 3  # k fields after the tag, accuracy code last
+        if not block:
+            continue
+        joined = ";".join(block)
+        fields_ok = set(map(str.count, block, repeat(";"))) <= {k - 1}
+        # deleting every byte a sample field may hold must leave nothing; non-ASCII fails to encode
+        if not fields_ok or joined.encode("ascii").translate(None, _NUMERIC):
+            raise TslParseError(0, f"{tag} records need the line-by-line parse")
+        tokens = joined.split(";")
+        codes = np.array(tokens[k - 1::k], dtype=np.int64)
+        del tokens[k - 1::k]
+        table = np.array(tokens, dtype=float).reshape(-1, k - 1)
+        if not np.isfinite(table).all() or (table[:, 0] < 0).any():
+            raise TslParseError(0, f"{tag} records need the line-by-line parse")
+        tables[name] = table, codes
+        del block, joined, tokens  # frees this tag's strings before the next tag's are made
     return tables, wifi, skipped
 
 
-def _parse_stream(stream: BinaryIO, source_id: str, text: str | None = None) -> SensorLog:
-    """``parse_log`` of the bytes of ``stream``, a seekable binary stream at
-    its start; the line-by-line parse reads ``text`` when given, else the
-    whole stream again from its start."""
+def _parse_stream(stream: BinaryIO, source_id: str) -> SensorLog:
+    """``parse_log`` of ``stream``, a seekable binary stream at its start, one
+    piece of ``_chunks`` at a time. A piece that fails a check of
+    ``_parse_bulk`` goes through ``_parse_lines`` alone, its lines numbered
+    from the piece's first line. A byte that is not UTF-8 anywhere wins over a
+    TslParseError, and only then is the stream read again whole, so that
+    TslEncodingError gives the byte's position in the whole input."""
+    results = [_parse_lines("", 1)]  # no records: an empty table per stream
+    first_line, pieces = 1, _chunks(stream)
     try:
-        tables, wifi, skipped = _parse_bulk(stream)
-    except (ValueError, OverflowError):  # TslParseError and UnicodeDecodeError are ValueErrors
-        if text is None:
-            stream.seek(0)
-            try:
-                text = stream.read().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TslEncodingError(f"input is not UTF-8: {exc}") from None
-        tables, wifi, skipped = _parse_lines(text)
-    return SensorLog(
-        **{name: SensorStream(rows[:, 0], rows[:, 1], rows[:, 2:], codes) for name, (rows, codes) in tables.items()},
-        wifi=tuple(sorted(wifi, key=lambda w: w.app_timestamp)),
-        source_id=source_id,
-        skipped_records=skipped,
-    )
+        try:
+            for text in pieces:
+                try:
+                    results.append(_parse_bulk(text))
+                except (ValueError, OverflowError):  # TslParseError is a ValueError
+                    results.append(_parse_lines(text, first_line))
+                first_line += text.count("\n")
+        except TslParseError:
+            for _ in pieces:  # decodes the rest of the stream
+                pass
+            raise
+    except UnicodeDecodeError as exc:
+        stream.seek(0)
+        try:
+            stream.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise TslEncodingError(f"input is not UTF-8: {exc}") from None
+
+    tables, wifi, skipped = zip(*results)
+    streams = {}
+    for name, _ in _SAMPLE_TAGS.values():  # popped, each piece's table is freed once joined
+        rows, codes = map(np.concatenate, zip(*(t.pop(name) for t in tables)))
+        streams[name] = SensorStream(rows[:, 0], rows[:, 1], rows[:, 2:], codes)
+    return SensorLog(**streams, wifi=tuple(sorted(chain.from_iterable(wifi), key=lambda w: w.app_timestamp)),
+                     source_id=source_id, skipped_records=sum(skipped))
 
 
-def parse_log(data: bytes | str, source_id: str = "") -> SensorLog:
-    """Parse TSL bytes (or text) into a SensorLog.
+def parse_log(data: bytes, source_id: str = "") -> SensorLog:
+    """Parse TSL bytes into a SensorLog.
 
     Streams come back sorted by app_timestamp (stable, so equal timestamps
     keep file order). Unknown tags are counted in ``skipped_records``.
     Raises TslParseError for malformed known-tag records and TslEncodingError
-    for non-UTF-8 input; never anything else. A well-formed input is
-    converted in bulk, ``_CHUNK`` at a time. After any failed check the whole
-    input is decoded, which raises TslEncodingError if it is not UTF-8, and
-    parsed again line by line; the line loop alone decides errors and their
-    line numbers. Text is encoded to UTF-8 once and goes through the same
-    chunks; ``surrogatepass`` lets any str encode, and a piece holding a
-    surrogate then fails to decode, so the line loop parses the text.
+    for non-UTF-8 input; never anything else. The input is converted in
+    pieces of about ``_CHUNK`` bytes that end at a newline; a piece that fails
+    a check of the bulk parse is parsed again alone, line by line, and that
+    line loop alone decides errors and their line numbers.
     """
-    if isinstance(data, str):
-        return _parse_stream(io.BytesIO(data.encode("utf-8", "surrogatepass")), source_id, data)
     return _parse_stream(io.BytesIO(data), source_id)
 
 
 def parse_log_file(path: str | Path, source_id: str = "") -> SensorLog:
     """``parse_log`` of the file at ``path``, read from disk ``_CHUNK`` at a
-    time, so the file's whole text is never in memory at once. Only a file
-    that fails a check of the bulk parse is read again, whole, for the
-    line-by-line parse; errors and line numbers are ``parse_log``'s. Raises
-    OSError when the file cannot be opened or read.
+    time, so the file's whole text is never in memory at once; only a file
+    that is not UTF-8 is read twice. Errors and line numbers are
+    ``parse_log``'s. Raises OSError when the file cannot be opened or read.
     """
     with open(path, "rb") as fh:
         return _parse_stream(fh, source_id)

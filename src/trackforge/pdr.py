@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -81,8 +83,8 @@ def group_wifi_batches(wifi: Sequence[WifiObservation]) -> list[WifiBatch]:
             groups[-1].append(obs)
         else:
             groups.append([obs])
-    return [
-        WifiBatch(time=sum(o.app_timestamp for o in g) / len(g), observations=tuple(g)) for g in groups
+    return [  # times added left to right from 0.0: the built-in sum() of floats is compensated since Python 3.12
+        WifiBatch(time=reduce(add, (o.app_timestamp for o in g), 0.0) / len(g), observations=tuple(g)) for g in groups
     ]
 
 

@@ -116,7 +116,8 @@ def process_corpus(
     or unusable: ValueError; FloorClusteringError) is logged and its error
     recorded in its FileReport; the other files go on. Any other exception
     is a bug and propagates. Without floor segments there are no floors; when
-    clustering fails, the report's ``error`` says why and no segment has a
+    clustering fails, or ``cfg.floors_override`` asks for more floors than
+    there are segments, the report's ``error`` says why and no segment has a
     floor. Returns the report and the processed logs by file name.
     """
     gait_model = load_gait_model_or_default(cfg)
@@ -143,6 +144,9 @@ def process_corpus(
         logger.warning("no log has a floor segment: no floors to cluster")
         return run_report, processed
     try:
+        if cfg.floors_override is not None and cfg.floors_override > len(segments):
+            raise FloorClusteringError(
+                f"{cfg.floors_override} floors asked for, more than the floor segments ({len(segments)})")
         assignment = cluster_floors(segments, cut=cfg.floor.cut, floor_count=cfg.floors_override)
     except FloorClusteringError as exc:
         run_report.error = f"floor clustering failed: {exc}"

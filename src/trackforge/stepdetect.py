@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -58,10 +60,11 @@ class AdaptiveThresholds:
         self.buffer.append((jerk, pace))
         jerks = [j for j, _ in self.buffer]
         paces = [p for _, p in self.buffer]
-        self.jerk_threshold = max(cfg.jerk_floor, cfg.update_ratio * sum(jerks) / len(jerks))
+        # added left to right from 0.0: the built-in sum() of floats is compensated since Python 3.12
+        self.jerk_threshold = max(cfg.jerk_floor, cfg.update_ratio * reduce(add, jerks, 0.0) / len(jerks))
         self.pace_threshold = min(
             cfg.pace_ceiling,
-            max(cfg.pace_floor, cfg.update_ratio * sum(paces) / len(paces)),
+            max(cfg.pace_floor, cfg.update_ratio * reduce(add, paces, 0.0) / len(paces)),
         )
 
 

@@ -321,6 +321,17 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["error"].startswith("floor clustering failed") and report["floor_count"] == 0
 
+    @pytest.mark.parametrize("command", ["run", "eval", "sweep"])
+    def test_more_floors_than_segments_exit_2(self, command, straight_corpus, tmp_path, caplog):
+        """The straight walk has one floor segment, so --floors 2 cannot be met."""
+        argv = [command, "--input", str(straight_corpus), "--output", str(tmp_path / "out"), "--floors", "2"]
+        assert main(argv) == 2
+        error = "floor clustering failed: 2 floors asked for, more than the floor segments (1)"
+        assert f"fatal: {error}" in caplog.text
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (report["error"], report["floor_count"], report["totals"]["segments"]) == (error, 0, 1)
+        assert not list((tmp_path / "out").glob("*.graphs.json"))
+
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize("sidecar", [
         "invalid-json", "empty-object", "scalar-point-floors", "corner-point-triple",

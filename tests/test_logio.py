@@ -106,6 +106,20 @@ class TestParseErrors:
         with pytest.raises(TslEncodingError):
             parse_log(b"\xff\xfe\x00ACCE")
 
+    def test_non_utf8_byte_wins_over_an_earlier_malformed_record(self, tmp_path):
+        """A malformed first record, then a byte that is not UTF-8 about 900 KB
+        later, pieces after it: the encoding error wins, and it gives the
+        byte's position in the whole input."""
+        head = b"ACCE;1.0;1.0;0;x;9.8;3\n" + b"ACCE;1.0;1.0;0;0;9.8;3\n" * 40_000
+        data = head + b"\xff\nACCE;2.0;2.0;0;0;9.8;3\n"
+        path = tmp_path / "log.tsl"
+        path.write_bytes(data)
+        expected = f"input is not UTF-8: 'utf-8' codec can't decode byte 0xff in position {len(head)}: " \
+                   "invalid start byte"
+        assert len(head) > 3 * logio._CHUNK
+        for outcome in (_outcome(data), _outcome(path), _outcome(data, line_loop=True)):
+            assert outcome == (TslEncodingError, expected)
+
     def test_fuzz_never_crashes(self):
         """Random character swaps in records of every tag: parse_log gives the
         line loop's columns bit for bit, or the same error."""
@@ -137,15 +151,24 @@ def _fuzzed_logs(count):
 def _outcome(data, line_loop=False):
     """Every stream column's dtype, shape and bytes, the WiFi records and the
     skip count of ``parse_log(data)``, or ``parse_log_file(data)`` for a path;
-    or the error's type and text."""
+    or the error's type and text. With ``line_loop``, the bytes ``data`` are
+    one piece and go through the line loop alone."""
     try:
-        with mock.patch.object(logio, "_parse_bulk", side_effect=ValueError) if line_loop else nullcontext():
+        with (mock.patch.multiple(logio, _CHUNK=len(data) + 1, _parse_bulk=mock.Mock(side_effect=ValueError))
+              if line_loop else nullcontext()):
             log = parse_log_file(data) if isinstance(data, Path) else parse_log(data)
     except (TslParseError, TslEncodingError) as exc:
         return type(exc), str(exc)
     columns = [getattr(getattr(log, name), c) for name in ("accel", "gyro", "magn", "baro")
                for c in ("app_timestamp", "sensor_timestamp", "values", "accuracy")]
     return [(c.dtype.str, c.shape, c.tobytes()) for c in columns], log.wifi, log.skipped_records
+
+
+def _bulk_parse_pieces(stream):
+    """``_parse_bulk`` of every piece ``_chunks`` cuts from ``stream``: raises
+    where any piece would take the line loop."""
+    for text in logio._chunks(stream):
+        logio._parse_bulk(text)
 
 
 def _assert_parse_matches_line_loop(data, path=None):
@@ -195,8 +218,8 @@ class TestBulkParse:
 
     def test_crlf_parses_as_lf(self):
         text = serialize_log(_small_log())
-        assert parse_log(text.replace("\n", "\r\n"), source_id="unit") == _small_log()
-        logio._parse_bulk(io.BytesIO(text.replace("\n", "\r\n").encode()))  # no fallback
+        assert parse_log(text.replace("\n", "\r\n").encode(), source_id="unit") == _small_log()
+        logio._parse_bulk(text.replace("\n", "\r\n"))  # no fallback
 
     @pytest.mark.parametrize("token, value", [("1_000", 1000), (" 1 ", 1), ("٣", 3), ("１", 1)])
     def test_tokens_outside_the_numeric_bytes_take_the_line_loop(self, token, value):
@@ -204,20 +227,12 @@ class TestBulkParse:
         them to the line loop, whatever NumPy's own parser would take."""
         text = f"ACCE;1.0;1.0;{token};0;9.8;{token}\n"
         with pytest.raises(ValueError):
-            logio._parse_bulk(io.BytesIO(text.encode()))
-        log = parse_log(text)
+            logio._parse_bulk(text)
+        log = parse_log(text.encode())
         assert log.accel.values[0, 0] == value and log.accel.accuracy[0] == value
 
     def test_bad_line_after_many_good_ones_keeps_its_line_number(self):
         _assert_bad_line_keeps_its_number()
-
-    def test_text_with_a_lone_surrogate_matches_line_loop(self):
-        """Text goes through its UTF-8 bytes; a surrogate has none, so the
-        line loop parses such text, as a str."""
-        text = "ACCE;1.0;1.0;0;0;9.8;3\nWIFI;1.0;1.0;a\ud800b;aa:bb:cc:dd:ee:ff;2412;-60\n"
-        assert parse_log(text).wifi[0].ssid == "a\ud800b"
-        for data in (text, text + "ACCE;2.0;2.0;0;0;9.8;\ud800\n"):
-            _assert_parse_matches_line_loop(data)
 
 
 def _assert_bad_line_keeps_its_number(path=None):
@@ -266,7 +281,7 @@ class TestChunkedParse:
         path.write_bytes(crlf)
         assert parse_log(crlf, source_id="unit") == parse_log_file(path, source_id="unit") == _small_log()
         with open(path, "rb") as fh:
-            logio._parse_bulk(fh)  # no fallback
+            _bulk_parse_pieces(fh)  # no fallback
 
 
 @pytest.mark.parametrize("template", [
@@ -286,7 +301,7 @@ def test_line_longer_than_the_chunk(template, tmp_path):
     if not template.startswith("ACCE"):
         assert len(parse_log_file(path).accel) == 2000
         with open(path, "rb") as fh:
-            logio._parse_bulk(fh)  # no fallback
+            _bulk_parse_pieces(fh)  # no fallback
 
 
 def _boundary_logs():
@@ -326,8 +341,7 @@ def test_chunk_boundary_on_both_sides_of_each_special_line(case, monkeypatch, tm
         assert _outcome(data) == expected
         assert _outcome(path) == expected
         if case in ("good", "unterminated"):
-            logio._parse_bulk(io.BytesIO(data))  # no fallback
-            assert _outcome(data.decode()) == expected
+            _bulk_parse_pieces(io.BytesIO(data))  # no fallback
 
 
 def _small_log():
@@ -385,7 +399,7 @@ class TestRoundTrip:
             expected = sorted(rows, key=lambda r: r[0])  # Python's sort is stable
             assert [streams[name][i] for i in range(len(rows))] == [SensorSample(*r) for r in expected]
         log = SensorLog(**streams)
-        logio._parse_bulk(io.BytesIO(serialize_log(log).encode()))  # a serialized log never needs the line loop
+        _bulk_parse_pieces(io.BytesIO(serialize_log(log).encode()))  # a serialized log never needs the line loop
         again = parse_log(serialize_log(log).encode())
         assert again == log
         for name in streams:
@@ -474,7 +488,7 @@ class TestBoundedMemory:
         assert len(data) > 8 * logio._CHUNK
         log, peak = self._traced_peak(parse_log, data)
         columns = self._columns_nbytes(log)
-        # measured: peak 4.7 MB against 2.18 MB of columns (2.2x) with the
+        # measured: peak 4.0 MB against 2.18 MB of columns (1.8x) with the
         # chunked parse; 17.5 MB (8.0x) when the whole text was split at once
         assert peak < 3 * columns + logio._CHUNK
 
@@ -486,7 +500,41 @@ class TestBoundedMemory:
         log, peak = self._traced_peak(parse_log_file, path)
         columns = self._columns_nbytes(log)
         # the columns are 2.18 MB, so the bound is 6.8 MB; reading the
-        # whole file first adds its 3.7 MB of bytes to the parse's 4.7 MB
+        # whole file first adds its 3.7 MB of bytes to the parse's 4.0 MB
+        assert peak < 3 * columns + logio._CHUNK
+
+    @pytest.mark.parametrize("edit", ["malformed-in-last-chunk", "spaced-accuracy-code"])
+    def test_file_parse_peak_when_a_piece_takes_the_line_loop(self, edit, corpus_dir, tmp_path):
+        """phone-a with a malformed record just before its last line, where
+        the parse fails, or with its middle accuracy code written ` 3`, which
+        only the line loop takes: that piece alone goes through the line
+        loop, and the peak stays within the bound above."""
+        good = corpus_dir / "phone-a.tsl"
+        lines = good.read_bytes().splitlines(keepends=True)
+        if edit == "malformed-in-last-chunk":
+            lines.insert(len(lines) - 1, b"ACCE;1.0;1.0;0;x;9.8;3\n")
+        else:
+            mid = len(lines) // 2
+            assert lines[mid].endswith(b";3\n")
+            lines[mid] = lines[mid][:-3] + b"; 3\n"
+        path = tmp_path / "phone-a.tsl"
+        path.write_bytes(b"".join(lines))
+        good_log = parse_log_file(good)
+        columns = self._columns_nbytes(good_log)
+
+        def parse():
+            try:
+                return parse_log_file(path)
+            except TslParseError as exc:
+                return str(exc)
+
+        out, peak = self._traced_peak(parse)
+        if edit == "malformed-in-last-chunk":
+            assert out == f"line {len(lines) - 1}: unparsable ACCE component: 'x'"
+        else:
+            assert out == good_log
+        # measured: 4.0 MB for both against the bound of 6.8 MB; 24.4 and
+        # 23.8 MB when any failed check sent the whole file through the line loop
         assert peak < 3 * columns + logio._CHUNK
 
     def test_serialize_peak_is_a_small_multiple_of_the_text(self, default_corpus):

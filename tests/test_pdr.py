@@ -162,7 +162,7 @@ class TestAnnotations:
             source_id="nopres",
         )
         text = "".join(line for line in serialize_log(log).splitlines(True) if not line.startswith("PRES"))
-        log = parse_log(text, source_id="nopres")
+        log = parse_log(text.encode(), source_id="nopres")
         assert not log.baro
         traj = integrate(make_steps([(1.0 + 0.5 * k, 0.7, 0.0) for k in range(30)]), log)
         assert traj.baro_hpa.dtype == float
@@ -221,6 +221,12 @@ class TestWifiBatching:
         )
         batches = group_wifi_batches(wifi)
         assert [len(b.observations) for b in batches] == [3, 2, 1]
+
+    def test_burst_time_adds_left_to_right(self):
+        """Ten times of 0.1 add up to 0.9999999999999999 one after the other,
+        on every Python; the compensated sum() of Python 3.12 gives 1.0."""
+        wifi = [WifiObservation(0.1, 0.1, "x", "aa:bb:cc:00:00:01", 2412, -60)] * 10
+        assert [b.time for b in group_wifi_batches(wifi)] == [0.9999999999999999 / 10]
 
     def test_rss_map_keeps_strongest(self):
         obs = (

@@ -154,6 +154,15 @@ class TestAdaptiveThresholds:
         assert st.jerk_threshold == pytest.approx(3.0)
         assert st.pace_threshold == pytest.approx(0.45)
 
+    def test_buffer_mean_adds_left_to_right(self):
+        """Ten values of 0.1 add up to 0.9999999999999999 one after the other,
+        on every Python; the compensated sum() of Python 3.12 gives 1.0."""
+        cfg = StepConfig(jerk_floor=0.0, pace_floor=0.0, update_ratio=1.0)
+        st = AdaptiveThresholds.from_config(cfg)
+        for _ in range(10):
+            st.accept(0.1, 0.1)
+        assert st.jerk_threshold == st.pace_threshold == 0.9999999999999999 / 10
+
 
 @st.composite
 def tied_signals(draw):
