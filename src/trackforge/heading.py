@@ -196,7 +196,7 @@ def _increment_correlation(w: np.ndarray) -> np.ndarray:
     return corr
 
 
-_GATE_CHUNK = 1 << 13  # elements per batch of gate windows: a batch's arrays stay near 64 KiB each
+_GATE_CHUNK = 1 << 15  # elements per batch of gate windows: a batch's arrays stay near 256 KiB each
 _GRAVITY_BLOCK = 1 << 12  # samples per block of the gravity loop
 
 

@@ -61,6 +61,10 @@ class TslParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):  # pickled as its constructor's arguments, not as ``args``
+        return type(self), (self.line_no, self.message)
 
 
 class TslEncodingError(ValueError):
@@ -98,6 +102,11 @@ class SensorStream:
             col = col[order]
             col.flags.writeable = False
             object.__setattr__(self, name, col)
+
+    def __setstate__(self, state: dict) -> None:  # pickle restores columns writeable
+        for col in state.values():
+            col.flags.writeable = False
+        self.__dict__.update(state)
 
     def __len__(self) -> int:
         return len(self.app_timestamp)
@@ -154,15 +163,18 @@ def _parse_number(token: str, line_no: int, what: str, kind: type = float, lo=-m
 
 
 def _parse_lines(text: str, first_line: int):
-    """``(tables, wifi, skipped)``, one record at a time from line number
-    ``first_line``: the parse that raises every TslParseError. ``tables`` maps
-    each stream to its ``(n, 2 + width)`` float rows and int64 accuracy codes."""
+    """``(tables, wifi, skipped, newlines)``, one record at a time from line
+    number ``first_line``: the parse that raises every TslParseError.
+    ``tables`` maps each stream to its ``(n, 2 + width)`` float rows and int64
+    accuracy codes; ``newlines`` counts the newlines of ``text``."""
     rows: dict[str, list[list[float]]] = {name: [] for name, _ in _SAMPLE_TAGS.values()}
     codes: dict[str, list[int]] = {name: [] for name, _ in _SAMPLE_TAGS.values()}
     wifi: list[WifiObservation] = []
     skipped = 0
+    lines = text.split("\n")
+    newlines = len(lines) - 1
 
-    for line_no, raw in enumerate(text.split("\n"), start=first_line):
+    for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip("\r")
         if not line or line.startswith("%"):
             continue
@@ -189,10 +201,11 @@ def _parse_lines(text: str, first_line: int):
             what = "pressure" if tag == "PRES" else f"{tag} component"
             rows[name].append([app_ts, sensor_ts, *(_parse_number(v, line_no, what) for v in fields[3:-1])])
             codes[name].append(_parse_number(fields[-1], line_no, "accuracy code", int, _INT64_MIN, _INT64_MAX))
+    del lines  # the line strings are freed before the tables are built
 
     tables = {name: (np.array(rows[name], dtype=float).reshape(-1, 2 + width), np.array(codes[name], dtype=np.int64))
               for name, width in _SAMPLE_TAGS.values()}
-    return tables, wifi, skipped
+    return tables, wifi, skipped, newlines
 
 
 def _chunks(stream: BinaryIO) -> Iterator[str]:
@@ -222,13 +235,16 @@ def _parse_bulk(text: str):
     ``int()`` take, as the tests check."""
     tails: dict[str, list[str]] = {tag: [] for tag in _SAMPLE_TAGS}
     rest: list[str] = []
-    for line in map(str.strip, text.split("\n"), repeat("\r")) if "\r" in text else text.split("\n"):
+    lines = text.split("\n")
+    newlines = len(lines) - 1
+    for line in map(str.strip, lines, repeat("\r")) if "\r" in text else lines:
         tag, _, tail = line.partition(";")
         if tag in tails:
             tails[tag].append(tail)
         elif line:
             rest.append(line)
-    tables, wifi, skipped = _parse_lines("\n".join(rest), 1)
+    del lines  # the line strings are freed before the tables are built
+    tables, wifi, skipped, _ = _parse_lines("\n".join(rest), 1)
     for tag, (name, width) in _SAMPLE_TAGS.items():
         block, k = tails.pop(tag), width + 3  # k fields after the tag, accuracy code last
         if not block:
@@ -246,7 +262,7 @@ def _parse_bulk(text: str):
             raise TslParseError(0, f"{tag} records need the line-by-line parse")
         tables[name] = table, codes
         del block, joined, tokens  # frees this tag's strings before the next tag's are made
-    return tables, wifi, skipped
+    return tables, wifi, skipped, newlines
 
 
 def _parse_stream(stream: BinaryIO, source_id: str) -> SensorLog:
@@ -265,7 +281,7 @@ def _parse_stream(stream: BinaryIO, source_id: str) -> SensorLog:
                     results.append(_parse_bulk(text))
                 except (ValueError, OverflowError):  # TslParseError is a ValueError
                     results.append(_parse_lines(text, first_line))
-                first_line += text.count("\n")
+                first_line += results[-1][3]
         except TslParseError:
             for _ in pieces:  # decodes the rest of the stream
                 pass
@@ -278,7 +294,7 @@ def _parse_stream(stream: BinaryIO, source_id: str) -> SensorLog:
             exc = whole
         raise TslEncodingError(f"input is not UTF-8: {exc}") from None
 
-    tables, wifi, skipped = zip(*results)
+    tables, wifi, skipped, _ = zip(*results)
     streams = {}
     for name, _ in _SAMPLE_TAGS.values():  # popped, each piece's table is freed once joined
         rows, codes = map(np.concatenate, zip(*(t.pop(name) for t in tables)))

@@ -2,14 +2,18 @@
 
 Per-file stages are independent; floor clustering joins all trajectories'
 segments (floor indices only make sense across the whole corpus) and is the
-one cross-file synchronization point. Files are processed in sorted order and
-every output is byte-deterministic for a fixed input set and config.
+one cross-file synchronization point. Logs are parsed in forked worker
+processes (``forked.forked_map``) while this process runs ``process_log`` and
+everything after it on the logs already parsed, in sorted file order. Every
+output is byte-deterministic for a fixed input set and config, whatever the
+number of workers.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +23,7 @@ import numpy as np
 from .config import PipelineConfig
 from .featurize import ChainGraph, featurize_segment_report
 from .floors import FloorClusteringError, TrajectorySegment, cluster_floors, segment_trajectory
+from .forked import forked_map
 from .heading import step_headings
 from .logio import SensorLog, parse_log_file, write_chain_graphs, write_json
 from .pdr import PdrTrajectory, integrate
@@ -105,12 +110,23 @@ def load_gait_model_or_default(cfg: PipelineConfig) -> GaitModel:
     return default_gait_model()
 
 
+def _parse(path: Path) -> SensorLog | OSError | ValueError:
+    """``parse_log_file`` of ``path``, or the documented error it raised; runs in a worker."""
+    try:
+        return parse_log_file(path, source_id=path.stem)
+    except (OSError, ValueError) as exc:
+        return exc
+
+
 def process_corpus(
     paths: Sequence[Path], cfg: PipelineConfig
 ) -> tuple[RunReport, dict[str, ProcessedLog]]:
     """Parse -> ``process_log`` -> floor segments for each log file, in order,
     then number the floors over all their segments. Each file is parsed as
-    ``parse_log_file`` reads it, a chunk at a time.
+    ``parse_log_file`` reads it, a chunk at a time, in a forked worker
+    (``forked_map``: one per usable CPU, at most one per file), while this
+    process runs ``process_log`` and the rest on the files before it. No
+    worker outlives the call, whether it returns or raises.
 
     A file that fails with a documented error (unreadable: OSError; malformed
     or unusable: ValueError; FloorClusteringError) is logged and its error
@@ -123,21 +139,23 @@ def process_corpus(
     gait_model = load_gait_model_or_default(cfg)
     run_report = RunReport(files=[])
     processed: dict[str, ProcessedLog] = {}
-    for path in paths:
-        report = FileReport(name=path.name)
-        run_report.files.append(report)
-        try:
-            log = parse_log_file(path, source_id=path.stem)
-            item = process_log(log, cfg, gait_model)
-            item.segments = segment_trajectory(
-                item.trajectory, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters
-            )
-            processed[path.name] = item
-            report.steps = len(item.steps)
-            report.segments = len(item.segments)
-        except (OSError, ValueError, FloorClusteringError) as exc:  # the corpus continues
-            logger.error("failed to process %s: %s", path.name, exc)
-            report.error = str(exc)
+    with closing(forked_map(_parse, paths)) as logs:
+        for path, log in zip(paths, logs):
+            report = FileReport(name=path.name)
+            run_report.files.append(report)
+            try:
+                if isinstance(log, Exception):  # the worker's parse failed
+                    raise log
+                item = process_log(log, cfg, gait_model)
+                item.segments = segment_trajectory(
+                    item.trajectory, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters
+                )
+                processed[path.name] = item
+                report.steps = len(item.steps)
+                report.segments = len(item.segments)
+            except (OSError, ValueError, FloorClusteringError) as exc:  # the corpus continues
+                logger.error("failed to process %s: %s", path.name, exc)
+                report.error = str(exc)
 
     segments = [seg for item in processed.values() for seg in item.segments]
     if not segments:

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
-from itertools import repeat
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from .forked import forked_map
 from .heading import GRAVITY, wrap_angle
 from .logio import _BSSID_RE, SensorLog, SensorStream, WifiObservation, serialize_log, write_json, write_text
 from .stride import DEFAULT_STRIDE_TABLE, Gait
@@ -538,9 +538,9 @@ def write_corpus(scripts: list[WalkScript], out_dir: str | Path) -> list[Path]:
     """Render scripts to <source_id>.tsl logs with .truth.json sidecars; paths in script order.
 
     Every script is validated, and source ids checked for duplicates, before
-    any file is written. Each script is then rendered in one worker process,
-    up to one worker per usable CPU. A render draws only on its own seeded
-    generator, so the bytes do not depend on the number of workers.
+    any file is written. The scripts are then rendered in forked workers
+    (``forked_map``), up to one per usable CPU. A render draws only on its own
+    seeded generator, so the bytes do not depend on the number of workers.
     """
     ids: set[str] = set()
     for script in scripts:
@@ -550,19 +550,4 @@ def write_corpus(scripts: list[WalkScript], out_dir: str | Path) -> list[Path]:
         ids.add(script.source_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not scripts:
-        return []
-    # multiprocessing is imported here, so that run, eval and sweep, which
-    # import this module, do not load it. fork is named because Python 3.14
-    # changes the Linux default: forked workers inherit the imported modules
-    # instead of importing NumPy again. OpenBLAS joins its threads before a
-    # fork, and a render makes no BLAS call.
-    import multiprocessing
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # leaving the block terminates the pool, so no worker outlives an error
-    with multiprocessing.get_context("fork").Pool(min(len(scripts), cpus)) as pool:
-        written = pool.starmap(_render, zip(scripts, repeat(out_dir)))
-        pool.close()
-        pool.join()
-    return written
+    return list(forked_map(partial(_render, out_dir=out_dir), scripts))

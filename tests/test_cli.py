@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trackforge import cli
+from trackforge import cli, forked
 from trackforge.cli import main
 from trackforge.config import ConfigError, load_config
-from trackforge.logio import parse_chain_graphs
+from trackforge.logio import parse_chain_graphs, parse_log_file
 from trackforge.pipeline import process_corpus
 from trackforge.stride import default_gait_model, load_gait_model, save_gait_model
 from trackforge.synth import WalkScript, WalkSegmentSpec, save_script, write_corpus
@@ -146,6 +146,48 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         errors = [f for f in report["files"] if f["error"]]
         assert len(errors) == 1 and errors[0]["name"] == "broken.tsl"
+
+    def test_worker_count_changes_no_byte(self, straight_corpus, tmp_path, monkeypatch, caplog):
+        # logs are parsed in forked workers, one per usable CPU; their errors
+        # reach report.json and the log lines pickled, with the text and in
+        # the order of a parse in this process
+        corpus = tmp_path / "mixed"
+        corpus.mkdir()
+        good = (straight_corpus / "walk.tsl").read_bytes()
+        lines = good.splitlines(keepends=True)
+        (corpus / "walk.tsl").write_bytes(good)
+        (corpus / "malformed.tsl").write_bytes(b"".join(lines[:100] + [b"ACCE;1.0;1.0;0;x;9.8;3\n"] + lines[100:]))
+        (corpus / "latin1.tsl").write_bytes(good + "% café\n".encode("latin-1"))
+        (corpus / "empty.tsl").write_bytes(b"")
+        (corpus / "bad.tsl").mkdir()
+        outputs, messages = [], []
+        for cpus in (1, 2):
+            monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
+            caplog.clear()
+            assert main(["run", "--input", str(straight_corpus), "--output", str(tmp_path / f"good-{cpus}")]) == 0
+            assert multiprocessing.active_children() == []
+            out = tmp_path / f"mixed-{cpus}"
+            assert main(["run", "--input", str(corpus), "--output", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            messages.append([r.getMessage() for r in caplog.records if r.name == "trackforge.pipeline"])
+        assert outputs[0] == outputs[1] and messages[0] == messages[1]
+        in_process = {}
+        for name in ("bad.tsl", "latin1.tsl"):
+            with pytest.raises((OSError, ValueError)) as raised:
+                parse_log_file(corpus / name)
+            in_process[name] = str(raised.value)
+        errors = {f["name"]: f["error"] for f in json.loads(outputs[0]["report.json"])["files"]}
+        assert errors == {
+            "bad.tsl": in_process["bad.tsl"],
+            "empty.tsl": "log has no accelerometer samples",
+            "latin1.tsl": in_process["latin1.tsl"],
+            "malformed.tsl": "line 101: unparsable ACCE component: 'x'",
+            "walk.tsl": None,
+        }
+        assert messages[0] == [f"failed to process {name}: {error}" for name, error in errors.items() if error]
+        assert list(outputs[0]) == ["report.json", "walk.graphs.json"]
+        assert outputs[0]["walk.graphs.json"] == (tmp_path / "good-1" / "walk.graphs.json").read_bytes()
 
     def test_no_floor_segments_exit_0(self, short_corpus, tmp_path):
         out = tmp_path / "out4"

@@ -24,6 +24,8 @@ from trackforge.heading import (
 )
 from trackforge.logio import SensorLog, nearest_index
 from trackforge.stepdetect import Step, fixed_dot, moving_average
+from trackforge.stride import Gait
+from trackforge.synth import WalkScript, WalkSegmentSpec, generate
 from streams import stream
 
 NO_SAMPLES = stream([])
@@ -803,6 +805,23 @@ class TestTrustGate:
         assert len(values) == len(pairs)
         for value, start, stop in zip(values, starts.tolist(), stops.tolist()):
             assert repr(value) == repr(_ref_increment_correlation(incs[0, start:stop], incs[1, start:stop]))
+
+    @pytest.mark.parametrize("chunk", [1 << 7, 1 << 13])
+    def test_batch_size_does_not_change_the_attitude(self, chunk, monkeypatch):
+        # a 20 Hz walk, where the gate trusts the compass about half the time;
+        # 1 << 7 elements hold one window per batch
+        log, _ = generate(WalkScript(source_id="w", seed=5, imu_rate_hz=20.0, segments=[
+            WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.7 * k, steps=40) for k in range(4)]))
+        expected = track_attitude(log.accel, log.gyro, log.magn)
+        assert 0.2 < expected.mag_trust.mean() < 0.8
+        monkeypatch.setattr(heading, "_GATE_CHUNK", chunk)
+        assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
+
+    def test_default_corpus_log_gate_in_narrower_batches(self, default_corpus, monkeypatch):
+        _, log, _ = default_corpus[0]
+        expected = track_attitude(log.accel, log.gyro, log.magn)
+        monkeypatch.setattr(heading, "_GATE_CHUNK", 1 << 13)
+        assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
 
 
 def _eigh_heading(window, yaw):

@@ -1,4 +1,5 @@
 import io
+import pickle
 import tracemalloc
 from contextlib import nullcontext
 from pathlib import Path
@@ -220,6 +221,16 @@ class TestBulkParse:
         text = serialize_log(_small_log())
         assert parse_log(text.replace("\n", "\r\n").encode(), source_id="unit") == _small_log()
         logio._parse_bulk(text.replace("\n", "\r\n"))  # no fallback
+
+    @pytest.mark.parametrize("text", _LAYOUTS)
+    def test_newline_count_is_the_texts(self, text):
+        # _parse_stream numbers each piece's lines from these counts
+        for parse in (lambda piece: logio._parse_lines(piece, 1), logio._parse_bulk):
+            try:
+                newlines = parse(text)[3]
+            except (ValueError, OverflowError):  # malformed, or left to the line loop
+                continue
+            assert newlines == text.count("\n")
 
     @pytest.mark.parametrize("token, value", [("1_000", 1000), (" 1 ", 1), ("٣", 3), ("１", 1)])
     def test_tokens_outside_the_numeric_bytes_take_the_line_loop(self, token, value):
@@ -586,6 +597,37 @@ class TestSensorStream:
         assert a != stream([0.0, 1.0], [(1, 2, 3), (4, 5, 7)])
         assert a != stream([0.0, 1.0], [(1, 2, 3), (4, 5, 6)], accuracy=0)
         assert a != ()
+
+
+_PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+class TestPickling:
+    """Parse workers send logs and documented parse errors to their parent
+    pickled, at protocol 4 on Python 3.8-3.13 and 5 from 3.14."""
+
+    @pytest.mark.parametrize("protocol", _PROTOCOLS)
+    def test_parse_error_keeps_line_number_and_message(self, protocol):
+        exc = pickle.loads(pickle.dumps(TslParseError(7, "x"), protocol))
+        assert type(exc) is TslParseError and exc.line_no == 7 and str(exc) == "line 7: x"
+
+    @pytest.mark.parametrize("protocol", _PROTOCOLS)
+    def test_encoding_error_keeps_its_message(self, protocol):
+        with pytest.raises(TslEncodingError) as raised:
+            parse_log(b"ACCE;1.0;1.0;0;0;9.8;3\n\xff\n")
+        exc = pickle.loads(pickle.dumps(raised.value, protocol))
+        assert type(exc) is TslEncodingError and str(exc) == str(raised.value)
+
+    @pytest.mark.parametrize("protocol", _PROTOCOLS)
+    def test_log_keeps_its_values_and_read_only_columns(self, protocol):
+        log = _small_log()
+        again = pickle.loads(pickle.dumps(log, protocol))
+        assert again == log and again.source_id == "unit"
+        for name in ("accel", "gyro", "magn", "baro"):
+            for col in (getattr(again, name).app_timestamp, getattr(again, name).sensor_timestamp,
+                        getattr(again, name).values, getattr(again, name).accuracy):
+                with pytest.raises(ValueError):
+                    col[...] = 0
 
 
 def _two_vertex_graph():

@@ -1,6 +1,7 @@
 """process_corpus / run_pipeline: which per-file failures are recorded, and
 that degenerate logs end in a report instead of an exception."""
 
+import multiprocessing
 import random
 import tempfile
 from pathlib import Path
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackforge import heading, pipeline
+from trackforge import forked, heading, pipeline
 from trackforge.config import PipelineConfig
-from trackforge.logio import serialize_log
+from trackforge.logio import parse_log_file, serialize_log
 from trackforge.pipeline import RunReport, process_corpus, run_pipeline
 from trackforge.stepdetect import detect_steps, magnitude_series
 from trackforge.stride import Gait, classify_gait, default_gait_model, extract_features, stride_length
@@ -105,8 +106,44 @@ def test_unexpected_error_propagates(short_walk_lines, tmp_path, monkeypatch):
         raise TypeError("a bug, not a file error")
 
     monkeypatch.setattr(pipeline, "process_log", broken)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as raised:  # its traceback holds process_corpus's frame
         run_pipeline(tmp_path / "in", tmp_path / "out", PipelineConfig())
+    assert multiprocessing.active_children() == []
+    assert str(raised.value) == "a bug, not a file error"
+
+
+def test_bug_while_workers_wait_to_send_leaves_no_worker(corpus_dir, tmp_path, monkeypatch):
+    # the first log fails at once, while one worker parses the third log and
+    # the other waits to send the second, a few MB that no pipe holds
+    alive = []
+
+    def broken(*args, **kwargs):
+        alive.append(len(multiprocessing.active_children()))
+        raise TypeError("a bug, not a file error")
+
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "process_log", broken)
+    with pytest.raises(TypeError) as raised:  # its traceback holds process_corpus's frame
+        process_corpus(sorted(corpus_dir.glob("*.tsl")), PipelineConfig())
+    assert alive == [2]
+    assert multiprocessing.active_children() == []
+    assert str(raised.value) == "a bug, not a file error"
+
+
+def test_bug_in_a_parse_worker_propagates(short_walk_lines, tmp_path, monkeypatch):
+    for name in ("a.tsl", "b.tsl", "c.tsl"):
+        (tmp_path / name).write_text("\n".join(short_walk_lines) + "\n")
+
+    def broken(path, source_id=""):
+        if path.name == "b.tsl":
+            raise TypeError("a bug in the parse")
+        return parse_log_file(path, source_id)
+
+    monkeypatch.setattr(pipeline, "parse_log_file", broken)
+    with pytest.raises(TypeError) as raised:
+        process_corpus(sorted(tmp_path.glob("*.tsl")), PipelineConfig())
+    assert multiprocessing.active_children() == []
+    assert str(raised.value) == "a bug in the parse"
 
 
 def test_documented_errors_are_recorded(short_walk_lines, tmp_path):
@@ -114,6 +151,7 @@ def test_documented_errors_are_recorded(short_walk_lines, tmp_path):
     assert report.files[0].error.startswith("line 1:")
     report = _process([line for line in short_walk_lines if not line.startswith("ACCE")], tmp_path)
     assert report.files[0].error == "log has no accelerometer samples"
+    assert multiprocessing.active_children() == []
 
 
 def _one_time(lines, t):
