@@ -2,11 +2,12 @@
 
 A window anchors at the last accepted vertex; its baseline is the direction of
 the first displacement after the anchor. Each following point's turning angle
-is the wrapped absolute difference between its incoming displacement direction
-and that baseline. Points stay in the window while the angle is within
-epsilon; the first point beyond epsilon marks its predecessor as a new turning
-point (new anchor, window restarts), provided the window has accumulated at
-least ``window_min`` points -- smaller windows swallow the deviation as noise.
+is the absolute difference between its incoming displacement direction and
+that baseline, wrapped by ``heading.wrap_angle``, so in [0, pi]. Points stay
+in the window while the angle is within epsilon; the first point beyond
+epsilon marks its predecessor as a new turning point (new anchor, window
+restarts), provided the window has accumulated at least ``window_min``
+points -- smaller windows swallow the deviation as noise.
 
 Graphs then split wherever two vertices are consecutive original points
 (frequent-turning noise), short leftovers are dropped, and each surviving
@@ -23,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .floors import TrajectorySegment
+from .heading import wrap_angle
 from .pdr import PdrTrajectory
 
 
@@ -65,16 +67,6 @@ class ChainGraph:
     edges: tuple[ChainEdge, ...]
 
 
-def _turn_angle(direction: float, baseline: float) -> float:
-    """Absolute direction difference wrapped to [0, pi]."""
-    d = math.fmod(direction - baseline, 2.0 * math.pi)
-    if d < -math.pi:
-        d += 2.0 * math.pi
-    elif d > math.pi:
-        d -= 2.0 * math.pi
-    return abs(d)
-
-
 def detect_turning_points(positions: np.ndarray, cfg: TurningConfig = TurningConfig()) -> list[int]:
     """Indices of the start point, accepted turning points, and end point of
     an (N, 2) position array.
@@ -103,7 +95,7 @@ def detect_turning_points(positions: np.ndarray, cfg: TurningConfig = TurningCon
             window_len += 1
             j += 1
             continue
-        alpha = _turn_angle(direction, baseline)
+        alpha = abs(wrap_angle(direction - baseline))
         if alpha <= cfg.epsilon_rad or window_len < cfg.window_min:
             window_len += 1
             j += 1

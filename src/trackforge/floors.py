@@ -254,16 +254,19 @@ def cluster_floors(
     numbering by descending cluster mean pressure (floor 1 = highest pressure).
 
     Merging stops when the minimum linkage reaches ``cut``, or when exactly
-    ``floor_count`` clusters remain if given. Equal linkages break toward the
-    pair with the lexicographically smallest (parent_id, range start) keys.
-    Writes each segment's ``floor`` and returns the cluster pressures; on a
-    FloorClusteringError no segment's ``floor`` is written.
+    ``floor_count`` clusters remain if given; a ``floor_count`` above the
+    number of segments raises FloorClusteringError. Equal linkages break
+    toward the pair with the lexicographically smallest (parent_id, range
+    start) keys. Writes each segment's ``floor`` and returns the cluster
+    pressures; on a FloorClusteringError no segment's ``floor`` is written.
     """
     if not segments:
         raise ValueError("cluster_floors needs at least one segment")
     if floor_count is not None and floor_count < 1:
         raise ValueError(f"floor_count must be >= 1, got {floor_count}")
     n = len(segments)
+    if floor_count is not None and floor_count > n:
+        raise FloorClusteringError(f"{floor_count} floors asked for, more than the floor segments ({n})")
     base = _jaccard_distances([seg.mac_set for seg in segments])
 
     # link holds the average linkage between live clusters, inf elsewhere;

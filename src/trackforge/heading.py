@@ -112,20 +112,6 @@ def _rotate(v: Sequence[float], axis: Sequence[float], angle: float) -> tuple[fl
     return (r0 / norm, r1 / norm, r2 / norm)
 
 
-def rotate_by_gyro(v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    """Rotate an Earth-fixed vector expressed in the phone frame.
-
-    The phone rotates with angular velocity omega, so fixed vectors rotate by
-    -|omega|*dt about the omega axis in phone coordinates (dv/dt = -omega x v).
-    Renormalized to keep unit length under long integrations. The one-sample
-    case of ``track_attitude``'s gravity loop.
-    """
-    angle, spins, axis = _gyro_rotations(np.reshape(omega, (1, 3)), dt)
-    if not spins[0]:
-        return v
-    return np.array(_rotate(np.asarray(v, dtype=float).tolist(), axis[0].tolist(), float(angle[0])))
-
-
 def roll_pitch(gravity: Sequence[float]) -> tuple[float, float]:
     gx, gy, gz = gravity
     return math.atan2(gy, gz), math.atan2(-gx, math.hypot(gy, gz))

@@ -18,9 +18,11 @@ parse(serialize(log)) bit-exact.
 Both directions work a bounded piece at a time, so their transient memory
 follows the piece, not the log: ``parse_log_file`` reads the file, and
 ``parse_log`` its bytes, in pieces of about ``_CHUNK`` that end at a
-newline, each converted in bulk or, when a check fails, line by line on its
-own; only input that is not UTF-8 is read again whole, for the error's
-position. ``serialize_log`` formats ``_SERIALIZE_RUN`` records at a time.
+newline. Each piece is converted in bulk, by the ``float`` and ``int`` that
+the line loop calls on each field, or, when it holds a malformed record,
+line by line on its own; only input that is not UTF-8 is read again whole,
+for the error's position. ``serialize_log`` formats ``_SERIALIZE_RUN``
+records at a time.
 
 Chain graphs are written as a JSON document: ``{"graphs": [...]}`` where each
 graph carries ``floor``, ``vertices`` (``origin_index``, ``x``, ``y``, ``t``,
@@ -44,7 +46,6 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 _BSSID_RE = re.compile(r"^[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}$")
-_NUMERIC = b"0123456789.eE+-;"  # the only bytes of the sample records _parse_bulk converts
 
 # sample tag -> (SensorLog stream, value components); every tag -> record fields
 _SAMPLE_TAGS = {"ACCE": ("accel", 3), "GYRO": ("gyro", 3), "MAGN": ("magn", 3), "PRES": ("baro", 1)}
@@ -227,12 +228,13 @@ def _chunks(stream: BinaryIO) -> Iterator[str]:
 
 
 def _parse_bulk(text: str):
-    """``_parse_lines`` of ``text``, one piece from ``_chunks``, with one NumPy
-    call for each sample tag's accuracy codes and one for its other fields;
-    other lines go through ``_parse_lines``. Raises ValueError or
-    OverflowError on any record it cannot vouch for. Sample fields may hold
-    only ``[0-9.eE+-]``, where NumPy takes exactly what ``float()`` and
-    ``int()`` take, as the tests check."""
+    """``_parse_lines`` of ``text``, one piece from ``_chunks``: each sample
+    tag's fields are converted at once, by the ``float`` and ``int`` that the
+    line loop calls on each; other lines go through ``_parse_lines``. Raises
+    ValueError or OverflowError on any record that would not give the line
+    loop's row: a wrong field count, a token ``float`` or ``int`` rejects, a
+    value that is not finite, a negative app timestamp, or an accuracy code
+    outside int64."""
     tails: dict[str, list[str]] = {tag: [] for tag in _SAMPLE_TAGS}
     rest: list[str] = []
     lines = text.split("\n")
@@ -249,19 +251,16 @@ def _parse_bulk(text: str):
         block, k = tails.pop(tag), width + 3  # k fields after the tag, accuracy code last
         if not block:
             continue
-        joined = ";".join(block)
-        fields_ok = set(map(str.count, block, repeat(";"))) <= {k - 1}
-        # deleting every byte a sample field may hold must leave nothing; non-ASCII fails to encode
-        if not fields_ok or joined.encode("ascii").translate(None, _NUMERIC):
+        if set(map(str.count, block, repeat(";"))) != {k - 1}:
             raise TslParseError(0, f"{tag} records need the line-by-line parse")
-        tokens = joined.split(";")
-        codes = np.array(tokens[k - 1::k], dtype=np.int64)
+        tokens = ";".join(block).split(";")
+        codes = np.fromiter(map(int, tokens[k - 1::k]), np.int64, len(block))
         del tokens[k - 1::k]
-        table = np.array(tokens, dtype=float).reshape(-1, k - 1)
+        table = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, k - 1)
         if not np.isfinite(table).all() or (table[:, 0] < 0).any():
             raise TslParseError(0, f"{tag} records need the line-by-line parse")
         tables[name] = table, codes
-        del block, joined, tokens  # frees this tag's strings before the next tag's are made
+        del block, tokens  # frees this tag's strings before the next tag's are made
     return tables, wifi, skipped, newlines
 
 

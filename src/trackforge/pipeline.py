@@ -57,9 +57,12 @@ class FileReport:
 
 @dataclass
 class RunReport:
+    """The corpus's file reports and floors; ``to_json`` is ``report.json``,
+    where a floor with no barometer data (a NaN pressure) reads ``null``."""
+
     files: list[FileReport]
     floor_count: int = 0
-    floor_pressures: list[float | None] = field(default_factory=list)  # None: no barometer data
+    floor_pressures: list[float] = field(default_factory=list)  # NaN: no barometer data
     error: str | None = None  # why the run stopped before writing graphs
 
     def totals(self) -> dict[str, int]:
@@ -75,7 +78,7 @@ class RunReport:
         doc = {
             "files": [asdict(f) for f in self.files],
             "floor_count": self.floor_count,
-            "floor_pressures": self.floor_pressures,
+            "floor_pressures": [None if math.isnan(p) else p for p in self.floor_pressures],
             "totals": self.totals(),
         }
         if self.error is not None:
@@ -132,9 +135,10 @@ def process_corpus(
     or unusable: ValueError; FloorClusteringError) is logged and its error
     recorded in its FileReport; the other files go on. Any other exception
     is a bug and propagates. Without floor segments there are no floors; when
-    clustering fails, or ``cfg.floors_override`` asks for more floors than
-    there are segments, the report's ``error`` says why and no segment has a
-    floor. Returns the report and the processed logs by file name.
+    ``cluster_floors`` fails, for instance because ``cfg.floors_override``
+    asks for more floors than there are segments, the report's ``error``
+    says why and no segment has a floor. Returns the report and the
+    processed logs by file name.
     """
     gait_model = load_gait_model_or_default(cfg)
     run_report = RunReport(files=[])
@@ -162,15 +166,12 @@ def process_corpus(
         logger.warning("no log has a floor segment: no floors to cluster")
         return run_report, processed
     try:
-        if cfg.floors_override is not None and cfg.floors_override > len(segments):
-            raise FloorClusteringError(
-                f"{cfg.floors_override} floors asked for, more than the floor segments ({len(segments)})")
         assignment = cluster_floors(segments, cut=cfg.floor.cut, floor_count=cfg.floors_override)
     except FloorClusteringError as exc:
         run_report.error = f"floor clustering failed: {exc}"
     else:
         run_report.floor_count = assignment.floor_count
-        run_report.floor_pressures = [None if math.isnan(p) else p for p in assignment.cluster_pressures]
+        run_report.floor_pressures = assignment.cluster_pressures
     return run_report, processed
 
 

@@ -127,6 +127,8 @@ class WalkScript:
                 raise ValueError("rates and periods must be positive")
         if not isinstance(self.noise, dict) or not all(isinstance(v, (int, float)) for v in self.noise.values()):
             raise ValueError(f"noise must map sensor names to numbers, got {self.noise!r}")
+        if unknown := sorted(set(self.noise) - {"accel", "gyro", "magn", "baro"}):
+            raise ValueError(f"noise keys must be accel, gyro, magn or baro, got {unknown}")
         for key, sigma in self.noise.items():
             if sigma < 0:
                 raise ValueError(f"noise sigma for {key} must be >= 0")
@@ -195,7 +197,7 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroundTruth":
-        """Decode a sidecar; ValueError when its points, floors and corners disagree."""
+        """Decode a sidecar; ValueError when its steps, points, floors and corners disagree."""
         truth = cls(
             source_id=doc["source_id"],
             seed=doc["seed"],
@@ -209,6 +211,8 @@ class GroundTruth:
             corner_points=_pairs(doc, "corner_points"),
             floor_pressures={int(k): float(v) for k, v in doc["floor_pressures"].items()},
         )
+        if not len(truth.step_gaits) == len(truth.step_headings) == len(truth.step_floors) == len(truth.step_times):
+            raise ValueError("step_gaits, step_headings and step_floors must hold one entry per step")
         if not len(truth.point_floors) == len(truth.points) == len(truth.step_times) + 1:
             raise ValueError("points and point_floors must hold the origin and one entry per step")
         for i in truth.corner_indices:

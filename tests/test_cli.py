@@ -265,8 +265,9 @@ def _segment(floor, **extra):
     {"ap_pools": {"1": "02:00:00:00:01:00"}},
     {"ap_pools": {"1": ["x"]}},
     {"ap_pools": {"1": [5]}},
+    {"noise": {"acel": 0.2}},
 ], ids=["scalar-drift", "floor-without-pool", "source-id-path", "scalar-noise", "list-ap-pools",
-        "text-drift-entry", "text-jitter-step", "text-ap-pool", "bad-bssid", "number-bssid"])
+        "text-drift-entry", "text-jitter-step", "text-ap-pool", "bad-bssid", "number-bssid", "unknown-noise-key"])
 def test_bad_walk_script_exits_2(change, tmp_path, caplog):
     doc = {"source_id": "w", "seed": 1, "segments": [_segment(1)], **change}
     spath = tmp_path / "walk.json"
@@ -378,7 +379,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize("sidecar", [
         "invalid-json", "empty-object", "scalar-point-floors", "corner-point-triple",
         "corner-point-strings", "one-number-point", "no-point-floors", "corner-index-past-end",
-        "corner-count-mismatch",
+        "corner-count-mismatch", "short-step-gaits", "short-step-headings", "long-step-floors",
     ])
     def test_malformed_truth_sidecar_exits_2_before_loading(
         self, command, sidecar, straight_corpus, tmp_path, caplog, monkeypatch
@@ -401,6 +402,9 @@ class TestEvalCommand:
             "no-point-floors": json.dumps({**doc, "point_floors": []}),
             "corner-index-past-end": json.dumps({**doc, "corner_indices": [len(doc["points"])], "corner_points": [[0, 0]]}),
             "corner-count-mismatch": json.dumps({**doc, "corner_indices": [1], "corner_points": []}),
+            "short-step-gaits": json.dumps({**doc, "step_gaits": doc["step_gaits"][:-1]}),
+            "short-step-headings": json.dumps({**doc, "step_headings": doc["step_headings"][:-1]}),
+            "long-step-floors": json.dumps({**doc, "step_floors": doc["step_floors"] + [1]}),
         }[sidecar]
         (corpus / "walk.truth.json").write_text(text)
         assert main([command, "--input", str(corpus), "--output", str(tmp_path / "out")]) == 2

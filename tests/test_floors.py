@@ -327,6 +327,14 @@ class TestClusterFloors:
         with pytest.raises(ValueError):
             cluster_floors([])
 
+    def test_more_floors_than_segments_rejected(self):
+        """The text is the one `run --floors` reports, and no floor is written."""
+        segments = [seg("a", 0, 1013.0, {"m1"}), seg("b", 0, 1012.6, {"m2"})]
+        with pytest.raises(FloorClusteringError) as info:
+            cluster_floors(segments, floor_count=len(segments) + 1)
+        assert str(info.value) == "3 floors asked for, more than the floor segments (2)"
+        assert [s.floor for s in segments] == [None, None]
+
     def test_floor_count_below_one_rejected(self):
         with pytest.raises(ValueError):
             cluster_floors([seg("a", 0, 1013.0, {"m1"})], floor_count=0)
@@ -337,6 +345,8 @@ def _ref_cluster_floors(segments, cut=0.7, floor_count=None, heights=None):
     full on each merge. Returns (per-segment floors, cluster pressures);
     appends the linkage of each merge to ``heights`` if given."""
     n = len(segments)
+    if floor_count is not None and floor_count > n:
+        raise FloorClusteringError(f"{floor_count} floors asked for, more than the floor segments ({n})")
     base = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

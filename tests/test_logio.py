@@ -140,7 +140,7 @@ def _fuzzed_logs(count):
         "WIFI;1.0;1.0;lab;aa:bb:cc:dd:ee:ff;2412;-60\n"
         "ACCE;2.5;2.5;-1e-3;+2;9.75;-7\nPRES;2.5;2.5;1013.25;1\n"
     )
-    # printable ASCII, the numeric bytes again, and what float() or the line split treat specially
+    # printable ASCII, the characters of numbers again, and what float() or the line split treat specially
     alphabet = [chr(c) for c in range(32, 127)] + list("0123456789.eE+-;" * 3) + list("\r\n\t\x00_٣１")
     for _ in range(count):
         chars = list(base)
@@ -233,14 +233,16 @@ class TestBulkParse:
             assert newlines == text.count("\n")
 
     @pytest.mark.parametrize("token, value", [("1_000", 1000), (" 1 ", 1), ("٣", 3), ("１", 1)])
-    def test_tokens_outside_the_numeric_bytes_take_the_line_loop(self, token, value):
-        """float() and int() take these, so parse_log does; the bulk pass leaves
-        them to the line loop, whatever NumPy's own parser would take."""
+    def test_tokens_float_and_int_take_parse_in_bulk(self, token, value):
+        """float() and int() take these, so the line loop does; the bulk pass
+        converts with the same functions, so it takes them too, without a
+        fallback, and gives the line loop's columns."""
         text = f"ACCE;1.0;1.0;{token};0;9.8;{token}\n"
-        with pytest.raises(ValueError):
-            logio._parse_bulk(text)
+        rows, codes = logio._parse_bulk(text)[0]["accel"]  # raises where it would fall back
+        assert rows[0, 2] == value and codes[0] == value
         log = parse_log(text.encode())
         assert log.accel.values[0, 0] == value and log.accel.accuracy[0] == value
+        assert _outcome(text.encode()) == _outcome(text.encode(), line_loop=True)
 
     def test_bad_line_after_many_good_ones_keeps_its_line_number(self):
         _assert_bad_line_keeps_its_number()
@@ -517,9 +519,9 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("edit", ["malformed-in-last-chunk", "spaced-accuracy-code"])
     def test_file_parse_peak_when_a_piece_takes_the_line_loop(self, edit, corpus_dir, tmp_path):
         """phone-a with a malformed record just before its last line, where
-        the parse fails, or with its middle accuracy code written ` 3`, which
-        only the line loop takes: that piece alone goes through the line
-        loop, and the peak stays within the bound above."""
+        the parse fails and that piece alone goes through the line loop; or
+        with its middle accuracy code written ` 3`, which the bulk pass takes
+        as int() does. The peak stays within the bound above."""
         good = corpus_dir / "phone-a.tsl"
         lines = good.read_bytes().splitlines(keepends=True)
         if edit == "malformed-in-last-chunk":

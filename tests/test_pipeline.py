@@ -1,6 +1,7 @@
 """process_corpus / run_pipeline: which per-file failures are recorded, and
 that degenerate logs end in a report instead of an exception."""
 
+import math
 import multiprocessing
 import random
 import tempfile
@@ -89,6 +90,13 @@ def test_steps_have_the_bits_of_one_window_calls(default_corpus):
         steps = pipeline.process_log(log, cfg, model).steps
         assert len(steps) > 100
         assert repr(steps) == repr(_one_window_steps(log, cfg, model))
+
+
+def test_report_writes_a_nan_floor_pressure_as_null():
+    """A floor with no barometer data has a NaN pressure, which JSON cannot hold."""
+    report = RunReport(files=[], floor_count=2, floor_pressures=[1013.25, math.nan])
+    assert report.to_json()["floor_pressures"] == [1013.25, None]
+    assert math.isnan(report.floor_pressures[1])
 
 
 def test_twice_written_log_is_processed(short_walk_lines, tmp_path):
