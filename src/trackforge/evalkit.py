@@ -1,12 +1,13 @@
 """Turning-point and floor-classification scoring, plus parameter sweeps.
 
 ``score_corpus`` builds the ``eval.json`` document, and each ``sweep`` row is
-its turning block. Turning points are scored by greedy one-to-one matching
-between detected and true corner positions within a match radius (interior
-vertices only; segment endpoints never count), with counts pooled over the
-corpus. Floor accuracy is the fraction of segments whose assigned index equals
-their majority ground-truth floor, over the segments that have one; the
-pressure ordering fixes the label alignment, so no permutation search is needed.
+its turning block. Turning points are the interior vertices of the graphs
+``featurize_segment_report`` builds, as ``run`` writes them (both ends of a
+split count; segment endpoints and dropped pieces never do), matched greedily
+one to one to the true corners within a match radius, pooled over the corpus.
+Floor accuracy is the fraction of segments whose assigned index equals their
+majority ground-truth floor, over the segments that have one; the pressure
+ordering fixes the label alignment, so no permutation search is needed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .featurize import TurningConfig, detect_turning_points
+from .featurize import TurningConfig, featurize_segment_report
 from .floors import TrajectorySegment
 from .pdr import PdrTrajectory
 from .synth import GroundTruth
@@ -105,14 +106,13 @@ def score_floors(predicted: Sequence[int], truth: Sequence[int]) -> float:
 def interior_turning_points(
     traj: PdrTrajectory, segments: Sequence[TrajectorySegment], cfg: TurningConfig
 ) -> list[tuple[float, float]]:
-    """Detected turning-point positions, excluding each segment's endpoints."""
+    """Positions of the vertices of each segment's ``featurize_segment_report``
+    graphs under ``cfg``, except the segment's first and last point."""
     out: list[tuple[float, float]] = []
     for seg in segments:
-        positions = traj.points[slice(*seg.point_range)]
-        if len(positions) < 2:
-            continue
-        vertices = detect_turning_points(positions, cfg)
-        out.extend((x, y) for x, y in positions[vertices[1:-1]].tolist())
+        last = len(traj.t[slice(*seg.point_range)]) - 1
+        graphs, _ = featurize_segment_report(traj, seg, cfg)
+        out.extend((v.x, v.y) for g in graphs for v in g.vertices if 0 < v.origin_index < last)
     return out
 
 
@@ -164,19 +164,17 @@ def sweep(
     """Score turning detection over an (epsilon, window) grid.
 
     ``corpus`` holds already-processed trajectories with their floor segments
-    and ground truths; only the turning stage depends on the swept parameters,
-    so re-running it per cell is equivalent to re-running the whole pipeline.
-    Each row is ``score_corpus``'s turning block for its cell; rows come back
-    ordered by (epsilon, window).
+    and ground truths; only featurize depends on the swept parameters, so
+    re-running it per cell is equivalent to re-running the whole pipeline.
+    Each row is ``score_corpus``'s turning block for its cell, one per
+    distinct (epsilon, window) pair, ordered by (epsilon, window).
     """
     if not epsilon_grid or not window_grid:
         raise ValueError("sweep grids must be non-empty")
     rows = []
-    for eps in epsilon_grid:
-        for win in window_grid:
-            cfg = TurningConfig(
-                epsilon_rad=float(eps), window_min=int(win), min_subtraj_len_m=min_subtraj_len_m
-            )
+    for eps in sorted(set(epsilon_grid)):
+        for win in sorted(set(window_grid)):
+            cfg = TurningConfig(float(eps), int(win), min_subtraj_len_m)
             t = score_corpus(corpus, cfg, match_radius)["turning"]
             rows.append(SweepRow(t["epsilon"], t["window"], t["precision"], t["recall"], t["f"]))
     return rows

@@ -35,11 +35,11 @@ class TurningConfig:
     min_subtraj_len_m: float = 5.0
 
     def __post_init__(self):
-        if self.epsilon_rad <= 0:
+        if not self.epsilon_rad > 0:
             raise ValueError("epsilon_rad must be positive")
         if self.window_min < 1:
             raise ValueError("window_min must be >= 1")
-        if self.min_subtraj_len_m <= 0:
+        if not self.min_subtraj_len_m > 0:
             raise ValueError("min_subtraj_len_m must be positive")
 
 

@@ -2,11 +2,12 @@
 
 Per-file stages are independent; floor clustering joins all trajectories'
 segments (floor indices only make sense across the whole corpus) and is the
-one cross-file synchronization point. Logs are parsed in forked worker
-processes (``forked.forked_map``) while this process runs ``process_log`` and
-everything after it on the logs already parsed, in sorted file order. Every
-output is byte-deterministic for a fixed input set and config, whatever the
-number of workers.
+one cross-file synchronization point; featurize follows it. ``run``, ``eval``
+and ``sweep`` share ``process_corpus``. Logs are parsed in forked workers
+(``forked.forked_map``) while this process runs ``process_log`` and all
+later stages on the logs already parsed, in sorted file order. Every output
+is byte-deterministic for a fixed input set and config, whatever the number
+of workers.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class ProcessedLog:
     steps: list[Step]
     trajectory: PdrTrajectory
     segments: list[TrajectorySegment] = field(default_factory=list)
+    graphs: list[ChainGraph] = field(default_factory=list)
 
 
 @dataclass
@@ -125,7 +127,8 @@ def process_corpus(
     paths: Sequence[Path], cfg: PipelineConfig
 ) -> tuple[RunReport, dict[str, ProcessedLog]]:
     """Parse -> ``process_log`` -> floor segments for each log file, in order,
-    then number the floors over all their segments. Each file is parsed as
+    then number the floors over all their segments and featurize them with
+    ``cfg.turn`` into each ``ProcessedLog.graphs``. Each file is parsed as
     ``parse_log_file`` reads it, a chunk at a time, in a forked worker
     (``forked_map``: one per usable CPU, at most one per file), while this
     process runs ``process_log`` and the rest on the files before it. No
@@ -137,8 +140,8 @@ def process_corpus(
     is a bug and propagates. Without floor segments there are no floors; when
     ``cluster_floors`` fails, for instance because ``cfg.floors_override``
     asks for more floors than there are segments, the report's ``error``
-    says why and no segment has a floor. Returns the report and the
-    processed logs by file name.
+    says why and no segment has a floor; in both cases no graph is built.
+    Returns the report and the processed logs by file name.
     """
     gait_model = load_gait_model_or_default(cfg)
     run_report = RunReport(files=[])
@@ -169,9 +172,16 @@ def process_corpus(
         assignment = cluster_floors(segments, cut=cfg.floor.cut, floor_count=cfg.floors_override)
     except FloorClusteringError as exc:
         run_report.error = f"floor clustering failed: {exc}"
-    else:
-        run_report.floor_count = assignment.floor_count
-        run_report.floor_pressures = assignment.cluster_pressures
+        return run_report, processed
+    run_report.floor_count = assignment.floor_count
+    run_report.floor_pressures = assignment.cluster_pressures
+    for report in run_report.files:
+        if (item := processed.get(report.name)) is not None:
+            for seg in item.segments:
+                seg_graphs, dropped = featurize_segment_report(item.trajectory, seg, cfg.turn)
+                item.graphs.extend(seg_graphs)
+                report.dropped_subtrajectories += dropped
+            report.graphs = len(item.graphs)
     return run_report, processed
 
 
@@ -179,10 +189,10 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
     """Process every ``*.tsl`` file under input_dir into chain-graph documents.
 
     Unreadable files are recorded and skipped; an empty directory or zero
-    parsable files raises PipelineError. Writes one ``<stem>.graphs.json`` per
-    parsed input plus ``report.json`` into output_dir. When floor clustering
-    fails, only ``report.json`` is written, with the error, and PipelineError
-    is raised.
+    parsable files raises PipelineError. Writes the graphs ``process_corpus``
+    built, one ``<stem>.graphs.json`` per parsed input, plus ``report.json``
+    into output_dir. When floor clustering fails, only ``report.json`` is
+    written, with the error, and PipelineError is raised.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir)
@@ -197,17 +207,8 @@ def run_pipeline(input_dir: str | Path, output_dir: str | Path, cfg: PipelineCon
         write_json(output_dir / "report.json", run_report.to_json())
         raise PipelineError(run_report.error)
 
-    for report in run_report.files:
-        if report.error is not None:
-            continue
-        item = processed[report.name]
-        graphs: list[ChainGraph] = []
-        for seg in item.segments:
-            seg_graphs, dropped = featurize_segment_report(item.trajectory, seg, cfg.turn)
-            graphs.extend(seg_graphs)
-            report.dropped_subtrajectories += dropped
-        report.graphs = len(graphs)
-        write_chain_graphs(graphs, output_dir / f"{Path(report.name).stem}.graphs.json")
+    for name, item in processed.items():
+        write_chain_graphs(item.graphs, output_dir / f"{Path(name).stem}.graphs.json")
 
     write_json(output_dir / "report.json", run_report.to_json())
     return run_report

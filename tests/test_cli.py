@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trackforge import cli, forked
+from trackforge import cli, evalkit, forked
 from trackforge.cli import main
 from trackforge.config import ConfigError, load_config
 from trackforge.logio import parse_chain_graphs, parse_log_file
-from trackforge.pipeline import process_corpus
+from trackforge.floors import segment_trajectory
+from trackforge.pipeline import process_corpus, process_log
 from trackforge.stride import default_gait_model, load_gait_model, save_gait_model
-from trackforge.synth import WalkScript, WalkSegmentSpec, save_script, write_corpus
+from trackforge.synth import GroundTruth, WalkScript, WalkSegmentSpec, save_script, truth_path, write_corpus
 from trackforge.stride import Gait
 
 
@@ -298,13 +299,47 @@ class TestEvalCommand:
         report = json.loads((run_out / "report.json").read_text())
         assert report["floor_count"] == 3
         assert report["totals"]["errors"] == 0
-        # eval builds no graphs; every other field of its report is run's
-        eval_report = json.loads((out / "report.json").read_text())
-        for doc in (report, eval_report):
-            for f in doc["files"]:
-                f["graphs"] = f["dropped_subtrajectories"] = 0
-            doc["totals"]["graphs"] = doc["totals"]["dropped_subtrajectories"] = 0
-        assert eval_report == report
+        # eval goes through the same corpus path, graphs included
+        assert json.loads((out / "report.json").read_text()) == report
+
+    def test_long_min_length_scores_no_turn(self, corpus_dir, tmp_path):
+        # every piece is shorter than 100 km: run writes no graph, so nothing is detected
+        config = tmp_path / "long.cfg"
+        config.write_text("turn.min_len_m = 100000\n")
+        out = tmp_path / "eval"
+        assert main(["eval", "--input", str(corpus_dir), "--output", str(out), "--config", str(config)]) == 0
+        assert json.loads((out / "eval.json").read_text())["turning"]["recall"] == 0.0
+        assert json.loads((out / "report.json").read_text())["totals"]["graphs"] == 0
+        sweep_out = tmp_path / "sweep"
+        assert main(["sweep", "--input", str(corpus_dir), "--output", str(sweep_out),
+                     "--config", str(config)]) == 0
+        rows = json.loads((sweep_out / "sweep_plot.json").read_text())["rows"]
+        assert len(rows) == 5 and all(row["f"] == 0.0 for row in rows)
+
+    def test_turning_score_is_the_written_graphs(self, corpus_dir, tmp_path):
+        # a config that splits and drops pieces on the default corpus
+        config = tmp_path / "split.cfg"
+        config.write_text("turn.epsilon_rad = 0.2\nturn.window_min = 1\nturn.min_len_m = 3\n")
+        run_out, eval_out = tmp_path / "run", tmp_path / "eval"
+        assert main(["run", "--input", str(corpus_dir), "--output", str(run_out), "--config", str(config)]) == 0
+        assert main(["eval", "--input", str(corpus_dir), "--output", str(eval_out), "--config", str(config)]) == 0
+        totals = json.loads((run_out / "report.json").read_text())["totals"]
+        assert totals["graphs"] > totals["segments"] and totals["dropped_subtrajectories"] > 0
+
+        cfg = load_config(config)
+        tp = n_det = n_tru = 0
+        for path in sorted(corpus_dir.glob("*.tsl")):
+            # each segment's first and last point, by time, from the stages before featurize
+            traj = process_log(parse_log_file(path), cfg, default_gait_model()).trajectory
+            segments = segment_trajectory(traj, cfg.floor.eps_hpa, cfg.floor.min_pts, cfg.floor.max_clusters)
+            ends = {traj.t[i] for seg in segments for i in (seg.point_range[0], seg.point_range[1] - 1)}
+            graphs = parse_chain_graphs((run_out / f"{path.stem}.graphs.json").read_text())
+            detected = [(v.x, v.y) for g in graphs for v in g.vertices if v.t not in ends]
+            truth = GroundTruth.from_json(json.loads(truth_path(path).read_text()))
+            score = evalkit.score_turnings(detected, truth.corner_points)
+            tp, n_det, n_tru = tp + score.true_positives, n_det + score.detected, n_tru + score.truth
+        turning = json.loads((eval_out / "eval.json").read_text())["turning"]
+        assert (turning["precision"], turning["recall"], turning["f"]) == evalkit.prf(tp, n_det, n_tru)
 
     @pytest.mark.parametrize("floors", [[], ["--floors", "2"]], ids=["cut", "floors-2"])
     def test_floor_count_is_the_reports(self, floors, corpus_dir, tmp_path):

@@ -164,13 +164,14 @@ class TestSweep:
         )
 
     def test_rows_ordered_and_deterministic(self, processed_corpus):
-        grid_e = [1.2, 0.6]
-        grid_w = [4, 1]
-        rows_a = sweep(processed_corpus, sorted(grid_e), sorted(grid_w))
-        rows_b = sweep(processed_corpus, sorted(grid_e), sorted(grid_w))
+        # unsorted grids with a duplicate: one row per distinct cell, sorted
+        grid_e = [1.2, 0.6, 1.2]
+        grid_w = [4, 1, 4]
+        rows_a = sweep(processed_corpus, grid_e, grid_w)
+        rows_b = sweep(processed_corpus, grid_e, grid_w)
         assert rows_a == rows_b
         keys = [(r.epsilon, r.window) for r in rows_a]
-        assert keys == sorted(keys)
+        assert keys == [(0.6, 1), (0.6, 4), (1.2, 1), (1.2, 4)]
 
     def test_empty_grid_rejected(self, processed_corpus):
         with pytest.raises(ValueError):

@@ -147,6 +147,14 @@ class TestDetectTurningPoints:
             detect_turning_points(np.array([[0.0, 0.0]]), TurningConfig())
 
 
+class TestTurningConfig:
+    @pytest.mark.parametrize("field", ["epsilon_rad", "min_subtraj_len_m"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            TurningConfig(**{field: value})
+
+
 class TestSplitFrequentTurnings:
     def test_no_successive_pair_single_graph(self):
         pts = np.array([(float(i), 0.0) for i in range(13)])
