@@ -162,10 +162,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     corpus = _load_eval_corpus(args.input, cfg, out)
     if corpus is None:
         return EXIT_ERROR
-    rows = evalkit.sweep(
-        corpus, eps_grid, win_grid,
-        match_radius=args.match_radius, min_subtraj_len_m=cfg.turn.min_subtraj_len_m,
-    )
+    rows = evalkit.sweep(corpus, eps_grid, win_grid, match_radius=args.match_radius, cfg=cfg.turn)
     write_text(out / "sweep.csv", evalkit.sweep_table(rows))
     write_json(out / "sweep_plot.json", evalkit.sweep_plot_data(rows))
     best = max(rows, key=lambda r: (r.f_measure, -r.epsilon))

@@ -13,7 +13,7 @@ ordering fixes the label alignment, so no permutation search is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -159,23 +159,23 @@ def sweep(
     epsilon_grid: Sequence[float],
     window_grid: Sequence[int],
     match_radius: float = 2.0,
-    min_subtraj_len_m: float = 5.0,
+    cfg: TurningConfig = TurningConfig(),
 ) -> list[SweepRow]:
     """Score turning detection over an (epsilon, window) grid.
 
     ``corpus`` holds already-processed trajectories with their floor segments
     and ground truths; only featurize depends on the swept parameters, so
     re-running it per cell is equivalent to re-running the whole pipeline.
-    Each row is ``score_corpus``'s turning block for its cell, one per
-    distinct (epsilon, window) pair, ordered by (epsilon, window).
+    Each row is ``score_corpus``'s turning block for ``cfg`` with the cell's
+    epsilon and window, one per distinct pair, ordered by (epsilon, window).
     """
     if not epsilon_grid or not window_grid:
         raise ValueError("sweep grids must be non-empty")
     rows = []
     for eps in sorted(set(epsilon_grid)):
         for win in sorted(set(window_grid)):
-            cfg = TurningConfig(float(eps), int(win), min_subtraj_len_m)
-            t = score_corpus(corpus, cfg, match_radius)["turning"]
+            cell = replace(cfg, epsilon_rad=float(eps), window_min=int(win))
+            t = score_corpus(corpus, cell, match_radius)["turning"]
             rows.append(SweepRow(t["epsilon"], t["window"], t["precision"], t["recall"], t["f"]))
     return rows
 

@@ -1,12 +1,12 @@
 """Per-floor trajectory segmentation and global floor indexing.
 
-Each trajectory's barometer-annotated points are clustered with 1-D DBSCAN;
-every cluster maps back to maximal contiguous point ranges (floor segments),
-and the leftover transition points (stairs, elevators) stay out as gaps.
-Segments from all trajectories are then clustered jointly by the Jaccard
-distance of their WiFi MAC sets (average-linkage agglomerative), and the
-resulting clusters are numbered 1..K by descending mean pressure, so the
-highest-pressure cluster is floor 1.
+Each trajectory's barometer-annotated points are clustered with 1-D DBSCAN,
+read as runs of sorted core pressures; every cluster maps back to maximal
+contiguous point ranges (floor segments), and the leftover transition
+points (stairs, elevators) stay out as gaps. Segments from all trajectories
+are then clustered jointly by the Jaccard distance of their WiFi MAC sets
+(average-linkage agglomerative), and the resulting clusters are numbered
+1..K by descending mean pressure, so the highest-pressure cluster is floor 1.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ def dbscan_1d(values: Sequence[float], eps: float, min_pts: int) -> list[int]:
     """Standard DBSCAN over 1-D values; a <= b are neighbors when ``b <= a + eps``,
     one float test whichever value asks.
 
-    Returns one label per input value: clusters are numbered by first
-    occurrence in input order, noise is -1. Border points join the first
-    cluster (in seed order) whose expansion reaches them, which makes equal
-    inputs give identical labels.
+    A cluster is a maximal run of sorted core values, each a neighbor of the
+    core before. A border value joins, of the at most two clusters it
+    neighbors, the one whose first core in input order comes first, as the
+    seed loop would. Clusters are numbered by first occurrence; noise is -1.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -71,50 +71,33 @@ def dbscan_1d(values: Sequence[float], eps: float, min_pts: int) -> list[int]:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     values = np.asarray(values, dtype=float)
     n = len(values)
-    if n == 0:
-        return []
-
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
     # in sorted order, j < i are neighbors exactly when i < hi[j]; hi never
     # decreases, so each neighborhood is the contiguous run lo[i]:hi[i]
     hi = np.searchsorted(sorted_vals, sorted_vals + eps, side="right")
     lo = np.searchsorted(hi, np.arange(n), side="right")
-    rank = np.argsort(order)  # each value's position in sorted order
-    lo, hi = lo[rank], hi[rank]
-    core = (hi - lo) >= min_pts
-
-    labels = [None] * n
-    cluster = 0
-    for seed in range(n):
-        if labels[seed] is not None or not core[seed]:
-            continue
-        labels[seed] = cluster
-        queue = [seed]
-        while queue:
-            q = queue.pop(0)
-            for j in order[lo[q]:hi[q]]:
-                if labels[j] is None:
-                    labels[j] = cluster
-                    if core[j]:
-                        queue.append(int(j))
-        cluster += 1
-    raw = [-1 if l is None else l for l in labels]
-    return canonicalize_labels(raw)
+    cores = np.flatnonzero(hi - lo >= min_pts)
+    if not len(cores):
+        return [-1] * n
+    # a cluster starts at each core that is no neighbor of the core before;
+    # each core takes the input index of its cluster's first core, its seed
+    starts = np.r_[True, cores[1:] >= hi[cores[:-1]]]
+    seed = np.minimum.reduceat(order[cores], np.flatnonzero(starts))[np.cumsum(starts) - 1]
+    # lo:hi holds cores[first:last + 1], of at most two clusters, one per side
+    first, last = np.searchsorted(cores, lo), np.searchsorted(cores, hi) - 1
+    seed = np.append(seed, -1)  # read where first == len(cores) or last == -1
+    labels = np.empty(n, dtype=int)
+    labels[order] = np.where(first <= last, np.minimum(seed[first], seed[last]), -1)
+    return canonicalize_labels(labels.tolist())
 
 
 def canonicalize_labels(labels: Sequence[int]) -> list[int]:
     """Relabel clusters by first occurrence in input order; noise stays -1."""
-    mapping: dict[int, int] = {}
-    out = []
+    mapping = {-1: -1}
     for l in labels:
-        if l == -1:
-            out.append(-1)
-            continue
-        if l not in mapping:
-            mapping[l] = len(mapping)
-        out.append(mapping[l])
-    return out
+        mapping.setdefault(l, len(mapping) - 1)
+    return [mapping[l] for l in labels]
 
 
 def _runs(labels: Sequence[int]) -> list[tuple[int, int, int]]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -65,6 +66,11 @@ GAIT_PROFILES = {
     Gait.NORMAL: GaitProfile(1.8, 2.5, 1.0),
     Gait.FAST: GaitProfile(2.1, 4.0, 1.6),
 }
+
+
+def _finite(value) -> bool:
+    """An int or float that is a finite float; JSON's true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -110,34 +116,44 @@ class WalkScript:
         for seg in self.segments:
             if seg.steps < 1:
                 raise ValueError(f"segment step count must be >= 1, got {seg.steps}")
+            if not _finite(seg.heading_rad):
+                raise ValueError(f"segment heading_rad must be a finite number, got {seg.heading_rad!r}")
             if seg.drift is not None and not isinstance(seg.drift, (list, dict)):
                 raise ValueError(f"segment drift must be null, a list or an object, got {seg.drift!r}")
             if isinstance(seg.drift, list) and len(seg.drift) != seg.steps:
                 raise ValueError("explicit drift list must have one entry per step")
-            if isinstance(seg.drift, list) and not all(isinstance(d, (int, float)) for d in seg.drift):
-                raise ValueError(f"drift list entries must be numbers, got {seg.drift!r}")
-            if isinstance(seg.drift, dict) and not all(isinstance(v, (int, float)) for v in seg.drift.values()):
-                raise ValueError(f"drift object values must be numbers, got {seg.drift!r}")
+            if isinstance(seg.drift, list) and not all(map(_finite, seg.drift)):
+                raise ValueError(f"drift list entries must be finite numbers, got {seg.drift!r}")
+            if isinstance(seg.drift, dict) and not all(map(_finite, seg.drift.values())):
+                raise ValueError(f"drift object values must be finite numbers, got {seg.drift!r}")
+            if isinstance(seg.drift, dict) and (unknown := sorted(set(seg.drift) - {"jitter_step", "clip"})):
+                raise ValueError(f"drift object keys must be jitter_step or clip, got {unknown}")
             if self.ap_pools and seg.floor not in self.ap_pools:
                 raise ValueError(f"no AP pool for floor {seg.floor}")
+        for f in fields(self)[3:]:  # the optional keys; the scalar ones have number defaults
+            if isinstance(f.default, (int, float)) and not _finite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number, got {getattr(self, f.name)!r}")
+        if not isinstance(self.aps_per_floor, int) or self.aps_per_floor < 0:
+            raise ValueError(f"aps_per_floor must be an int >= 0, got {self.aps_per_floor!r}")
         if not 0.0 <= self.wifi_leakage < 1.0:
             raise ValueError(f"wifi_leakage must be in [0, 1), got {self.wifi_leakage}")
-        for rate in (self.imu_rate_hz, self.baro_rate_hz, self.wifi_period_s):
-            if rate <= 0:
-                raise ValueError("rates and periods must be positive")
-        if not isinstance(self.noise, dict) or not all(isinstance(v, (int, float)) for v in self.noise.values()):
-            raise ValueError(f"noise must map sensor names to numbers, got {self.noise!r}")
+        if min(self.imu_rate_hz, self.baro_rate_hz, self.wifi_period_s) <= 0:
+            raise ValueError("rates and periods must be positive")
+        if not isinstance(self.noise, dict) or not all(_finite(v) and v >= 0 for v in self.noise.values()):
+            raise ValueError(f"noise must map sensor names to finite sigmas >= 0, got {self.noise!r}")
         if unknown := sorted(set(self.noise) - {"accel", "gyro", "magn", "baro"}):
             raise ValueError(f"noise keys must be accel, gyro, magn or baro, got {unknown}")
-        for key, sigma in self.noise.items():
-            if sigma < 0:
-                raise ValueError(f"noise sigma for {key} must be >= 0")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "WalkScript":
+        """Decode a walk script; ValueError on an unknown key or a bad value; null means default."""
+        if unknown := sorted(set(doc) - {f.name for f in fields(cls)}):
+            raise ValueError(f"unknown walk-script keys {unknown}")
+        if unknown := sorted({k for s in doc["segments"] for k in s} - {f.name for f in fields(WalkSegmentSpec)}):
+            raise ValueError(f"unknown segment keys {unknown}")
         segments = [
             WalkSegmentSpec(
                 floor=int(s["floor"]),

@@ -267,8 +267,23 @@ def _segment(floor, **extra):
     {"ap_pools": {"1": ["x"]}},
     {"ap_pools": {"1": [5]}},
     {"noise": {"acel": 0.2}},
+    {"imu_rate_hz": math.nan},
+    {"imu_rate_hz": math.inf},
+    {"baro_rate_hz": math.inf},
+    {"aps_per_floor": -1},
+    {"aps_per_floor": "20"},
+    {"baro_bias_hpa": "x"},
+    {"baro_bias_hpa": math.nan},
+    {"segments": [_segment(1, heading_rad=math.nan)]},
+    {"noise": {"baro": math.nan}},
+    {"imu_rate": 20},
+    {"segments": [_segment(1, drfit={"jitter_step": 0.1})]},
+    {"segments": [_segment(1, drift={"jiter_step": 0.1})]},
 ], ids=["scalar-drift", "floor-without-pool", "source-id-path", "scalar-noise", "list-ap-pools",
-        "text-drift-entry", "text-jitter-step", "text-ap-pool", "bad-bssid", "number-bssid", "unknown-noise-key"])
+        "text-drift-entry", "text-jitter-step", "text-ap-pool", "bad-bssid", "number-bssid", "unknown-noise-key",
+        "nan-imu-rate", "inf-imu-rate", "inf-baro-rate", "negative-aps-per-floor", "text-aps-per-floor",
+        "text-baro-bias", "nan-baro-bias", "nan-heading", "nan-noise-sigma", "unknown-key", "unknown-segment-key",
+        "unknown-drift-key"])
 def test_bad_walk_script_exits_2(change, tmp_path, caplog):
     doc = {"source_id": "w", "seed": 1, "segments": [_segment(1)], **change}
     spath = tmp_path / "walk.json"

@@ -173,6 +173,13 @@ class TestSweep:
         keys = [(r.epsilon, r.window) for r in rows_a]
         assert keys == [(0.6, 1), (0.6, 4), (1.2, 1), (1.2, 4)]
 
+    def test_cells_take_the_base_config(self, processed_corpus):
+        # each cell is cfg with the grid's epsilon and window put in
+        base = TurningConfig(epsilon_rad=0.3, window_min=9, min_subtraj_len_m=100000.0)
+        (row,) = sweep(processed_corpus, [1.0], [4], cfg=base)
+        turning = score_corpus(processed_corpus, TurningConfig(1.0, 4, 100000.0))["turning"]
+        assert (row.epsilon, row.window, row.recall) == (1.0, 4, turning["recall"]) == (1.0, 4, 0.0)
+
     def test_empty_grid_rejected(self, processed_corpus):
         with pytest.raises(ValueError):
             sweep(processed_corpus, [], [4])

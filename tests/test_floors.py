@@ -112,6 +112,22 @@ class TestDbscan1d:
         with pytest.raises(ValueError):
             dbscan_1d([1.0], eps=0.1, min_pts=0)
 
+    # 1.0 and 3.0 are the only cores; the border value 2.0 neighbors both, and
+    # joins the cluster whose first core in input order comes first
+    @pytest.mark.parametrize("values, expected", [
+        ([2.0, 3.5, 3.0, 0.0, 1.0, 0.5, 3.5], [0, 0, 0, 1, 1, 1, 0]),  # high cluster seeded first
+        ([2.0, 3.5, 1.0, 0.0, 3.0, 0.5, 3.5], [0, 1, 0, 0, 1, 0, 1]),  # low cluster seeded first
+    ], ids=["high-first", "low-first"])
+    def test_border_joins_the_cluster_seeded_first(self, values, expected):
+        assert dbscan_1d(values, eps=1.0, min_pts=4) == dbscan_brute(values, 1.0, 4) == expected
+
+    def test_three_long_plateaus(self):
+        # 5 000 readings per floor, each pressure within eps of most others:
+        # the labels of a long floor visit
+        rng = np.random.default_rng(27)
+        values = np.concatenate([p + rng.normal(0.0, 0.02, 5000) for p in (1013.25, 1012.85, 1012.45)])
+        assert dbscan_1d(values, eps=0.1, min_pts=10) == [0] * 5000 + [1] * 5000 + [2] * 5000
+
 
 class TestAbsorbNoise:
     def test_interior_glitch_absorbed(self):
