@@ -1,7 +1,8 @@
 """trackforge command line: run, synth, eval, sweep, train-gait.
 
 Configuration comes from one ``key = value`` file plus flag overrides (flags
-win). ``TRACKFORGE_LOG`` sets the log level (DEBUG/INFO/WARNING/...).
+win). ``TRACKFORGE_LOG`` sets the log level (DEBUG/INFO/WARNING/...); any
+other value means WARNING.
 """
 
 from __future__ import annotations
@@ -250,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("TRACKFORGE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
+    level = logging.getLevelName(os.environ.get("TRACKFORGE_LOG", "WARNING").upper())  # a str for a non-level
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -73,6 +73,18 @@ def _finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
+def _integer(value) -> bool:
+    """An int; JSON's true and false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _given(cls, doc: dict, what: str) -> dict:
+    """``doc`` without its nulls; ValueError when a key names no field of ``cls``."""
+    if unknown := sorted(set(doc) - {f.name for f in fields(cls)}):
+        raise ValueError(f"unknown {what} keys {unknown}")
+    return {k: doc[k] for k in doc if doc[k] is not None}
+
+
 @dataclass
 class WalkSegmentSpec:
     floor: int
@@ -104,28 +116,33 @@ class WalkScript:
     stair_seconds: float = 6.0
 
     def validate(self) -> None:
-        if self.source_id in ("", ".", "..") or "/" in self.source_id or "\\" in self.source_id:
+        """ValueError unless every value is of its field's type and range."""
+        if not isinstance(self.source_id, str) or self.source_id in ("", ".", "..") or {"/", "\\"} & set(self.source_id):
             raise ValueError(f"source_id must be a plain file stem, got {self.source_id!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not _integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         if not self.segments:
             raise ValueError("script has no segments")
         for floor, pool in (self.ap_pools or {}).items():
             if not isinstance(pool, list) or not all(isinstance(b, str) and _BSSID_RE.fullmatch(b) for b in pool):
                 raise ValueError(f"AP pool for floor {floor} must be a list of BSSIDs, got {pool!r}")
+        # generated AP pools name their BSSIDs 02:00:00:00:<floor>:<k>, a byte each
+        low_floor, most_aps = (-255, math.inf) if self.ap_pools else (0, 256)
         for seg in self.segments:
-            if seg.steps < 1:
-                raise ValueError(f"segment step count must be >= 1, got {seg.steps}")
+            if not _integer(seg.floor) or not low_floor <= seg.floor <= 255:
+                raise ValueError(f"segment floor must be an int in {low_floor}..255, got {seg.floor!r}")
+            if not isinstance(seg.gait, Gait):
+                raise ValueError(f"segment gait must be a Gait, got {seg.gait!r}")
+            if not _integer(seg.steps) or seg.steps < 1:
+                raise ValueError(f"segment steps must be an int >= 1, got {seg.steps!r}")
             if not _finite(seg.heading_rad):
                 raise ValueError(f"segment heading_rad must be a finite number, got {seg.heading_rad!r}")
             if seg.drift is not None and not isinstance(seg.drift, (list, dict)):
                 raise ValueError(f"segment drift must be null, a list or an object, got {seg.drift!r}")
             if isinstance(seg.drift, list) and len(seg.drift) != seg.steps:
                 raise ValueError("explicit drift list must have one entry per step")
-            if isinstance(seg.drift, list) and not all(map(_finite, seg.drift)):
-                raise ValueError(f"drift list entries must be finite numbers, got {seg.drift!r}")
-            if isinstance(seg.drift, dict) and not all(map(_finite, seg.drift.values())):
-                raise ValueError(f"drift object values must be finite numbers, got {seg.drift!r}")
+            if not all(map(_finite, seg.drift.values() if isinstance(seg.drift, dict) else seg.drift or ())):
+                raise ValueError(f"drift entries must be finite numbers, got {seg.drift!r}")
             if isinstance(seg.drift, dict) and (unknown := sorted(set(seg.drift) - {"jitter_step", "clip"})):
                 raise ValueError(f"drift object keys must be jitter_step or clip, got {unknown}")
             if self.ap_pools and seg.floor not in self.ap_pools:
@@ -133,12 +150,14 @@ class WalkScript:
         for f in fields(self)[3:]:  # the optional keys; the scalar ones have number defaults
             if isinstance(f.default, (int, float)) and not _finite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be a finite number, got {getattr(self, f.name)!r}")
-        if not isinstance(self.aps_per_floor, int) or self.aps_per_floor < 0:
-            raise ValueError(f"aps_per_floor must be an int >= 0, got {self.aps_per_floor!r}")
+        if not _integer(self.aps_per_floor) or not 0 <= self.aps_per_floor <= most_aps:
+            raise ValueError(f"aps_per_floor must be an int in 0..{most_aps}, got {self.aps_per_floor!r}")
         if not 0.0 <= self.wifi_leakage < 1.0:
             raise ValueError(f"wifi_leakage must be in [0, 1), got {self.wifi_leakage}")
         if min(self.imu_rate_hz, self.baro_rate_hz, self.wifi_period_s) <= 0:
             raise ValueError("rates and periods must be positive")
+        if min(self.turn_seconds, self.stair_seconds) < 0:
+            raise ValueError("turn_seconds and stair_seconds must be >= 0")
         if not isinstance(self.noise, dict) or not all(_finite(v) and v >= 0 for v in self.noise.values()):
             raise ValueError(f"noise must map sensor names to finite sigmas >= 0, got {self.noise!r}")
         if unknown := sorted(set(self.noise) - {"accel", "gyro", "magn", "baro"}):
@@ -149,29 +168,12 @@ class WalkScript:
 
     @classmethod
     def from_json(cls, doc: dict) -> "WalkScript":
-        """Decode a walk script; ValueError on an unknown key or a bad value; null means default."""
-        if unknown := sorted(set(doc) - {f.name for f in fields(cls)}):
-            raise ValueError(f"unknown walk-script keys {unknown}")
-        if unknown := sorted({k for s in doc["segments"] for k in s} - {f.name for f in fields(WalkSegmentSpec)}):
-            raise ValueError(f"unknown segment keys {unknown}")
-        segments = [
-            WalkSegmentSpec(
-                floor=int(s["floor"]),
-                gait=Gait(s["gait"]),
-                heading_rad=float(s["heading_rad"]),
-                steps=int(s["steps"]),
-                drift=s.get("drift"),
-            )
-            for s in doc["segments"]
-        ]
-        script = cls(
-            source_id=str(doc["source_id"]),
-            seed=int(doc["seed"]),
-            segments=segments,
-        )
-        for f in fields(cls)[3:]:
-            if doc.get(f.name) is not None:
-                setattr(script, f.name, doc[f.name])
+        """Decode a walk script; ValueError on an unknown key or a bad value; null means default.
+        Values stay as JSON gives them, but for gait names (to Gait) and ``ap_pools`` keys (to int)."""
+        script = cls(**_given(cls, doc, "walk-script"))
+        script.segments = [WalkSegmentSpec(**_given(WalkSegmentSpec, s, "segment")) for s in script.segments]
+        for seg in script.segments:
+            seg.gait = Gait(seg.gait)
         if script.ap_pools is not None and not isinstance(script.ap_pools, dict):
             raise ValueError(f"ap_pools must map floors to BSSID lists, got {script.ap_pools!r}")
         script.ap_pools = {int(k): v for k, v in script.ap_pools.items()} if script.ap_pools else None
@@ -197,53 +199,39 @@ class GroundTruth:
         """The sidecar document; it shares this truth's lists."""
         # Field by field, as dataclasses.asdict recurses into every value. str
         # keys, so that sort_keys orders the floors as text: "1", "10", "2".
-        return {
-            "source_id": self.source_id,
-            "seed": self.seed,
-            "step_times": self.step_times,
-            "step_gaits": self.step_gaits,
-            "step_headings": self.step_headings,
-            "step_floors": self.step_floors,
-            "points": self.points,
-            "point_floors": self.point_floors,
-            "corner_indices": self.corner_indices,
-            "corner_points": self.corner_points,
-            "floor_pressures": {str(k): v for k, v in self.floor_pressures.items()},
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["floor_pressures"] = {str(k): v for k, v in self.floor_pressures.items()}
+        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroundTruth":
-        """Decode a sidecar; ValueError when its steps, points, floors and corners disagree."""
-        truth = cls(
-            source_id=doc["source_id"],
-            seed=doc["seed"],
-            step_times=list(doc["step_times"]),
-            step_gaits=list(doc["step_gaits"]),
-            step_headings=list(doc["step_headings"]),
-            step_floors=[None if f is None else int(f) for f in doc["step_floors"]],
-            points=_pairs(doc, "points"),
-            point_floors=[None if f is None else int(f) for f in doc["point_floors"]],
-            corner_indices=list(doc["corner_indices"]),
-            corner_points=_pairs(doc, "corner_points"),
-            floor_pressures={int(k): float(v) for k, v in doc["floor_pressures"].items()},
-        )
+        """Decode a sidecar; ValueError on a value of the wrong kind, or when its
+        steps, points, floors and corners disagree."""
+        truth = cls(**{f.name: doc[f.name] for f in fields(cls)})
+        truth.points = _pairs(truth.points, "points")
+        truth.corner_points = _pairs(truth.corner_points, "corner_points")
+        truth.floor_pressures = {int(k): v for k, v in truth.floor_pressures.items()}
+        if not all(map(_finite, [*truth.step_times, *truth.step_headings, *truth.floor_pressures.values()])):
+            raise ValueError("step_times, step_headings and floor_pressures must hold finite numbers")
+        if not all(f is None or _integer(f) for f in [*truth.step_floors, *truth.point_floors]):
+            raise ValueError("step_floors and point_floors must hold ints and nulls")
         if not len(truth.step_gaits) == len(truth.step_headings) == len(truth.step_floors) == len(truth.step_times):
             raise ValueError("step_gaits, step_headings and step_floors must hold one entry per step")
         if not len(truth.point_floors) == len(truth.points) == len(truth.step_times) + 1:
             raise ValueError("points and point_floors must hold the origin and one entry per step")
         for i in truth.corner_indices:
-            if type(i) is not int or not 0 <= i < len(truth.points):
+            if not _integer(i) or not 0 <= i < len(truth.points):
                 raise ValueError(f"corner index {i!r} is not an index into points")
         if len(truth.corner_points) != len(truth.corner_indices):
             raise ValueError("corner_points and corner_indices differ in length")
         return truth
 
 
-def _pairs(doc: dict, key: str) -> list[tuple[float, float]]:
-    """``doc[key]`` as (x, y) tuples; ValueError unless each is two finite numbers."""
-    pairs = [tuple(p) for p in doc[key]]
+def _pairs(values: list, key: str) -> list[tuple[float, float]]:
+    """``values`` as (x, y) tuples; ValueError unless each is two finite numbers."""
+    pairs = [tuple(p) for p in values]
     for p in pairs:
-        if len(p) != 2 or not all(type(c) in (int, float) and math.isfinite(c) for c in p):
+        if len(p) != 2 or not all(map(_finite, p)):
             raise ValueError(f"{key} must hold pairs of finite numbers, got {list(p)!r}")
     return pairs
 
@@ -282,9 +270,9 @@ def _expand_drift(spec: WalkSegmentSpec, rng: np.random.Generator) -> list[float
     if spec.drift is None:
         return [0.0] * spec.steps
     if isinstance(spec.drift, list):
-        return [float(d) for d in spec.drift]
-    jitter = float(spec.drift.get("jitter_step", 0.1))
-    clip = float(spec.drift.get("clip", 0.5))
+        return spec.drift
+    jitter = spec.drift.get("jitter_step", 0.1)
+    clip = spec.drift.get("clip", 0.5)
     drift = [0.0]
     for _ in range(spec.steps - 1):
         step = rng.uniform(-jitter, jitter)

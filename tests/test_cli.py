@@ -279,11 +279,32 @@ def _segment(floor, **extra):
     {"imu_rate": 20},
     {"segments": [_segment(1, drfit={"jitter_step": 0.1})]},
     {"segments": [_segment(1, drift={"jiter_step": 0.1})]},
+    {"segments": [_segment(256)]},
+    {"segments": [_segment(-1)]},
+    {"segments": [_segment(10**400)]},
+    {"segments": [_segment(-256)], "ap_pools": {"-256": ["02:00:00:00:01:00"]}},
+    {"aps_per_floor": 300},
+    {"turn_seconds": -1.0},
+    {"stair_seconds": -0.5},
+    {"seed": 1.9},
+    {"seed": True},
+    {"source_id": 5},
+    {"segments": [_segment(1.7)]},
+    {"segments": [_segment(1, heading_rad="1.5")]},
+    {"segments": [_segment(1, steps=8.9)]},
+    {"segments": [_segment(1, steps=True)]},
+    {"segments": [_segment(1.0)]},
+    {"segments": [_segment(1, steps=8.0)]},
+    {"segments": [_segment(1, gait="walk")]},
 ], ids=["scalar-drift", "floor-without-pool", "source-id-path", "scalar-noise", "list-ap-pools",
         "text-drift-entry", "text-jitter-step", "text-ap-pool", "bad-bssid", "number-bssid", "unknown-noise-key",
         "nan-imu-rate", "inf-imu-rate", "inf-baro-rate", "negative-aps-per-floor", "text-aps-per-floor",
         "text-baro-bias", "nan-baro-bias", "nan-heading", "nan-noise-sigma", "unknown-key", "unknown-segment-key",
-        "unknown-drift-key"])
+        "unknown-drift-key", "generated-pool-floor-256", "generated-pool-floor-minus-1", "400-digit-floor",
+        "pooled-floor-minus-256", "generated-pool-300-aps", "negative-turn-seconds", "negative-stair-seconds",
+        "fractional-seed", "boolean-seed", "number-source-id", "fractional-floor", "text-heading",
+        "fractional-steps", "boolean-steps", "whole-float-floor", "whole-float-steps",
+        "unknown-gait"])
 def test_bad_walk_script_exits_2(change, tmp_path, caplog):
     doc = {"source_id": "w", "seed": 1, "segments": [_segment(1)], **change}
     spath = tmp_path / "walk.json"
@@ -430,6 +451,7 @@ class TestEvalCommand:
         "invalid-json", "empty-object", "scalar-point-floors", "corner-point-triple",
         "corner-point-strings", "one-number-point", "no-point-floors", "corner-index-past-end",
         "corner-count-mismatch", "short-step-gaits", "short-step-headings", "long-step-floors",
+        "400-digit-point", "fractional-step-floor", "text-floor-pressure", "text-step-time",
     ])
     def test_malformed_truth_sidecar_exits_2_before_loading(
         self, command, sidecar, straight_corpus, tmp_path, caplog, monkeypatch
@@ -455,6 +477,10 @@ class TestEvalCommand:
             "short-step-gaits": json.dumps({**doc, "step_gaits": doc["step_gaits"][:-1]}),
             "short-step-headings": json.dumps({**doc, "step_headings": doc["step_headings"][:-1]}),
             "long-step-floors": json.dumps({**doc, "step_floors": doc["step_floors"] + [1]}),
+            "400-digit-point": json.dumps({**doc, "points": [[10**400, 0]] + doc["points"][1:]}),
+            "fractional-step-floor": json.dumps({**doc, "step_floors": [1.7] + doc["step_floors"][1:]}),
+            "text-floor-pressure": json.dumps({**doc, "floor_pressures": {"1": "1013"}}),
+            "text-step-time": json.dumps({**doc, "step_times": ["x"] + doc["step_times"][1:]}),
         }[sidecar]
         (corpus / "walk.truth.json").write_text(text)
         assert main([command, "--input", str(corpus), "--output", str(tmp_path / "out")]) == 2
@@ -479,6 +505,24 @@ def test_run_without_scipy(straight_corpus, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("level", ["BASIC_FORMAT", "verbose"])
+def test_log_level_that_names_no_level_means_warning(level, tmp_path):
+    """Run in a subprocess: under pytest the root logger has handlers already,
+    so ``logging.basicConfig`` would do nothing in-process."""
+    code = "import sys; from trackforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "TRACKFORGE_LOG": level,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", code, "synth", "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (2, "ERROR trackforge: synth needs --script or --default-corpus\n")
 
 
 # the labels of the CI smoke job's train-gait step

@@ -112,6 +112,18 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(uneven)
 
+    def test_generated_pools_reach_floors_0_and_255(self):
+        """A generated BSSID holds its floor and its AP index in one byte each,
+        so floors 0 and 255 with 256 APs per floor render a log that parses."""
+        script = WalkScript(
+            source_id="bytes", seed=3, imu_rate_hz=20.0, stair_seconds=1.0, aps_per_floor=256, wifi_period_s=0.05,
+            segments=[WalkSegmentSpec(floor=f, gait=Gait.NORMAL, heading_rad=0.0, steps=8) for f in (0, 255)],
+        )
+        log, _ = generate(script)
+        bssids = {w.bssid for w in parse_log(serialize_log(log).encode()).wifi}
+        assert {b[-5:-3] for b in bssids} == {"00", "ff"}
+        assert len({b[-2:] for b in bssids}) > 200
+
 
 class TestScriptIO:
     def test_json_round_trip(self, tmp_path):
