@@ -167,7 +167,7 @@ def segment_trajectory(
 def _make_segment(traj: PdrTrajectory, start: int, stop: int) -> TrajectorySegment:
     seg = traj[start:stop]
     pressures = seg.baro_hpa[~np.isnan(seg.baro_hpa)]
-    refs = np.unique(seg.wifi_ref[seg.wifi_ref >= 0]).tolist()
+    refs = sorted(set(seg.wifi_ref[seg.wifi_ref >= 0].tolist()))
     return TrajectorySegment(
         parent_id=traj.source_id,
         point_range=(start, stop),

@@ -2,22 +2,26 @@
 
 ``forked_map(fn, items)`` deals the items round-robin to up to one worker
 per usable CPU (``usable_cpus``) and yields ``fn(item)`` for each, in item
-order, as the caller's thread receives it. Each worker sends each result over
-its own one-way pipe and blocks there until the caller takes it, so at most
+order, as the caller's thread receives it. Each worker writes each result to
+its own ``os.pipe`` and blocks there until the caller reads it, so at most
 one result per worker waits ahead of the caller, however many items there are.
 
-Workers are forked, so ``fn`` and the items reach them without pickling, and
-they inherit the imported modules instead of importing NumPy again; only the
-results are pickled. The fork start method is named because Python 3.14
-changes the Linux default. trackforge starts no thread of its own, and
-OpenBLAS joins its threads before a fork.
+Workers are ``os.fork`` children, so ``fn`` and the items reach them without
+pickling, and they inherit the imported modules instead of importing NumPy
+again; only the results are pickled, and the caller unpickles each from its
+worker's pipe as it streams in. ``multiprocessing`` is not imported, so a
+process that maps this way does not load it. trackforge starts no thread of
+its own, and OpenBLAS joins its threads before a fork.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import sys
 import traceback
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
 
 
 def usable_cpus() -> int:
@@ -25,51 +29,81 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _serve(fn: Callable, items: Sequence, conn) -> None:
-    """A worker's loop: send ``(True, fn(item))`` for each item in turn, or
-    ``(False, exception, traceback text)`` for the first that raises, and stop."""
+def _flush_std_streams() -> None:
+    sys.stdout.flush()
+    sys.stderr.flush()
+
+
+def _serve(fn: Callable, items: Sequence, pipe: BinaryIO) -> None:
+    """A worker's loop: write ``(True, fn(item))`` pickled for each item in
+    turn, or ``(False, exception, traceback text)`` for the first whose call
+    or pickling raises, and stop."""
     for item in items:
         try:
-            result = True, fn(item)
+            message = pickle.dumps((True, fn(item)))
         except Exception as exc:  # the caller raises it, as if fn had run there
-            conn.send((False, exc, traceback.format_exc()))
+            pipe.write(pickle.dumps((False, exc, traceback.format_exc())))
+            pipe.flush()
             return
-        conn.send(result)
+        pipe.write(message)
+        pipe.flush()  # returns once the caller has read all but a pipe's capacity
+
+
+def _work(fn: Callable, items: Sequence, fd: int, mask: set) -> NoReturn:
+    """A forked worker: serve ``items`` into the pipe ``fd``, then end the
+    process without returning into the caller's frames. SIGTERM ends it at
+    once: an inherited handler would run the caller's code, so the default
+    action is restored before the caller's signal ``mask`` is."""
+    code = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        with open(fd, "wb") as pipe:
+            _serve(fn, items, pipe)
+        code = 0
+    except BaseException:  # the process ends here, so report what ended it
+        traceback.print_exc()
+    finally:
+        _flush_std_streams()
+        os._exit(code)
 
 
 def forked_map(fn: Callable, items: Sequence) -> Iterator:
     """``fn(item)`` for each of ``items``, in order, computed in forked workers.
 
-    An exception ``fn`` raises in a worker is raised here, with its type and
-    arguments, when its item's turn comes, chained to a RuntimeError that holds
-    the worker's traceback; a worker that dies without sending raises EOFError.
-    No worker outlives the generator: when it is exhausted, raises or is closed,
-    every worker is ended and reaped. A caller that may stop early closes it,
-    for example with ``contextlib.closing``.
+    An exception ``fn`` raises in a worker, or that pickling its result
+    raises, is raised here, with its type and arguments, when its item's turn
+    comes, chained to a RuntimeError that holds the worker's traceback; a
+    worker that dies without sending raises EOFError. No worker outlives the
+    generator: when it is exhausted, raises or is closed, every worker is
+    sent SIGTERM and reaped. A caller that may stop early closes it, for
+    example with ``contextlib.closing``.
     """
-    # multiprocessing is imported here, so that a process that never forks does not load it
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
     count = min(len(items), usable_cpus())
-    conns, workers = [], []
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
     try:
         for k in range(count):
-            recv, send = context.Pipe(duplex=False)
-            conns.append(recv)
-            workers.append(context.Process(target=_serve, args=(fn, items[k::count], send), daemon=True))
-            workers[-1].start()
-            send.close()  # the worker holds the only write end, so its exit ends the pipe
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            _flush_std_streams()  # or the worker prints what is buffered here again
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})  # held until _work resets it
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, items[k::count], write_fd, mask)
+                pids.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(write_fd)  # the worker holds the only write end, so its exit ends the pipe
         for k in range(len(items)):
-            ok, value, *trace = conns[k % count].recv()
+            ok, value, *trace = pickle.load(pipes[k % count])
             if not ok:
                 raise value from RuntimeError(f"raised in a worker process:\n{trace[0]}")
             yield value
-        for worker in workers:
-            worker.join()
     finally:
-        for worker in workers:  # a no-op on a worker already joined
-            worker.terminate()
-            worker.join()
-        for conn in conns:
-            conn.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()

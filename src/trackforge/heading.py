@@ -357,6 +357,20 @@ def motion_direction(
     return _motion_directions(window_2d, np.array([len(window_2d)]), [phone_yaw], cfg)[0]
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array from its sorted order: the
+    middle value, the mean of the two middle values, or NaN where any value
+    is NaN (sorted last). The bits are ``np.median``'s but for the sign of a
+    zero median, which follows where sorting, not partitioning, puts tied
+    zeros. ``np.median`` loads ``numpy.ma`` on NumPy 2 only to check for
+    masked arrays."""
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    if np.isnan(ordered[-1]):
+        return float(ordered[-1])
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _smoothed_gravity(grav: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Low-passed tracked gravity for linear-acceleration extraction.
 
@@ -371,7 +385,7 @@ def _smoothed_gravity(grav: np.ndarray, times: np.ndarray) -> np.ndarray:
     """
     if len(times) < 3:
         return grav
-    dt = float(np.median(np.diff(times)))
+    dt = _median(np.diff(times))
     if dt <= 0:
         dt = float(times[-1] - times[0]) / (len(times) - 1)
         if dt <= 0:

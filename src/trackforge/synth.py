@@ -154,8 +154,13 @@ class WalkScript:
             raise ValueError(f"aps_per_floor must be an int in 0..{most_aps}, got {self.aps_per_floor!r}")
         if not 0.0 <= self.wifi_leakage < 1.0:
             raise ValueError(f"wifi_leakage must be in [0, 1), got {self.wifi_leakage}")
-        if min(self.imu_rate_hz, self.baro_rate_hz, self.wifi_period_s) <= 0:
-            raise ValueError("rates and periods must be positive")
+        # the samples a render makes grow with the rates, and its WiFi bursts
+        # as the period shrinks (one too small to move the burst time never ends)
+        for name in ("imu_rate_hz", "baro_rate_hz"):
+            if not 0 < getattr(self, name) <= 1000:
+                raise ValueError(f"{name} must be in (0, 1000], got {getattr(self, name)}")
+        if not self.wifi_period_s >= 0.01:
+            raise ValueError(f"wifi_period_s must be >= 0.01, got {self.wifi_period_s}")
         if min(self.turn_seconds, self.stair_seconds) < 0:
             raise ValueError("turn_seconds and stair_seconds must be >= 0")
         if not isinstance(self.noise, dict) or not all(_finite(v) and v >= 0 for v in self.noise.values()):

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from trackforge import synth
@@ -5,6 +7,37 @@ from trackforge.config import PipelineConfig
 from trackforge.floors import cluster_floors, segment_trajectory
 from trackforge.pipeline import process_log
 from trackforge.stride import default_gait_model
+
+
+class Forks(list):
+    """The pids that ``os.fork`` returned in this process during a test, in order."""
+
+    def alive(self) -> int:
+        """How many of them ``os.kill(pid, 0)`` reaches: running, or ended but not reaped."""
+        count = 0
+        for pid in self:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            count += 1
+        return count
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Records the worker processes forked during the test."""
+    pids = Forks()
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -148,7 +147,7 @@ class TestRunCommand:
         errors = [f for f in report["files"] if f["error"]]
         assert len(errors) == 1 and errors[0]["name"] == "broken.tsl"
 
-    def test_worker_count_changes_no_byte(self, straight_corpus, tmp_path, monkeypatch, caplog):
+    def test_worker_count_changes_no_byte(self, straight_corpus, tmp_path, monkeypatch, caplog, forks):
         # logs are parsed in forked workers, one per usable CPU; their errors
         # reach report.json and the log lines pickled, with the text and in
         # the order of a parse in this process
@@ -166,10 +165,10 @@ class TestRunCommand:
             monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
             caplog.clear()
             assert main(["run", "--input", str(straight_corpus), "--output", str(tmp_path / f"good-{cpus}")]) == 0
-            assert multiprocessing.active_children() == []
+            assert forks and forks.alive() == 0
             out = tmp_path / f"mixed-{cpus}"
             assert main(["run", "--input", str(corpus), "--output", str(out)]) == 0
-            assert multiprocessing.active_children() == []
+            assert forks.alive() == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
             messages.append([r.getMessage() for r in caplog.records if r.name == "trackforge.pipeline"])
         assert outputs[0] == outputs[1] and messages[0] == messages[1]
@@ -244,11 +243,11 @@ class TestSynthCommand:
     def test_requires_script_or_default(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2
 
-    def test_unwritable_log_fatal_and_no_worker_left(self, tmp_path, caplog):
+    def test_unwritable_log_fatal_and_no_worker_left(self, tmp_path, caplog, forks):
         (tmp_path / "phone-b.tsl").mkdir()
         assert main(["synth", "--default-corpus", "--out", str(tmp_path)]) == 2
         assert "fatal: " in caplog.text and "phone-b.tsl" in caplog.text
-        assert multiprocessing.active_children() == []
+        assert forks and forks.alive() == 0
 
 
 def _segment(floor, **extra):
@@ -270,6 +269,8 @@ def _segment(floor, **extra):
     {"imu_rate_hz": math.nan},
     {"imu_rate_hz": math.inf},
     {"baro_rate_hz": math.inf},
+    {"wifi_period_s": 1e-300},
+    {"imu_rate_hz": 1e300},
     {"aps_per_floor": -1},
     {"aps_per_floor": "20"},
     {"baro_bias_hpa": "x"},
@@ -298,7 +299,8 @@ def _segment(floor, **extra):
     {"segments": [_segment(1, gait="walk")]},
 ], ids=["scalar-drift", "floor-without-pool", "source-id-path", "scalar-noise", "list-ap-pools",
         "text-drift-entry", "text-jitter-step", "text-ap-pool", "bad-bssid", "number-bssid", "unknown-noise-key",
-        "nan-imu-rate", "inf-imu-rate", "inf-baro-rate", "negative-aps-per-floor", "text-aps-per-floor",
+        "nan-imu-rate", "inf-imu-rate", "inf-baro-rate", "tiny-wifi-period", "huge-imu-rate",
+        "negative-aps-per-floor", "text-aps-per-floor",
         "text-baro-bias", "nan-baro-bias", "nan-heading", "nan-noise-sigma", "unknown-key", "unknown-segment-key",
         "unknown-drift-key", "generated-pool-floor-256", "generated-pool-floor-minus-1", "400-digit-floor",
         "pooled-floor-minus-256", "generated-pool-300-aps", "negative-turn-seconds", "negative-stair-seconds",
@@ -507,7 +509,26 @@ def test_run_without_scipy(straight_corpus, tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.parametrize("level", ["BASIC_FORMAT", "verbose"])
+def test_run_imports_neither_multiprocessing_nor_numpy_ma(corpus_dir, tmp_path):
+    """The parse workers are os.fork children, and no call checks for masked
+    arrays; NumPy before 2 loads numpy.ma with numpy itself."""
+    code = (
+        "import json, sys; import numpy; eager = 'numpy.ma' in sys.modules; from trackforge.cli import main; "
+        "code = main(sys.argv[1:]); "
+        "print(json.dumps([code, 'multiprocessing' in sys.modules, eager, 'numpy.ma' in sys.modules]))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["run", "--input", str(corpus_dir), "--output", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    code, multiprocessing_loaded, eager, numpy_ma_loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and not multiprocessing_loaded
+    assert numpy_ma_loaded == eager
+
+
+@pytest.mark.parametrize("level",["BASIC_FORMAT", "verbose"])
 def test_log_level_that_names_no_level_means_warning(level, tmp_path):
     """Run in a subprocess: under pytest the root logger has handlers already,
     so ``logging.basicConfig`` would do nothing in-process."""

@@ -234,6 +234,23 @@ class TestSmoothedGravity:
         grav = self._gravity(20)
         assert heading._smoothed_gravity(grav, np.full(20, 4.0)).tobytes() == grav.tobytes()
 
+    @given(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 0.01, -0.01, 0.02, math.nan]), st.floats(width=64)),
+        min_size=1, max_size=41,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_median_is_numpys(self, gaps):
+        # odd and even counts, ties, zero and negative gaps, NaN and the float
+        # range; the sign of a zero median follows where sort or partition puts
+        # tied zeros, and _smoothed_gravity takes any zero spacing alike
+        gaps = np.array(gaps)
+        with np.errstate(invalid="ignore", over="ignore"):  # -inf + inf, or two huge middle values
+            ours, numpys = heading._median(gaps), np.median(gaps)
+        if np.isnan(numpys) or numpys == 0:
+            assert ours == numpys or np.isnan(ours) and np.isnan(numpys)
+        else:
+            assert np.float64(ours).tobytes() == numpys.tobytes()
+
     def test_tiny_spacing_averages_the_whole_log(self):
         grav = self._gravity(20)
         times = np.arange(20) * 5e-324  # 0.5 / spacing overflows to inf

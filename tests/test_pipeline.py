@@ -2,7 +2,6 @@
 that degenerate logs end in a report instead of an exception."""
 
 import math
-import multiprocessing
 import random
 import tempfile
 from pathlib import Path
@@ -106,7 +105,7 @@ def test_twice_written_log_is_processed(short_walk_lines, tmp_path):
     assert report.files[0].steps > 0
 
 
-def test_unexpected_error_propagates(short_walk_lines, tmp_path, monkeypatch):
+def test_unexpected_error_propagates(short_walk_lines, tmp_path, monkeypatch, forks):
     (tmp_path / "in").mkdir()
     (tmp_path / "in" / "log.tsl").write_text("\n".join(short_walk_lines) + "\n")
 
@@ -116,17 +115,17 @@ def test_unexpected_error_propagates(short_walk_lines, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "process_log", broken)
     with pytest.raises(TypeError) as raised:  # its traceback holds process_corpus's frame
         run_pipeline(tmp_path / "in", tmp_path / "out", PipelineConfig())
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1 and forks.alive() == 0
     assert str(raised.value) == "a bug, not a file error"
 
 
-def test_bug_while_workers_wait_to_send_leaves_no_worker(corpus_dir, tmp_path, monkeypatch):
+def test_bug_while_workers_wait_to_send_leaves_no_worker(corpus_dir, tmp_path, monkeypatch, forks):
     # the first log fails at once, while one worker parses the third log and
     # the other waits to send the second, a few MB that no pipe holds
     alive = []
 
     def broken(*args, **kwargs):
-        alive.append(len(multiprocessing.active_children()))
+        alive.append(forks.alive())
         raise TypeError("a bug, not a file error")
 
     monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
@@ -134,11 +133,11 @@ def test_bug_while_workers_wait_to_send_leaves_no_worker(corpus_dir, tmp_path, m
     with pytest.raises(TypeError) as raised:  # its traceback holds process_corpus's frame
         process_corpus(sorted(corpus_dir.glob("*.tsl")), PipelineConfig())
     assert alive == [2]
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.alive() == 0
     assert str(raised.value) == "a bug, not a file error"
 
 
-def test_bug_in_a_parse_worker_propagates(short_walk_lines, tmp_path, monkeypatch):
+def test_bug_in_a_parse_worker_propagates(short_walk_lines, tmp_path, monkeypatch, forks):
     for name in ("a.tsl", "b.tsl", "c.tsl"):
         (tmp_path / name).write_text("\n".join(short_walk_lines) + "\n")
 
@@ -150,16 +149,16 @@ def test_bug_in_a_parse_worker_propagates(short_walk_lines, tmp_path, monkeypatc
     monkeypatch.setattr(pipeline, "parse_log_file", broken)
     with pytest.raises(TypeError) as raised:
         process_corpus(sorted(tmp_path.glob("*.tsl")), PipelineConfig())
-    assert multiprocessing.active_children() == []
+    assert forks and forks.alive() == 0
     assert str(raised.value) == "a bug in the parse"
 
 
-def test_documented_errors_are_recorded(short_walk_lines, tmp_path):
+def test_documented_errors_are_recorded(short_walk_lines, tmp_path, forks):
     report = _process(["ACCE;1.0;1.0;0;0;9.8"], tmp_path)  # a parse error
     assert report.files[0].error.startswith("line 1:")
     report = _process([line for line in short_walk_lines if not line.startswith("ACCE")], tmp_path)
     assert report.files[0].error == "log has no accelerometer samples"
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.alive() == 0
 
 
 def _one_time(lines, t):
