@@ -1,12 +1,14 @@
 """Pipeline configuration: documented keys, defaults, file loading, overrides.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment. Flag
-overrides win over file values. Every numeric key is range-checked at load.
+overrides win over file values. Every numeric key is range-checked at load,
+and a float must be finite.
 Gait-model files use the same grammar, read by ``logio.parse_key_values``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -74,6 +76,8 @@ def parse_value(key: str, raw: str, what: str | None = None):
         value = typ(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} has unparsable value {raw!r}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{what} = {raw!r} is not a finite number")
     if not valid(value):
         raise ConfigError(f"{what} = {value} is out of range")
     return value

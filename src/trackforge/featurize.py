@@ -78,52 +78,31 @@ def detect_turning_points(positions: np.ndarray, cfg: TurningConfig = TurningCon
     if n < 2:
         raise ValueError("need at least 2 points")
 
+    dx, dy = np.diff(positions, axis=0).T
     vertices = [0]
-    anchor = 0
     baseline = None
-    window_len = 1  # the anchor itself
-    j = 1
-    while j < n:
-        delta = positions[j] - positions[j - 1]
-        if float(np.hypot(delta[0], delta[1])) < 1e-12:
-            window_len += 1
-            j += 1
+    window_len = 1  # points from the last vertex through j
+    for j, (ddx, ddy, step) in enumerate(zip(dx.tolist(), dy.tolist(), np.hypot(dx, dy).tolist()), start=1):
+        window_len += 1
+        if step < 1e-12:
             continue
-        direction = math.atan2(delta[1], delta[0])
+        direction = math.atan2(ddy, ddx)
         if baseline is None:
-            baseline = direction  # first post-anchor displacement
-            window_len += 1
-            j += 1
-            continue
-        alpha = abs(wrap_angle(direction - baseline))
-        if alpha <= cfg.epsilon_rad or window_len < cfg.window_min:
-            window_len += 1
-            j += 1
-        else:
+            baseline = direction  # first displacement after the last vertex
+        elif window_len > cfg.window_min and not abs(wrap_angle(direction - baseline)) <= cfg.epsilon_rad:
+            # j - 1 is the new vertex and j's displacement the first after it,
+            # so the new window already holds both points and takes j's
+            # direction as its baseline
             vertices.append(j - 1)
-            anchor = j - 1
-            baseline = None
-            window_len = 1
-            # j is re-examined against the new window; its displacement from
-            # the new anchor establishes the next baseline
-    if vertices[-1] != n - 1:
-        vertices.append(n - 1)
-    return vertices
+            baseline = direction
+            window_len = 2
+    return vertices + [n - 1]  # every turn appends j - 1 < n - 1
 
 
 def _group_at_successive(vertices: Sequence[int]) -> list[list[int]]:
     """Cut the vertex chain wherever two vertices are consecutive points."""
-    groups: list[list[int]] = []
-    current: list[int] = []
-    for v in vertices:
-        if current and v == current[-1] + 1:
-            groups.append(current)
-            current = [v]
-        else:
-            current.append(v)
-    if current:
-        groups.append(current)
-    return groups
+    cuts = [0] + [k for k in range(1, len(vertices)) if vertices[k] == vertices[k - 1] + 1] + [len(vertices)]
+    return [list(vertices[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def split_frequent_turnings(

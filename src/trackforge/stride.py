@@ -227,7 +227,7 @@ def train_gait_model(
         l2_bias=b2,
         stride_table=dict(stride_table or DEFAULT_STRIDE_TABLE),
     )
-    hits = sum(1 for (f, g) in labeled if classify_gait(f, model) is g)
+    hits = sum(1 for fitted, g in zip(classify_gaits(X, model), gaits) if fitted is g)
     return TrainReport(model=model, accuracy=hits / len(labeled), n_samples=len(labeled))
 
 

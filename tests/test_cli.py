@@ -111,6 +111,50 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("raw", ["inf", "1e400", "nan"])
+    def test_non_finite_float_rejected(self, raw):
+        # each value is in range for pca_min_ratio (>= 1) once it is a float
+        for key in ("turn.epsilon_rad", "heading.pca_min_ratio"):
+            with pytest.raises(ConfigError, match="is not a finite number"):
+                load_config(overrides={key: raw})
+
+
+class TestTurningFlags:
+    """``--epsilon`` and ``--window`` set ``turn.epsilon_rad`` and
+    ``turn.window_min`` as a config file does, and win over the file."""
+
+    @pytest.fixture(scope="class")
+    def phone_a(self, corpus_dir, tmp_path_factory):
+        # the one default-corpus log whose graphs change at eps 0.8, t 3
+        out = tmp_path_factory.mktemp("phone-a")
+        (out / "phone-a.tsl").write_bytes((corpus_dir / "phone-a.tsl").read_bytes())
+        return out
+
+    def _run(self, phone_a, out, *flags):
+        assert main(["run", "--input", str(phone_a), "--output", str(out), *flags]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_flags_write_the_config_files_bytes(self, phone_a, tmp_path):
+        config = tmp_path / "turn.cfg"
+        config.write_text("turn.epsilon_rad = 0.8\nturn.window_min = 3\n")
+        by_flags = self._run(phone_a, tmp_path / "flags", "--epsilon", "0.8", "--window", "3")
+        assert by_flags == self._run(phone_a, tmp_path / "config", "--config", str(config))
+        assert by_flags != self._run(phone_a, tmp_path / "default")
+
+    def test_flags_win_over_the_config_file(self, phone_a, tmp_path):
+        config = tmp_path / "turn.cfg"
+        config.write_text("turn.epsilon_rad = 1.3\nturn.window_min = 6\n")
+        by_file = self._run(phone_a, tmp_path / "file", "--config", str(config))
+        both = self._run(phone_a, tmp_path / "both", "--config", str(config), "--epsilon", "0.8", "--window", "3")
+        assert both != by_file
+        assert both == self._run(phone_a, tmp_path / "flags", "--epsilon", "0.8", "--window", "3")
+
+    def test_window_0_exits_2(self, phone_a, tmp_path, caplog):
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(phone_a), "--output", str(out), "--window", "0"]) == 2
+        assert "config: config key turn.window_min = 0 is out of range" in caplog.text
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_empty_input_dir_exit_2(self, tmp_path):
@@ -630,6 +674,27 @@ def test_bad_grid_or_match_radius_exits_2_before_loading(args, straight_corpus, 
     out = tmp_path / "out"
     assert main([*args, "--input", str(straight_corpus), "--output", str(out)]) == 2
     assert "config: " in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--epsilon", "inf"],
+    ["eval", "--config", "{config}"],
+    ["sweep", "--epsilon-grid", "1.0,inf"],
+], ids=["flag", "config-file", "sweep-grid"])
+def test_non_finite_epsilon_exits_2_before_loading(argv, straight_corpus, tmp_path, caplog, monkeypatch):
+    # an infinite epsilon would be written to eval.json or sweep_plot.json
+    # as Infinity, which is not JSON
+    def loading(*_):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli, "process_corpus", loading)
+    config = tmp_path / "inf.cfg"
+    config.write_text("turn.epsilon_rad = 1e400\n")
+    out = tmp_path / "out"
+    argv = [arg.format(config=config) for arg in argv]
+    assert main([*argv, "--input", str(straight_corpus), "--output", str(out)]) == 2
+    assert "config: " in caplog.text and "is not a finite number" in caplog.text
     assert not out.exists()
 
 

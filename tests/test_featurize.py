@@ -113,6 +113,21 @@ class TestDetectTurningPoints:
             assert detect_turning_points(pts, TurningConfig(eps, wmin, 1.0)) == \
                 oracle_turning_points(pts, eps, wmin)
 
+    def test_matches_oracle_with_repeated_points_and_tiny_steps(self):
+        # a zero-length or sub-1e-12 displacement gives no direction: it only
+        # extends the window, also before the window's baseline is set
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            n = int(rng.integers(5, 60))
+            heads = np.cumsum(rng.uniform(-1.2, 1.2, n))
+            lengths = rng.choice([0.0, 4e-13, 1.0], size=n, p=[0.2, 0.15, 0.65])
+            steps = np.stack([lengths * np.cos(heads), lengths * np.sin(heads)], axis=1)
+            pts = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+            eps = float(rng.uniform(0.4, 1.5))
+            for wmin in range(1, 7):
+                assert detect_turning_points(pts, TurningConfig(eps, wmin, 1.0)) == \
+                    oracle_turning_points(pts, eps, wmin)
+
     def test_interior_vertices_recheckable(self):
         # every interior vertex must trace back to an over-threshold deviation
         cfg = TurningConfig(epsilon_rad=1.0, window_min=4)
