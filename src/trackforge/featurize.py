@@ -116,18 +116,16 @@ def split_frequent_turnings(
     step, so the chain is cut between them. Afterwards any piece with fewer
     than two vertices or a path length under ``min_subtraj_len_m`` is removed.
     """
-    groups = _group_at_successive(vertices)
+    return _long_groups(positions, _group_at_successive(vertices), cfg)
 
+
+def _long_groups(positions: np.ndarray, groups: list[list[int]], cfg: TurningConfig) -> list[list[int]]:
+    """The groups with two or more vertices and a path of ``min_subtraj_len_m`` or more."""
     step_lengths = np.hypot(*(np.diff(positions, axis=0).T)) if len(positions) > 1 else np.array([])
-
-    kept = []
-    for group in groups:
-        if len(group) < 2:
-            continue
-        path_len = float(step_lengths[group[0]:group[-1]].sum())
-        if path_len >= cfg.min_subtraj_len_m:
-            kept.append(group)
-    return kept
+    return [
+        group for group in groups
+        if len(group) >= 2 and float(step_lengths[group[0]:group[-1]].sum()) >= cfg.min_subtraj_len_m
+    ]
 
 
 def build_chain_graph(seg: PdrTrajectory, vertices: Sequence[int], floor: int) -> ChainGraph | None:
@@ -165,9 +163,8 @@ def featurize_segment_report(
     seg = traj[slice(*segment.point_range)]
     if len(seg) < 2:
         return [], 0
-    vertices = detect_turning_points(seg.points, cfg)
-    raw_groups = _group_at_successive(vertices)
-    groups = split_frequent_turnings(seg.points, vertices, cfg)
-    # every group has two or more vertices, so each builds a graph
-    graphs = [build_chain_graph(seg, group, segment.floor or 0) for group in groups]
-    return graphs, len(raw_groups) - len(graphs)
+    groups = _group_at_successive(detect_turning_points(seg.points, cfg))
+    kept = _long_groups(seg.points, groups, cfg)
+    # every kept group has two or more vertices, so each builds a graph
+    graphs = [build_chain_graph(seg, group, segment.floor or 0) for group in kept]
+    return graphs, len(groups) - len(graphs)

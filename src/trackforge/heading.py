@@ -19,8 +19,12 @@ gyro rotation angle and axis of the samples that rotate, the horizontal
 plane, compass yaw, gyro yaw turns and step projection; the gravity loop only
 takes a snapped row or rotates, one block of ``_GRAVITY_BLOCK`` samples at a
 time, so its Python floats never cover the whole log. The trust gate
-correlates every compass fix's window at once, in batches of windows of one
-length, and the PCA of every step's window runs at once too.
+decides every compass fix's window before the yaw loop. A filter
+(``_gate_filter``) decides each window whose correlation an error bound on
+per-block prefix sums places strictly on one side of the gate, with both
+rows certainly not flat; the exact kernel (``_window_correlations``)
+correlates the others, in batches of windows of one length, so every
+decision is the kernel's. The PCA of every step's window runs at once too.
 
 No value goes through BLAS, whose kernel is picked at run time from the CPU
 and rounds differently from one kernel to the next. Every dot product, cross
@@ -28,8 +32,9 @@ product and norm is written out as multiplies and adds in one fixed order,
 ``a0*b0 + a1*b1 + a2*b2``: NumPy ufuncs over columns and the same expression
 on Python floats per sample, so the two forms agree bit for bit. Sums over
 windows are NumPy reductions, whose order depends only on the window's
-length. Sines, cosines and arctangents come from libm (``math``), per value:
-NumPy's SIMD kernels for them may round differently.
+length; the gate filter's prefix sums give no value, only decisions that
+their bound proves. Sines, cosines and arctangents come from libm
+(``math``), per value: NumPy's SIMD kernels for them may round differently.
 """
 
 from __future__ import annotations
@@ -183,13 +188,18 @@ def _increment_correlation(w: np.ndarray) -> np.ndarray:
 
 
 _GATE_CHUNK = 1 << 15  # elements per batch of gate windows: a batch's arrays stay near 256 KiB each
+_GATE_BLOCK = 1 << 12  # windows per block of the gate filter's prefix sums
 _GRAVITY_BLOCK = 1 << 12  # samples per block of the gravity loop
+_U = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -960  # absolute slack of every filter bound, for underflow
 
 
 def _window_correlations(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """``_increment_correlation`` of each window ``incs[:, starts[i]:stops[i]]``
     of a (2, k) array, every window 3 or more long. Windows of one length go
     to it together, contiguous, in batches of at most ``_GATE_CHUNK`` elements.
+    The trust gate's exact kernel: ``_trust_gate`` sends it the windows that
+    ``_gate_filter``'s bound cannot decide.
     """
     lengths = stops - starts
     order = np.argsort(lengths, kind="stable")
@@ -204,6 +214,114 @@ def _window_correlations(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray
             batch = order[at:min(at + step, hi)]
             corr[batch] = _increment_correlation(incs.take(starts[batch, None, None] + window))
     return corr
+
+
+def _centred(spq, sp, sq, e_spq, e_sp, e_sq, n):
+    """``spq - sp * sq / n`` from window sums with error bounds ``e_*``, and
+    a bound on its distance from the centred sum of the exact window."""
+    h = sp * sq / n
+    err = e_spq + _U * np.abs(spq) + 4 * _U * np.abs(h)
+    return spq - h, err + (e_sp * np.abs(sq) + e_sq * np.abs(sp) + e_sp * e_sq) / n + _TINY
+
+
+def _gate_filter(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: float) -> tuple[np.ndarray, np.ndarray]:
+    """(certain, passed) of one block of windows ``incs[:, starts[i]:stops[i]]``:
+    ``passed[i]`` is ``_window_correlations(...)[i] > gate`` wherever
+    ``certain[i]``, proven from prefix sums over the block's columns alone:
+    a fast filter with an exact fallback, as in J. R. Shewchuk's adaptive
+    predicates (DCG 1997), over the one-pass sum-of-squares formula whose
+    cancellation T. F. Chan, G. H. Golub and R. J. LeVeque analyse
+    (Am. Stat. 1983).
+
+    Notation: u = 2**-53; a window of n >= 3 fixes ends e columns into the
+    block; p and q are its gyro (a) and compass (b) rows; M_p is the block's
+    prefix sum of fl(p*p) at e; tau = 2**-960 is added to every bound and
+    covers every underflow (at most a few times 2**-1075 per operation).
+
+    Window sums. Each of the five prefix sums (of a, b, a*a, b*b, a*b) adds
+    its terms left to right (``np.cumsum``), so its value at e errs by at most
+    gamma_e = e*u / (1 - e*u) times the sum of its first e terms' absolute
+    values (N. J. Higham, "Accuracy and Stability of Numerical Algorithms",
+    section 4.2), and so does its value at the window's start; the window sum
+    is their difference, rounded once. The sum of p*p over the first e
+    columns is at most M_p+ = M_p (1 + 2**-20) + tau, and by Cauchy-Schwarz
+    that of |p| at most sqrt(e M_p+) and that of |p q| at most
+    sqrt(M_p+ M_q+). So, for e <= 2**25, the window sums s_p and s_pq are
+    within E_p = (2e + 4) u sqrt(e M_p+) and
+    E_pq = (2e + 4) u sqrt(M_p+ M_q+) + tau of the exact window's. The
+    centred sums C_pq = s_pq - s_p s_q / n (``_centred``) are then within
+    E(C_pq) = E_pq + u |s_pq| + 4u |s_p s_q / n|
+              + (E_p |s_q| + E_q |s_p| + E_p E_q) / n + tau
+    of the exact Sum (p - mean p)(q - mean q).
+
+    The kernel. ``_increment_correlation`` centres each row on its rounded
+    mean, off the true mean by at most gamma_n sqrt(S_pp / n), with S_pp the
+    window's exact sum of p*p, and sums products of rounded differences in
+    any order; its sums of squares and of products are within
+    (n + 3) u sqrt(S_pp S_qq) + tau of the exact centred sums, and
+    S_pp <= s_pp + E_pp. So the kernel's sums lie within F_pq of C_pq,
+    F_pq = E(C_pq) + (n + 3) u sqrt((s_pp + E_pp)(s_qq + E_qq)) + tau.
+
+    Decision. A window is certified only if M_a and M_b are at most 2**960
+    (no NaN, inf or overflow anywhere in the block up to it, in the filter or
+    the kernel), e <= 2**25, and for both rows C_pp >= 8 n _FLAT_STD**2 and
+    F_pp <= C_pp / 4: the kernel's sum of squares is then above
+    5 n _FLAT_STD**2, so neither row is flat. With phi the larger F_pp / C_pp
+    and r = C_ab / sqrt(C_aa) / sqrt(C_bb), the ratio of the kernel's sums
+    is within (|r| phi + F_ab / sqrt(C_aa C_bb)) / (1 - phi) of r; its seven
+    roundings from there to its unclipped correlation, two of them under a
+    square root, add at most 7u relative (the scale 1 / (n - 1) cancels),
+    and r's own four roundings at most 5u. So
+    the kernel's unclipped correlation lies within
+    M = 1.5 (|r| phi + F_ab / sqrt(C_aa C_bb)) + 16u |r| + tau
+    of the computed r; the factors 1.5 against 4/3 and 16u against 12u also
+    cover the rounding of M's own evaluation. The window passes for certain
+    when r - gate > M and gate < 1, as clipping to [-1, 1] keeps it above
+    such a gate, and fails for certain when r - gate < -M and gate >= -1.
+    Every comparison is false on NaN, so a non-finite value certifies nothing.
+    """
+    lo = int(starts.min())
+    x = incs[:, lo:int(stops.max())]
+    first, end = starts - lo, stops - lo
+    n = end - first
+    prefix = np.zeros((5, x.shape[1] + 1))
+    with np.errstate(all="ignore"):  # a NaN, inf or overflow only certifies nothing
+        np.cumsum(np.concatenate((x, x * x, x[:1] * x[1:])), axis=1, out=prefix[:, 1:])
+        sums = prefix[:, end] - prefix[:, first]
+        s, ss, sab, m = sums[:2], sums[2:4], sums[4], prefix[2:4, end]
+        m_up = m * (1 + 2.0 ** -20) + _TINY
+        c = (2 * end + 4) * _U
+        e_s = c * np.sqrt(end * m_up)
+        e_ss = c * m_up + _TINY
+        var, e_var = _centred(ss, s, s, e_ss, e_s, e_s, n)
+        cov, e_cov = _centred(sab, s[0], s[1], c * np.sqrt(m_up[0] * m_up[1]) + _TINY, e_s[0], e_s[1], n)
+        bound = ss + e_ss
+        f_var = e_var + (n + 3) * _U * bound + _TINY
+        f_cov = e_cov + (n + 3) * _U * np.sqrt(bound[0] * bound[1]) + _TINY
+        roots = np.sqrt(var)
+        r = cov / roots[0] / roots[1]
+        margin = 1.5 * (np.abs(r) * (f_var / var).max(axis=0) + f_cov / (roots[0] * roots[1]))
+        margin += 16 * _U * np.abs(r) + _TINY
+        over = r - gate
+        moving = (m <= 2.0 ** 960) & (var >= 8 * n * _FLAT_STD ** 2) & (f_var <= var / 4)
+        certain = moving.all(axis=0) & (end <= 1 << 25)
+        passed = over > margin
+        certain &= (passed & (gate < 1)) | ((over < -margin) & (gate >= -1))
+    return certain, passed
+
+
+def _trust_gate(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: float) -> np.ndarray:
+    """``_window_correlations(incs, starts, stops) > gate`` with its bits:
+    ``_gate_filter`` decides the windows it can certify, ``_GATE_BLOCK``
+    windows at a time, and the others go to ``_window_correlations``."""
+    certain = np.zeros(len(starts), dtype=bool)
+    passed = np.zeros(len(starts), dtype=bool)
+    for lo in range(0, len(starts), _GATE_BLOCK):
+        block = slice(lo, lo + _GATE_BLOCK)
+        certain[block], passed[block] = _gate_filter(incs, starts[block], stops[block], gate)
+    unsure = np.flatnonzero(~certain)
+    passed[unsure] = _window_correlations(incs, starts[unsure], stops[unsure]) > gate
+    return passed
 
 
 def track_attitude(
@@ -269,7 +387,7 @@ def track_attitude(
     starts = np.searchsorted(times[fix], times[fix] - cfg.corr_window_s)
     stops = np.arange(1, len(fix) + 1)
     decides = stops - starts >= 3
-    passed = _window_correlations(incs, starts[decides], stops[decides]) > cfg.corr_gate
+    passed = _trust_gate(incs, starts[decides], stops[decides], cfg.corr_gate)
     trusts = np.concatenate(([True], passed))[np.searchsorted(fix[decides], np.arange(n), side="right")]
 
     yaw, yaws = 0.0, []

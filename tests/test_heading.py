@@ -494,6 +494,11 @@ def _in_fix_order(windows):
     return [windows[i] for i in order]
 
 
+def _certify_nothing(incs, starts, stops, gate):
+    """A ``_gate_filter`` that sends every window to the exact kernel."""
+    return np.zeros(len(starts), dtype=bool), np.zeros(len(starts), dtype=bool)
+
+
 class TestAttitudeReference:
     """track_attitude gives bit-for-bit the states of the per-sample loop."""
 
@@ -524,12 +529,30 @@ class TestAttitudeReference:
             return correlation(w)
 
         monkeypatch.setattr(heading, "_increment_correlation", recording)
+        monkeypatch.setattr(heading, "_gate_filter", _certify_nothing)
         track_attitude(accel, gyro, magn)
         seen = _in_fix_order(batches)
         expected = []
         _ref_track_attitude(accel, gyro, magn, windows=expected)
         assert len(seen) > 800
         assert seen == expected
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_trust_gate_gets_the_reference_windows(self, dyadic, monkeypatch):
+        accel, gyro, magn = _turning_phone(4, n=900, dyadic=dyadic)
+        windows = []
+        trust_gate = heading._trust_gate
+
+        def recording(incs, starts, stops, gate):
+            windows.extend((incs[0, a:b].tobytes(), incs[1, a:b].tobytes()) for a, b in zip(starts, stops))
+            return trust_gate(incs, starts, stops, gate)
+
+        monkeypatch.setattr(heading, "_trust_gate", recording)
+        track_attitude(accel, gyro, magn)
+        expected = []
+        _ref_track_attitude(accel, gyro, magn, windows=expected)
+        assert len(windows) > 800
+        assert windows == expected
 
     def test_window_keeps_a_fix_exactly_one_window_back(self):
         # three compass fixes, the first exactly corr_window_s before the last:
@@ -849,6 +872,114 @@ class TestTrustGate:
         expected = track_attitude(log.accel, log.gyro, log.magn)
         monkeypatch.setattr(heading, "_GATE_CHUNK", 1 << 13)
         assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
+
+
+def _gate_piece(kind, n, rng, gate):
+    """(2, n) increments: a ``_WINDOW_KINDS`` pair, noise far from zero, or
+    noise with one NaN or infinite entry."""
+    if kind == "offset":
+        offset = rng.choice([-1.0, 1.0], (2, 1)) * 10.0 ** rng.uniform(0, 8, (2, 1))
+        noise = rng.normal(0, 1, (2, n))
+        return offset + noise + [[0.0], [rng.uniform(-1, 1)]] * noise[0]
+    if kind == "non-finite":
+        piece = rng.normal(0, 0.01, (2, n))
+        piece[rng.integers(2), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+        return piece
+    return np.array(_window_pair(kind, n, int(rng.integers(2**32)), gate, float(rng.uniform(-1e-12, 1e-12))))
+
+
+class TestGateFilter:
+    """``_trust_gate`` decides every window as ``_window_correlations(...) > gate``;
+    ``_gate_filter`` certifies only windows whose decision it can prove."""
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(_WINDOW_KINDS + ["offset", "non-finite"]), st.integers(3, 60)),
+                 min_size=1, max_size=12),
+        st.integers(3, 80),
+        st.integers(0, 2**32 - 1),
+        st.floats(-1.0, 1.0),
+        st.sampled_from([1, 7, heading._GATE_BLOCK]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decisions_equal_the_kernels(self, pieces, longest, seed, gate, block):
+        # a window ends at every column past the second and reaches back 3
+        # to `longest` columns, across the pieces' borders
+        rng = np.random.default_rng(seed)
+        incs = np.concatenate([_gate_piece(kind, n, rng, gate) for kind, n in pieces], axis=1)
+        stops = np.arange(3, incs.shape[1] + 1)
+        starts = np.maximum(0, stops - rng.integers(3, longest + 1, len(stops)))
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:  # NaN and inf windows warn in the kernel
+            expected = heading._window_correlations(incs, starts, stops) > gate
+            mp.setattr(heading, "_GATE_BLOCK", block)
+            assert heading._trust_gate(incs, starts, stops, gate).tolist() == expected.tolist()
+
+    def test_flat_and_at_gate_windows_reach_the_kernel(self, monkeypatch):
+        # flat, one-flat and at-gate windows, then windows whose correlation
+        # lies far from the gate, side by side
+        pairs = [_window_pair(kind, n, seed, 0.8, 0.0) for kind in ("flat", "one-flat", "near-gate")
+                 for n, seed in ((3, 0), (20, 1), (97, 2))]
+        unsure = len(pairs)
+        pairs += [_window_pair("near-gate", n, seed, r, 0.0) for r in (-0.5, 0.2, 0.95) for n, seed in ((5, 3), (60, 4))]
+        incs = np.concatenate([np.array(pair) for pair in pairs], axis=1)
+        stops = np.cumsum([len(a) for a, _ in pairs])
+        starts = stops - [len(a) for a, _ in pairs]
+        calls = []
+        window_correlations = heading._window_correlations
+
+        def recording(incs, starts, stops):
+            calls.append(list(zip(starts.tolist(), stops.tolist())))
+            return window_correlations(incs, starts, stops)
+
+        monkeypatch.setattr(heading, "_window_correlations", recording)
+        passed = heading._trust_gate(incs, starts, stops, 0.8)
+        assert calls == [list(zip(starts[:unsure].tolist(), stops[:unsure].tolist()))]
+        assert passed.tolist() == (window_correlations(incs, starts, stops) > 0.8).tolist()
+        assert passed[unsure:].tolist() == [False] * 4 + [True] * 2
+
+    @pytest.mark.parametrize("block", [1, 7, heading._GATE_BLOCK])
+    def test_default_corpus_log_in_blocks_equals_the_kernel(self, block, default_corpus, monkeypatch):
+        # the kernel alone decides every window when the filter certifies none
+        _, log, _ = default_corpus[0]
+        monkeypatch.setattr(heading, "_gate_filter", _certify_nothing)
+        expected = track_attitude(log.accel, log.gyro, log.magn)
+        monkeypatch.undo()
+        monkeypatch.setattr(heading, "_GATE_BLOCK", block)
+        assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
+
+    def test_default_corpus_log_certifies_every_window(self, default_corpus, monkeypatch):
+        _, log, _ = default_corpus[0]
+        windows = []
+        window_correlations = heading._window_correlations
+
+        def recording(incs, starts, stops):
+            windows.extend(stops.tolist())
+            return window_correlations(incs, starts, stops)
+
+        monkeypatch.setattr(heading, "_window_correlations", recording)
+        decided = []
+        gate_filter = heading._gate_filter
+        monkeypatch.setattr(heading, "_gate_filter", lambda *args: decided.append(len(args[1])) or gate_filter(*args))
+        track_attitude(log.accel, log.gyro, log.magn)
+        assert windows == []
+        assert sum(decided) > 10000
+
+    def test_log_without_a_deciding_fix(self, monkeypatch):
+        # samples 8-12 ms apart and a 5 ms window: each window holds one fix,
+        # so the gate gets no window and the compass is trusted throughout
+        accel, gyro, magn = _turning_phone(5, n=600)
+        cfg = HeadingConfig(corr_window_s=0.005)
+        calls = []
+        trust_gate = heading._trust_gate
+
+        def recording(incs, starts, stops, gate):
+            calls.append(len(starts))
+            return trust_gate(incs, starts, stops, gate)
+
+        monkeypatch.setattr(heading, "_trust_gate", recording)
+        att = track_attitude(accel, gyro, magn, cfg)
+        assert calls == [0]
+        assert att.mag_trust.all()
+        _assert_columns_equal(att, _ref_track_attitude(accel, gyro, magn, cfg))
 
 
 def _eigh_heading(window, yaw):

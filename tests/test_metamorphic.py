@@ -5,12 +5,16 @@ the result, and checks one relation between that run and the run of the
 corpus as rendered. Graphs are compared as the bytes ``run`` writes.
 """
 
+import dataclasses
+import json
 import shutil
 
 import pytest
 
+from trackforge import synth
 from trackforge.config import PipelineConfig
-from trackforge.pipeline import run_pipeline
+from trackforge.evalkit import score_floors, segment_truth_floor
+from trackforge.pipeline import process_corpus, run_pipeline
 
 
 def _run(corpus, out):
@@ -58,3 +62,67 @@ def test_the_order_of_the_logs_does_not_change_their_graphs(corpus_dir, as_rende
         "phone-b.graphs.json": expected["phone-b.graphs.json"],
         "phone-c.graphs.json": expected["phone-c.graphs.json"],
     }
+
+
+def _floors(corpus):
+    """(floor count, floor accuracy, each log's segments as (point range,
+    floor)) of ``process_corpus`` on ``corpus``, scored as ``eval`` scores
+    floors against the truth sidecars."""
+    paths = sorted(corpus.glob("*.tsl"))
+    report, processed = process_corpus(paths, PipelineConfig())
+    assert report.error is None and all(f.error is None for f in report.files)
+    predicted, true_floors = [], []
+    for path in paths:
+        truth = synth.GroundTruth.from_json(json.loads(synth.truth_path(path).read_text(encoding="utf-8")))
+        for seg in processed[path.name].segments:
+            predicted.append(seg.floor)
+            true_floors.append(segment_truth_floor(seg, truth))
+    segments = {name: [(seg.point_range, seg.floor) for seg in item.segments] for name, item in processed.items()}
+    return report.floor_count, score_floors(predicted, true_floors), segments
+
+
+def _with_pressure_offset(corpus, directory, name, offset):
+    """A copy of ``corpus`` in ``directory`` with ``offset`` hPa added to every
+    PRES value of log ``name``."""
+    shutil.copytree(corpus, directory)
+    lines = (directory / name).read_text(encoding="utf-8").split("\n")
+    for k, line in enumerate(lines):
+        if line.startswith("PRES;"):
+            fields = line.split(";")
+            fields[3] = repr(float(fields[3]) + offset)
+            lines[k] = ";".join(fields)
+    (directory / name).write_text("\n".join(lines), encoding="utf-8")
+    return directory
+
+
+@pytest.fixture(scope="module")
+def default_floors(corpus_dir):
+    return _floors(corpus_dir)
+
+
+@pytest.mark.parametrize("offset", [0.3, -0.3, 0.8])
+def test_a_pressure_offset_keeps_every_floor(corpus_dir, default_floors, tmp_path, offset):
+    """A barometer reading ``offset`` hPa off on phone-a moves its segments'
+    pressures, by up to two floor steps (0.396 hPa each), but every cluster
+    holds all three phones, so each segment keeps its range and its floor."""
+    shifted = _floors(_with_pressure_offset(corpus_dir, tmp_path / "corpus", "phone-a.tsl", offset))
+    assert default_floors[:2] == (3, 1.0)
+    assert shifted == default_floors
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 14: floors are ordered by absolute mean pressure, which a "
+                          "per-phone offset moves when a cluster's mix of phones is lopsided")
+def test_a_pressure_offset_keeps_every_floor_of_two_phones(tmp_path):
+    """Item 14's two-phone corpus: phone-a walks floors 2 and 3, phone-b
+    floors 1 and 2. Its floors are numbered 0.500 right as rendered; 0.3 hPa
+    off phone-a's barometer numbers them all right, so the floors move."""
+    keep = {"phone-a": {2, 3}, "phone-b": {1, 2}}
+    scripts = [
+        dataclasses.replace(s, segments=[seg for seg in s.segments if seg.floor in keep[s.source_id]])
+        for s in synth.default_corpus_scripts() if s.source_id in keep
+    ]
+    synth.write_corpus(scripts, tmp_path / "corpus")
+    rendered = _floors(tmp_path / "corpus")
+    shifted = _floors(_with_pressure_offset(tmp_path / "corpus", tmp_path / "shifted", "phone-a.tsl", -0.3))
+    assert shifted == rendered
