@@ -21,10 +21,11 @@ takes a snapped row or rotates, one block of ``_GRAVITY_BLOCK`` samples at a
 time, so its Python floats never cover the whole log. The trust gate
 decides every compass fix's window before the yaw loop. A filter
 (``_gate_filter``) decides each window whose correlation an error bound on
-per-block prefix sums places strictly on one side of the gate, with both
-rows certainly not flat; the exact kernel (``_window_correlations``)
-correlates the others, in batches of windows of one length, so every
-decision is the kernel's. The PCA of every step's window runs at once too.
+per-block prefix sums places strictly on one side of the gate, and each
+window whose rows the bound proves flat or moving as the kernel's flatness
+test finds them; the exact kernel (``_increment_correlation``) correlates
+the others one window at a time, so every decision is the kernel's. The
+PCA of every step's window runs at once too.
 
 No value goes through BLAS, whose kernel is picked at run time from the CPU
 and rounds differently from one kernel to the next. Every dot product, cross
@@ -158,62 +159,37 @@ def tilt_compensated_yaw(gravity: np.ndarray, mag: np.ndarray) -> float | None:
     return _compass_yaws(np.reshape(gravity, (1, 3)), np.reshape(mag, (1, 3)))[0]
 
 
-def _increment_correlation(w: np.ndarray) -> np.ndarray:
-    """Pearson correlation of the two rows of each window in a (b, 2, n) stack
-    of (gyro, magnetometer) yaw increments, n >= 3 (``track_attitude``
-    guarantees it): two flat rows agree (1.0), one flat against one moving
-    disagrees (0.0). A single window is the b = 1 case.
+def _increment_correlation(w: np.ndarray) -> float:
+    """Pearson correlation of the two rows of a (2, n) window of (gyro,
+    magnetometer) yaw increments, n >= 3 (``track_attitude`` guarantees it):
+    two flat rows agree (1.0), one flat against one moving disagrees (0.0).
 
-    The steps are those of ``np.std`` and ``np.corrcoef`` on one window, in
-    their order, except that every sum of products is a NumPy sum over the
-    last axis rather than a BLAS product. Each step is elementwise or reduces
-    over the last axis, so no window's value depends on the others in its
-    batch. A row's mean is its sum over n. The flatness test is ``np.std``'s
-    root of the summed ``x * x`` over n; the same sums, times 1 / (n - 1),
-    are the covariance's diagonal, and the summed ``x[:, 0] * x[:, 1]`` its
-    off-diagonal. The correlation divides by one root of the diagonal, then
-    by the other, and clips to [-1, 1], as ``np.corrcoef`` does.
+    The steps are those of ``np.std`` and ``np.corrcoef`` on the window, in
+    their order, except that every sum of products is a NumPy sum over a row
+    rather than a BLAS product. A row's mean is its sum over n. The flatness
+    test is ``np.std``'s root of the summed ``x * x`` over n; the same sums,
+    times 1 / (n - 1), are the covariance's diagonal, and the summed
+    ``x[0] * x[1]`` its off-diagonal. The correlation divides by one root of
+    the diagonal, then by the other, and clips to [-1, 1], as ``np.corrcoef``
+    does. The trust gate's exact kernel: ``_trust_gate`` sends it the windows
+    that ``_gate_filter``'s bound cannot decide.
     """
-    n = w.shape[-1]
-    x = w - w.sum(axis=-1, keepdims=True) / n
-    squares = (x * x).sum(axis=-1)
+    n = w.shape[1]
+    x = w - w.sum(axis=1, keepdims=True) / n
+    squares = (x * x).sum(axis=1)
     flat = np.sqrt(squares / n) < _FLAT_STD
-    corr = np.where(flat.all(axis=1), 1.0, 0.0)
-    moving = ~flat.any(axis=1)
+    if flat.any():
+        return float(flat.all())
     scale = 1 / (n - 1)
-    var = squares[moving] * scale
-    cov = (x[moving, 0] * x[moving, 1]).sum(axis=-1) * scale
-    corr[moving] = np.clip(cov / np.sqrt(var[:, 0]) / np.sqrt(var[:, 1]), -1.0, 1.0)
-    return corr
+    var = squares * scale
+    cov = (x[0] * x[1]).sum() * scale
+    return float(np.clip(cov / np.sqrt(var[0]) / np.sqrt(var[1]), -1.0, 1.0))
 
 
-_GATE_CHUNK = 1 << 15  # elements per batch of gate windows: a batch's arrays stay near 256 KiB each
 _GATE_BLOCK = 1 << 12  # windows per block of the gate filter's prefix sums
 _GRAVITY_BLOCK = 1 << 12  # samples per block of the gravity loop
 _U = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -960  # absolute slack of every filter bound, for underflow
-
-
-def _window_correlations(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """``_increment_correlation`` of each window ``incs[:, starts[i]:stops[i]]``
-    of a (2, k) array, every window 3 or more long. Windows of one length go
-    to it together, contiguous, in batches of at most ``_GATE_CHUNK`` elements.
-    The trust gate's exact kernel: ``_trust_gate`` sends it the windows that
-    ``_gate_filter``'s bound cannot decide.
-    """
-    lengths = stops - starts
-    order = np.argsort(lengths, kind="stable")
-    # where the sorted length changes, and both ends (lengths are positive)
-    edges = np.flatnonzero(np.diff(lengths[order], prepend=0, append=0)).tolist()
-    corr = np.empty(len(lengths))
-    for lo, hi in zip(edges, edges[1:]):
-        length = int(lengths[order[lo]])
-        window = np.arange(2)[:, None] * incs.shape[1] + np.arange(length)  # flat indices from start 0
-        step = max(1, _GATE_CHUNK // (2 * length))
-        for at in range(lo, hi, step):
-            batch = order[at:min(at + step, hi)]
-            corr[batch] = _increment_correlation(incs.take(starts[batch, None, None] + window))
-    return corr
 
 
 def _centred(spq, sp, sq, e_spq, e_sp, e_sq, n):
@@ -226,7 +202,7 @@ def _centred(spq, sp, sq, e_spq, e_sp, e_sq, n):
 
 def _gate_filter(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: float) -> tuple[np.ndarray, np.ndarray]:
     """(certain, passed) of one block of windows ``incs[:, starts[i]:stops[i]]``:
-    ``passed[i]`` is ``_window_correlations(...)[i] > gate`` wherever
+    ``passed[i]`` is ``_increment_correlation(...) > gate`` of window i wherever
     ``certain[i]``, proven from prefix sums over the block's columns alone:
     a fast filter with an exact fallback, as in J. R. Shewchuk's adaptive
     predicates (DCG 1997), over the one-pass sum-of-squares formula whose
@@ -264,15 +240,23 @@ def _gate_filter(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: 
 
     Decision. A window is certified only if M_a and M_b are at most 2**960
     (no NaN, inf or overflow anywhere in the block up to it, in the filter or
-    the kernel), e <= 2**25, and for both rows C_pp >= 8 n _FLAT_STD**2 and
-    F_pp <= C_pp / 4: the kernel's sum of squares is then above
-    5 n _FLAT_STD**2, so neither row is flat. With phi the larger F_pp / C_pp
-    and r = C_ab / sqrt(C_aa) / sqrt(C_bb), the ratio of the kernel's sums
-    is within (|r| phi + F_ab / sqrt(C_aa C_bb)) / (1 - phi) of r; its seven
-    roundings from there to its unclipped correlation, two of them under a
-    square root, add at most 7u relative (the scale 1 / (n - 1) cancels),
-    and r's own four roundings at most 5u. So
-    the kernel's unclipped correlation lies within
+    the kernel) and e <= 2**25. A row is moving if C_pp >= 8 n _FLAT_STD**2
+    and F_pp <= C_pp / 4: the kernel's sum of squares is then above
+    5 n _FLAT_STD**2, so the kernel does not find it flat. A row is flat if
+    C_pp + F_pp <= n _FLAT_STD**2 / 2: the kernel's sum of squares is at most
+    C_pp + F_pp, so its root of that sum over n is at most
+    _FLAT_STD / sqrt(2), times 1 + 8u for the roundings of this test and of
+    the kernel's division and root, which is below _FLAT_STD: the kernel
+    finds it flat. So a window of two flat rows is the kernel's 1.0, and one
+    of a flat and a moving row its 0.0, each compared with the gate.
+
+    A window of two moving rows is decided from its correlation. With phi
+    the larger F_pp / C_pp and r = C_ab / sqrt(C_aa) / sqrt(C_bb), the ratio
+    of the kernel's sums is within (|r| phi + F_ab / sqrt(C_aa C_bb)) /
+    (1 - phi) of r; its seven roundings from there to its unclipped
+    correlation, two of them under a square root, add at most 7u relative
+    (the scale 1 / (n - 1) cancels), and r's own four roundings at most 5u.
+    So the kernel's unclipped correlation lies within
     M = 1.5 (|r| phi + F_ab / sqrt(C_aa C_bb)) + 16u |r| + tau
     of the computed r; the factors 1.5 against 4/3 and 16u against 12u also
     cover the rounding of M's own evaluation. The window passes for certain
@@ -303,24 +287,29 @@ def _gate_filter(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: 
         margin = 1.5 * (np.abs(r) * (f_var / var).max(axis=0) + f_cov / (roots[0] * roots[1]))
         margin += 16 * _U * np.abs(r) + _TINY
         over = r - gate
-        moving = (m <= 2.0 ** 960) & (var >= 8 * n * _FLAT_STD ** 2) & (f_var <= var / 4)
-        certain = moving.all(axis=0) & (end <= 1 << 25)
-        passed = over > margin
-        certain &= (passed & (gate < 1)) | ((over < -margin) & (gate >= -1))
+        finite = (m <= 2.0 ** 960).all(axis=0) & (end <= 1 << 25)
+        flat = var + f_var <= n * _FLAT_STD ** 2 / 2
+        moving = (var >= 8 * n * _FLAT_STD ** 2) & (f_var <= var / 4)
+        both_flat = flat.all(axis=0)
+        settled = both_flat | (flat & moving[::-1]).any(axis=0)  # the kernel's 1.0 or 0.0
+        correlated = ((over > margin) & (gate < 1)) | ((over < -margin) & (gate >= -1))
+        certain = finite & (settled | (moving.all(axis=0) & correlated))
+        passed = np.where(settled, np.where(both_flat, 1.0, 0.0) > gate, over > margin)
     return certain, passed
 
 
 def _trust_gate(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: float) -> np.ndarray:
-    """``_window_correlations(incs, starts, stops) > gate`` with its bits:
-    ``_gate_filter`` decides the windows it can certify, ``_GATE_BLOCK``
-    windows at a time, and the others go to ``_window_correlations``."""
+    """Whether ``_increment_correlation(incs[:, a:b]) > gate``, for each window
+    [a, b) of ``starts`` and ``stops``: ``_gate_filter`` decides the windows
+    it can certify, ``_GATE_BLOCK`` windows at a time, and the kernel the
+    others, one at a time."""
     certain = np.zeros(len(starts), dtype=bool)
     passed = np.zeros(len(starts), dtype=bool)
     for lo in range(0, len(starts), _GATE_BLOCK):
         block = slice(lo, lo + _GATE_BLOCK)
         certain[block], passed[block] = _gate_filter(incs, starts[block], stops[block], gate)
-    unsure = np.flatnonzero(~certain)
-    passed[unsure] = _window_correlations(incs, starts[unsure], stops[unsure]) > gate
+    for i in np.flatnonzero(~certain).tolist():
+        passed[i] = _increment_correlation(incs[:, starts[i]:stops[i]]) > gate
     return passed
 
 

@@ -31,6 +31,8 @@ class Gait(str, enum.Enum):
 
 
 DEFAULT_STRIDE_TABLE = {Gait.SLOW: 0.50, Gait.NORMAL: 0.70, Gait.FAST: 0.90}
+_EPOCHS = 400  # subgradient steps of each separator fit
+_LAMBDA = 1e-3  # L2 weight of the hinge loss, whose inverse scales the step size
 
 
 class GaitTrainingError(ValueError):
@@ -148,9 +150,7 @@ def stride_length(gait: Gait, model: GaitModel) -> float:
     return model.stride_table[gait]
 
 
-def _fit_linear(
-    X: np.ndarray, y: np.ndarray, epochs: int = 400, lam: float = 1e-3
-) -> tuple[np.ndarray, float]:
+def _fit_linear(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Full-batch hinge-loss subgradient descent; y in {-1, +1}.
 
     Standardizes features internally and folds the scaling back into the
@@ -163,11 +163,11 @@ def _fit_linear(
     n, d = Xs.shape
     w = np.zeros(d)
     b = 0.0
-    for t in range(1, epochs + 1):
+    for t in range(1, _EPOCHS + 1):
         margins = y * (fixed_dot(Xs.T, w) + b)
         active = margins < 1.0
-        lr = 1.0 / (lam * t)
-        grad_w = lam * w - (y[active, None] * Xs[active]).sum(axis=0) / n
+        lr = 1.0 / (_LAMBDA * t)
+        grad_w = _LAMBDA * w - (y[active, None] * Xs[active]).sum(axis=0) / n
         grad_b = -(y[active]).sum() / n
         w = w - lr * grad_w
         b = b - lr * grad_b
@@ -183,16 +183,13 @@ class TrainReport:
     n_samples: int
 
 
-def train_gait_model(
-    labeled: Sequence[tuple[StrideFeatures, Gait]],
-    stride_table: dict[Gait, float] | None = None,
-    epochs: int = 400,
-) -> TrainReport:
+def train_gait_model(labeled: Sequence[tuple[StrideFeatures, Gait]]) -> TrainReport:
     """Fit the two-level separator from labeled step features.
 
     Raises GaitTrainingError if fewer than two classes are present. When the
     {normal, fast} branch holds a single class, level 2 degenerates to a
-    constant separator for that class.
+    constant separator for that class. The model's stride table is
+    ``DEFAULT_STRIDE_TABLE``.
     """
     if not labeled:
         raise GaitTrainingError("no training samples")
@@ -208,7 +205,7 @@ def train_gait_model(
         # no slow examples at all: level 1 trivially routes to the branch
         w1, b1 = np.zeros(4), 1.0
     else:
-        w1, b1 = _fit_linear(X, y1, epochs=epochs)
+        w1, b1 = _fit_linear(X, y1)
 
     branch = [i for i, g in enumerate(gaits) if g is not Gait.SLOW]
     if branch:
@@ -216,7 +213,7 @@ def train_gait_model(
         if len(set(y2)) == 1:
             w2, b2 = np.zeros(4), float(y2[0])
         else:
-            w2, b2 = _fit_linear(X[branch], y2, epochs=epochs)
+            w2, b2 = _fit_linear(X[branch], y2)
     else:
         w2, b2 = np.zeros(4), -1.0
 
@@ -225,7 +222,7 @@ def train_gait_model(
         l1_bias=b1,
         l2_weights=tuple(float(v) for v in w2),
         l2_bias=b2,
-        stride_table=dict(stride_table or DEFAULT_STRIDE_TABLE),
+        stride_table=dict(DEFAULT_STRIDE_TABLE),
     )
     hits = sum(1 for fitted, g in zip(classify_gaits(X, model), gaits) if fitted is g)
     return TrainReport(model=model, accuracy=hits / len(labeled), n_samples=len(labeled))

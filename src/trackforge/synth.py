@@ -48,6 +48,8 @@ FIELD_VERTICAL_UT = 40.0
 
 LEAD_SECONDS = 1.0       # quiet lead-in and lead-out
 STAIR_GAIT = Gait.NORMAL  # stairs are climbed at normal cadence
+MAX_RENDER_SIZE = 1 << 20  # samples, WiFi records and steps of one render
+WIFI_PER_BURST = 8  # access points a WiFi burst reports at most
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,8 @@ class WalkScript:
                 raise ValueError(f"segment floor must be an int in {low_floor}..255, got {seg.floor!r}")
             if not isinstance(seg.gait, Gait):
                 raise ValueError(f"segment gait must be a Gait, got {seg.gait!r}")
-            if not _integer(seg.steps) or seg.steps < 1:
-                raise ValueError(f"segment steps must be an int >= 1, got {seg.steps!r}")
+            if not _integer(seg.steps) or not 1 <= seg.steps <= MAX_RENDER_SIZE:
+                raise ValueError(f"segment steps must be an int in 1..{MAX_RENDER_SIZE}, got {seg.steps!r}")
             if not _finite(seg.heading_rad):
                 raise ValueError(f"segment heading_rad must be a finite number, got {seg.heading_rad!r}")
             if seg.drift is not None and not isinstance(seg.drift, (list, dict)):
@@ -167,6 +169,16 @@ class WalkScript:
             raise ValueError(f"noise must map sensor names to finite sigmas >= 0, got {self.noise!r}")
         if unknown := sorted(set(self.noise) - {"accel", "gyro", "magn", "baro"}):
             raise ValueError(f"noise keys must be accel, gyro, magn or baro, got {unknown}")
+        # what a render holds, from the timeline alone: its seconds bound a turn
+        # per segment and a stair per floor change, each stair rounded up a step
+        stair_hz = GAIT_PROFILES[STAIR_GAIT].frequency_hz
+        stairs = sum(a.floor != b.floor for a, b in zip(self.segments, self.segments[1:]))
+        steps = sum(seg.steps for seg in self.segments) + stairs * (self.stair_seconds * stair_hz + 1)
+        seconds = (2 * LEAD_SECONDS + sum(seg.steps / GAIT_PROFILES[seg.gait].frequency_hz for seg in self.segments)
+                   + len(self.segments) * self.turn_seconds + stairs * (self.stair_seconds + 1 / stair_hz))
+        size = steps + seconds * (self.imu_rate_hz + self.baro_rate_hz + WIFI_PER_BURST / self.wifi_period_s)
+        if not size <= MAX_RENDER_SIZE:
+            raise ValueError(f"script renders {size:.4g} samples, WiFi records and steps, more than {MAX_RENDER_SIZE}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -393,7 +405,7 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
 
     wifi_obs: list[WifiObservation] = []
     burst_t = 0.5
-    aps_per_burst = min(8, script.aps_per_floor)
+    aps_per_burst = min(WIFI_PER_BURST, script.aps_per_floor)
     while burst_t < total_t:
         iv = interval_at(burst_t)
         if iv.kind == "stair":

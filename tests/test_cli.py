@@ -341,6 +341,9 @@ def _segment(floor, **extra):
     {"segments": [_segment(1.0)]},
     {"segments": [_segment(1, steps=8.0)]},
     {"segments": [_segment(1, gait="walk")]},
+    {"segments": [_segment(1), _segment(2)], "stair_seconds": 1e300},
+    {"segments": [_segment(1), _segment(1, heading_rad=1.5)], "turn_seconds": 1e300},
+    {"segments": [_segment(1, steps=10**400)]},
 ], ids=["scalar-drift", "floor-without-pool", "source-id-path", "scalar-noise", "list-ap-pools",
         "text-drift-entry", "text-jitter-step", "text-ap-pool", "bad-bssid", "number-bssid", "unknown-noise-key",
         "nan-imu-rate", "inf-imu-rate", "inf-baro-rate", "tiny-wifi-period", "huge-imu-rate",
@@ -350,7 +353,7 @@ def _segment(floor, **extra):
         "pooled-floor-minus-256", "generated-pool-300-aps", "negative-turn-seconds", "negative-stair-seconds",
         "fractional-seed", "boolean-seed", "number-source-id", "fractional-floor", "text-heading",
         "fractional-steps", "boolean-steps", "whole-float-floor", "whole-float-steps",
-        "unknown-gait"])
+        "unknown-gait", "huge-stair-seconds", "huge-turn-seconds", "400-digit-steps"])
 def test_bad_walk_script_exits_2(change, tmp_path, caplog):
     doc = {"source_id": "w", "seed": 1, "segments": [_segment(1)], **change}
     spath = tmp_path / "walk.json"

@@ -521,17 +521,17 @@ class TestAttitudeReference:
     @pytest.mark.parametrize("dyadic", [False, True])
     def test_gate_sees_the_reference_windows(self, dyadic, monkeypatch):
         accel, gyro, magn = _turning_phone(4, n=900, dyadic=dyadic)
-        batches = []
+        calls = []
         correlation = heading._increment_correlation
 
         def recording(w):
-            batches.extend((window[0].tobytes(), window[1].tobytes()) for window in w)
+            calls.append((w[0].tobytes(), w[1].tobytes()))
             return correlation(w)
 
         monkeypatch.setattr(heading, "_increment_correlation", recording)
         monkeypatch.setattr(heading, "_gate_filter", _certify_nothing)
         track_attitude(accel, gyro, magn)
-        seen = _in_fix_order(batches)
+        seen = _in_fix_order(calls)
         expected = []
         _ref_track_attitude(accel, gyro, magn, windows=expected)
         assert len(seen) > 800
@@ -760,29 +760,23 @@ def _window_pair(kind, n, seed, gate, offset):
     return 0.01 * x + base[0], 0.02 * b + base[1]
 
 
-def _correlation(window):
-    """_increment_correlation of one (2, n) window: its b = 1 case, as a float."""
-    [value] = _increment_correlation(window[None]).tolist()
-    return value
-
-
 class TestTrustGate:
     """The gate's correlation has the bits of a per-window computation in
     np.std's and np.corrcoef's order of steps."""
 
     @staticmethod
     def _assert_same_value(a, b):
-        assert repr(_correlation(np.array((a, b)))) == repr(_ref_increment_correlation(a, b))
+        assert repr(_increment_correlation(np.array((a, b)))) == repr(_ref_increment_correlation(a, b))
 
     def test_two_flat_series_agree(self):
         a, b = np.full(10, 0.01), np.zeros(10)
-        assert _correlation(np.array((a, b))) == 1.0
+        assert _increment_correlation(np.array((a, b))) == 1.0
         self._assert_same_value(a, b)
 
     def test_one_flat_series_disagrees(self):
         a, b = np.zeros(10), np.sin(np.arange(10.0))
-        assert _correlation(np.array((a, b))) == 0.0
-        assert _correlation(np.array((b, a))) == 0.0
+        assert _increment_correlation(np.array((a, b))) == 0.0
+        assert _increment_correlation(np.array((b, a))) == 0.0
         self._assert_same_value(a, b)
 
     @given(
@@ -809,7 +803,7 @@ class TestTrustGate:
     def test_perfect_correlation_is_clipped(self, r):
         # unclipped, this window's correlation rounds one ulp beyond r
         a, b = _window_pair("near-gate", 20, 0, r, 0.0)
-        assert _correlation(np.array((a, b))) == r
+        assert _increment_correlation(np.array((a, b))) == r
         self._assert_same_value(a, b)
 
     @pytest.mark.parametrize("kind", _WINDOW_KINDS)
@@ -827,56 +821,14 @@ class TestTrustGate:
         fixes[1:3, 20:77] = a, b
         window = fixes[1:3, 20:77]
         assert not window.flags.c_contiguous
-        assert repr(_correlation(window)) == repr(_ref_increment_correlation(a, b))
-
-    @given(
-        st.lists(st.tuples(st.sampled_from(_WINDOW_KINDS), st.integers(3, 150)), min_size=1, max_size=20),
-        st.sampled_from(_WINDOW_KINDS),
-        st.integers(3, 150),
-        st.integers(0, 2**32 - 1),
-        st.floats(-1.0, 1.0),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_batches_of_mixed_lengths_match_reference(self, mixed, crowded_kind, crowded_length, seed, gate):
-        # more windows of one length than one batch holds, windows of other
-        # lengths, and one longer than a batch, overlapping in one (2, k)
-        # buffer and in no order; each value must be the reference's
-        crowded = [(crowded_kind, crowded_length)] * (heading._GATE_CHUNK // (2 * crowded_length) + 1)
-        specs = mixed + crowded + [(crowded_kind, 8192 + 1000)]
-        order = np.random.default_rng(seed).permutation(len(specs))
-        pairs = [_window_pair(*specs[i], seed + i, gate, 0.0) for i in order.tolist()]
-        incs = np.concatenate([np.array(pair) for pair in pairs], axis=1)
-        stops = np.cumsum([len(a) for a, _ in pairs])
-        starts = stops - [len(a) for a, _ in pairs]
-        # every other window moves one column back, into the previous one
-        starts[1::2] -= 1
-        stops[1::2] -= 1
-        values = heading._window_correlations(incs, starts, stops).tolist()
-        assert len(values) == len(pairs)
-        for value, start, stop in zip(values, starts.tolist(), stops.tolist()):
-            assert repr(value) == repr(_ref_increment_correlation(incs[0, start:stop], incs[1, start:stop]))
-
-    @pytest.mark.parametrize("chunk", [1 << 7, 1 << 13])
-    def test_batch_size_does_not_change_the_attitude(self, chunk, monkeypatch):
-        # a 20 Hz walk, where the gate trusts the compass about half the time;
-        # 1 << 7 elements hold one window per batch
-        log, _ = generate(WalkScript(source_id="w", seed=5, imu_rate_hz=20.0, segments=[
-            WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.7 * k, steps=40) for k in range(4)]))
-        expected = track_attitude(log.accel, log.gyro, log.magn)
-        assert 0.2 < expected.mag_trust.mean() < 0.8
-        monkeypatch.setattr(heading, "_GATE_CHUNK", chunk)
-        assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
-
-    def test_default_corpus_log_gate_in_narrower_batches(self, default_corpus, monkeypatch):
-        _, log, _ = default_corpus[0]
-        expected = track_attitude(log.accel, log.gyro, log.magn)
-        monkeypatch.setattr(heading, "_GATE_CHUNK", 1 << 13)
-        assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
+        assert repr(_increment_correlation(window)) == repr(_ref_increment_correlation(a, b))
 
 
 def _gate_piece(kind, n, rng, gate):
-    """(2, n) increments: a ``_WINDOW_KINDS`` pair, noise far from zero, or
-    noise with one NaN or infinite entry."""
+    """(2, n) increments: a ``_WINDOW_KINDS`` pair, noise far from zero, noise
+    with one NaN or infinite entry, or rows each of exact zeros ("zero") or
+    of noise 2**-4 to 2**4 times ``_FLAT_STD`` ("scaled"), else of noise far
+    from flat."""
     if kind == "offset":
         offset = rng.choice([-1.0, 1.0], (2, 1)) * 10.0 ** rng.uniform(0, 8, (2, 1))
         noise = rng.normal(0, 1, (2, n))
@@ -885,22 +837,37 @@ def _gate_piece(kind, n, rng, gate):
         piece = rng.normal(0, 0.01, (2, n))
         piece[rng.integers(2), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
         return piece
+    if kind in ("zero", "scaled"):
+        near_flat = heading._FLAT_STD * 2.0 ** rng.uniform(-4, 4, (2, 1)) if kind == "scaled" else 0.0
+        return rng.normal(0, 1, (2, n)) * np.where(rng.random((2, 1)) < 0.75, near_flat, 0.01)
     return np.array(_window_pair(kind, n, int(rng.integers(2**32)), gate, float(rng.uniform(-1e-12, 1e-12))))
 
 
+def _kernel_decisions(incs, starts, stops, gate):
+    """``_increment_correlation(window) > gate`` of each window, one at a time."""
+    with np.errstate(all="ignore"):  # NaN and inf windows warn in the kernel
+        return [_increment_correlation(incs[:, a:b]) > gate for a, b in zip(starts.tolist(), stops.tolist())]
+
+
+# gates on both sides of 0 and of 1, the values of windows with a flat row
+_GATES = st.one_of(st.floats(-1.0, 1.0), st.floats(-2.0, 2.0),
+                   st.sampled_from([-1e-300, -0.0, 0.0, 1e-300, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52]))
+
+
 class TestGateFilter:
-    """``_trust_gate`` decides every window as ``_window_correlations(...) > gate``;
-    ``_gate_filter`` certifies only windows whose decision it can prove."""
+    """``_trust_gate`` decides every window as ``_increment_correlation(window)
+    > gate``; ``_gate_filter`` certifies only windows whose decision it can
+    prove."""
 
     @given(
-        st.lists(st.tuples(st.sampled_from(_WINDOW_KINDS + ["offset", "non-finite"]), st.integers(3, 60)),
-                 min_size=1, max_size=12),
+        st.lists(st.tuples(st.sampled_from(_WINDOW_KINDS + ["offset", "non-finite", "zero", "scaled"]),
+                           st.integers(3, 60)), min_size=1, max_size=12),
         st.integers(3, 80),
         st.integers(0, 2**32 - 1),
-        st.floats(-1.0, 1.0),
+        _GATES,
         st.sampled_from([1, 7, heading._GATE_BLOCK]),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_decisions_equal_the_kernels(self, pieces, longest, seed, gate, block):
         # a window ends at every column past the second and reaches back 3
         # to `longest` columns, across the pieces' borders
@@ -908,33 +875,38 @@ class TestGateFilter:
         incs = np.concatenate([_gate_piece(kind, n, rng, gate) for kind, n in pieces], axis=1)
         stops = np.arange(3, incs.shape[1] + 1)
         starts = np.maximum(0, stops - rng.integers(3, longest + 1, len(stops)))
-        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:  # NaN and inf windows warn in the kernel
-            expected = heading._window_correlations(incs, starts, stops) > gate
+        expected = _kernel_decisions(incs, starts, stops, gate)
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
             mp.setattr(heading, "_GATE_BLOCK", block)
-            assert heading._trust_gate(incs, starts, stops, gate).tolist() == expected.tolist()
+            assert heading._trust_gate(incs, starts, stops, gate).tolist() == expected
 
-    def test_flat_and_at_gate_windows_reach_the_kernel(self, monkeypatch):
-        # flat, one-flat and at-gate windows, then windows whose correlation
-        # lies far from the gate, side by side
-        pairs = [_window_pair(kind, n, seed, 0.8, 0.0) for kind in ("flat", "one-flat", "near-gate")
-                 for n, seed in ((3, 0), (20, 1), (97, 2))]
+    def test_only_at_gate_windows_reach_the_kernel(self, monkeypatch):
+        # at-gate windows, then flat and one-flat windows of exact zeros, as
+        # in a log without a gyro, then windows whose correlation lies far
+        # from the gate, side by side. One window per block: a zero row's
+        # prefix sums then hold only zeros, whatever the rows before it hold.
+        pairs = [_window_pair("near-gate", n, seed, 0.8, 0.0) for n, seed in ((3, 0), (20, 1), (97, 2))]
         unsure = len(pairs)
+        moving = [np.sin(np.arange(n) + seed) for n, seed in ((3, 5), (20, 6), (97, 7))]
+        pairs += [(np.zeros(len(b)), b) for b in moving] + [(b, np.zeros(len(b))) for b in moving]
+        pairs += [(np.zeros(n), np.zeros(n)) for n in (3, 20, 97)]
         pairs += [_window_pair("near-gate", n, seed, r, 0.0) for r in (-0.5, 0.2, 0.95) for n, seed in ((5, 3), (60, 4))]
         incs = np.concatenate([np.array(pair) for pair in pairs], axis=1)
         stops = np.cumsum([len(a) for a, _ in pairs])
         starts = stops - [len(a) for a, _ in pairs]
         calls = []
-        window_correlations = heading._window_correlations
+        correlation = heading._increment_correlation
 
-        def recording(incs, starts, stops):
-            calls.append(list(zip(starts.tolist(), stops.tolist())))
-            return window_correlations(incs, starts, stops)
+        def recording(w):
+            calls.append(w.tobytes())
+            return correlation(w)
 
-        monkeypatch.setattr(heading, "_window_correlations", recording)
+        monkeypatch.setattr(heading, "_increment_correlation", recording)
+        monkeypatch.setattr(heading, "_GATE_BLOCK", 1)
         passed = heading._trust_gate(incs, starts, stops, 0.8)
-        assert calls == [list(zip(starts[:unsure].tolist(), stops[:unsure].tolist()))]
-        assert passed.tolist() == (window_correlations(incs, starts, stops) > 0.8).tolist()
-        assert passed[unsure:].tolist() == [False] * 4 + [True] * 2
+        assert calls == [incs[:, a:b].tobytes() for a, b in zip(starts[:unsure], stops[:unsure])]
+        assert passed.tolist() == _kernel_decisions(incs, starts, stops, 0.8)
+        assert passed[unsure:].tolist() == [False] * 6 + [True] * 3 + [False] * 4 + [True] * 2
 
     @pytest.mark.parametrize("block", [1, 7, heading._GATE_BLOCK])
     def test_default_corpus_log_in_blocks_equals_the_kernel(self, block, default_corpus, monkeypatch):
@@ -946,22 +918,33 @@ class TestGateFilter:
         monkeypatch.setattr(heading, "_GATE_BLOCK", block)
         assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("has_gyro", [True, False])
+    def test_walk_attitude_equals_the_kernels(self, has_gyro, monkeypatch):
+        # a 20 Hz walk, where the gate trusts the compass about half the time;
+        # without a gyro every window has a flat (zero) gyro row
+        log, _ = generate(WalkScript(source_id="w", seed=5, imu_rate_hz=20.0, segments=[
+            WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.7 * k, steps=40) for k in range(4)]))
+        gyro = log.gyro if has_gyro else NO_SAMPLES
+        filtered = track_attitude(log.accel, gyro, log.magn)
+        if has_gyro:
+            assert 0.2 < filtered.mag_trust.mean() < 0.8
+        monkeypatch.setattr(heading, "_gate_filter", _certify_nothing)
+        assert track_attitude(log.accel, gyro, log.magn).tobytes() == filtered.tobytes()
+
     def test_default_corpus_log_certifies_every_window(self, default_corpus, monkeypatch):
+        # with its gyro stream and without: then every window has a zero gyro row
         _, log, _ = default_corpus[0]
-        windows = []
-        window_correlations = heading._window_correlations
-
-        def recording(incs, starts, stops):
-            windows.extend(stops.tolist())
-            return window_correlations(incs, starts, stops)
-
-        monkeypatch.setattr(heading, "_window_correlations", recording)
+        calls = []
+        correlation = heading._increment_correlation
+        monkeypatch.setattr(heading, "_increment_correlation", lambda w: calls.append(w.shape) or correlation(w))
         decided = []
         gate_filter = heading._gate_filter
         monkeypatch.setattr(heading, "_gate_filter", lambda *args: decided.append(len(args[1])) or gate_filter(*args))
-        track_attitude(log.accel, log.gyro, log.magn)
-        assert windows == []
-        assert sum(decided) > 10000
+        for gyro in (log.gyro, NO_SAMPLES):
+            decided.clear()
+            track_attitude(log.accel, gyro, log.magn)
+            assert calls == []
+            assert sum(decided) > 10000
 
     def test_log_without_a_deciding_fix(self, monkeypatch):
         # samples 8-12 ms apart and a 5 ms window: each window holds one fix,
@@ -1040,7 +1023,7 @@ class TestLibraryForms:
             a, b = np.random.default_rng(seed).normal(0, 0.01, (2, n))
         else:
             a, b = _window_pair(kind, n, seed, gate, 0.0)
-        assert _correlation(np.array((a, b))) == pytest.approx(float(np.corrcoef(a, b)[0, 1]), abs=1e-12)
+        assert _increment_correlation(np.array((a, b))) == pytest.approx(float(np.corrcoef(a, b)[0, 1]), abs=1e-12)
 
     @given(
         st.integers(PCA_MIN_SAMPLES, 200),

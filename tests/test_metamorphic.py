@@ -1,8 +1,9 @@
 """Metamorphic tests of the whole pipeline.
 
-Each test transforms the rendered default corpus, runs ``run_pipeline`` on
-the result, and checks one relation between that run and the run of the
-corpus as rendered. Graphs are compared as the bytes ``run`` writes.
+Each test transforms the rendered default corpus, or one of its parsed logs,
+runs the pipeline on the result, and checks one relation between that run
+and the run of the corpus as rendered. Graphs are compared as the bytes
+``run`` writes.
 """
 
 import dataclasses
@@ -14,7 +15,10 @@ import pytest
 from trackforge import synth
 from trackforge.config import PipelineConfig
 from trackforge.evalkit import score_floors, segment_truth_floor
-from trackforge.pipeline import process_corpus, run_pipeline
+from trackforge.heading import wrap_angle
+from trackforge.logio import SensorStream, parse_log_file
+from trackforge.pipeline import process_corpus, process_log, run_pipeline
+from trackforge.stride import default_gait_model
 
 
 def _run(corpus, out):
@@ -126,3 +130,36 @@ def test_a_pressure_offset_keeps_every_floor_of_two_phones(tmp_path):
     rendered = _floors(tmp_path / "corpus")
     shifted = _floors(_with_pressure_offset(tmp_path / "corpus", tmp_path / "shifted", "phone-a.tsl", -0.3))
     assert shifted == rendered
+
+
+def _shifted(log, seconds):
+    """``log`` with ``seconds`` added to every timestamp of its streams and WiFi records."""
+    def stream(s):
+        return SensorStream(s.app_timestamp + seconds, s.sensor_timestamp + seconds, s.values, s.accuracy)
+
+    wifi = tuple(dataclasses.replace(w, app_timestamp=w.app_timestamp + seconds,
+                                     sensor_timestamp=w.sensor_timestamp + seconds) for w in log.wifi)
+    return dataclasses.replace(log, accel=stream(log.accel), gyro=stream(log.gyro), magn=stream(log.magn),
+                               baro=stream(log.baro), wifi=wifi)
+
+
+@pytest.fixture(scope="module")
+def phone_a(corpus_dir):
+    """phone-a's parsed log and its steps as ``process_log`` finds them."""
+    log = parse_log_file(corpus_dir / "phone-a.tsl", source_id="phone-a")
+    return log, process_log(log, PipelineConfig(), default_gait_model()).steps
+
+
+@pytest.mark.parametrize("seconds", [1.0, pytest.param(1e5, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 17: a step's heading window starts where a float time bound falls, and "
+           "at +1e5 s the bound's rounding moves the first sample of 6 windows"))])
+def test_a_time_shift_keeps_steps_strides_and_headings(phone_a, seconds):
+    """Shifting every timestamp of phone-a by ``seconds`` moves no step and no
+    stride, and no heading by more than 1e-9 rad: the attitude of a shifted
+    log differs only by the rounding of its times, about 1e-14 rad at +1 s."""
+    log, expected = phone_a
+    steps = process_log(_shifted(log, seconds), PipelineConfig(), default_gait_model()).steps
+    assert [s.peak_index for s in steps] == [s.peak_index for s in expected]
+    assert [s.stride_m for s in steps] == [s.stride_m for s in expected]
+    assert max(abs(wrap_angle(s.heading_rad - e.heading_rad)) for s, e in zip(steps, expected)) <= 1e-9

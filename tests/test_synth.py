@@ -8,6 +8,7 @@ import pytest
 from trackforge.logio import parse_log, serialize_log
 from trackforge.stride import Gait
 from trackforge.synth import (
+    MAX_RENDER_SIZE,
     GroundTruth,
     WalkScript,
     WalkSegmentSpec,
@@ -123,6 +124,16 @@ class TestGenerate:
         bssids = {w.bssid for w in parse_log(serialize_log(log).encode()).wifi}
         assert {b[-5:-3] for b in bssids} == {"00", "ff"}
         assert len({b[-2:] for b in bssids}) > 200
+
+    def test_render_bound_admits_the_long_log(self):
+        """phone-a's segments four times over, about 67 000 samples, WiFi
+        records and steps, render; eight times over at 1000 Hz, about 1.2
+        million, exceed ``MAX_RENDER_SIZE`` and are rejected before anything
+        is drawn."""
+        phone_a = default_corpus_scripts()[0]
+        replace(phone_a, segments=phone_a.segments * 4).validate()
+        with pytest.raises(ValueError, match=f"more than {MAX_RENDER_SIZE}"):
+            replace(phone_a, segments=phone_a.segments * 8, imu_rate_hz=1000.0).validate()
 
 
 class TestScriptIO:
