@@ -87,8 +87,6 @@ def apply_entries(cfg: PipelineConfig, entries: dict[str, str]) -> PipelineConfi
     for key, raw in entries.items():
         section, name, _, _ = _KEYS[key]
         setattr(cfg, section, replace(getattr(cfg, section), **{name: parse_value(key, raw)}))
-    if cfg.step.pace_floor > cfg.step.pace_ceiling:
-        raise ConfigError("step.pace_floor must not exceed step.pace_ceiling")
     return cfg
 
 
@@ -103,4 +101,12 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
         cfg = apply_entries(cfg, parse_config_text(text, source=str(path)))
     if overrides:
         cfg = apply_entries(cfg, {k: str(v) for k, v in overrides.items()})
+    # checked once the flags are in, as a flag may move a bound the file set
+    if cfg.step.pace_floor > cfg.step.pace_ceiling:
+        raise ConfigError("step.pace_floor must not exceed step.pace_ceiling")
+    # a threshold that starts out of its bounds accepts no step, so it never adapts
+    if not cfg.step.pace_floor <= cfg.step.pace_init <= cfg.step.pace_ceiling:
+        raise ConfigError("step.pace_init must lie in [step.pace_floor, step.pace_ceiling]")
+    if cfg.step.jerk_init < cfg.step.jerk_floor:
+        raise ConfigError("step.jerk_init must not be below step.jerk_floor")
     return cfg

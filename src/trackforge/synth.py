@@ -30,6 +30,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import accumulate, repeat, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -253,8 +254,8 @@ def _pairs(values: list, key: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def floor_pressure(floor: int) -> float:
-    """Scripted plateau pressure for a floor (floor 1 = ground, highest)."""
+def floor_pressure(floor: int | np.ndarray) -> float | np.ndarray:
+    """Scripted plateau pressure for a floor, or each of an array of floors (floor 1 = ground, highest)."""
     return BASE_PRESSURE_HPA - PRESSURE_PER_METER_HPA * (floor - 1) * FLOOR_HEIGHT_M
 
 
@@ -271,16 +272,9 @@ class _Interval:
     t0: float
     t1: float
     floor: int                           # for a stair, the floor it leaves
-    to_floor: int | None = None          # for a stair, the floor it reaches
+    to_floor: int                        # for a stair, the floor it reaches; else floor
     gait: Gait | None = None             # walk and stair only
     headings: list[float] | None = None  # per step; walk and stair only
-
-    def pressure(self, time: float) -> float:
-        """The floor's plateau pressure; a linear ramp along a stair."""
-        p0 = floor_pressure(self.floor)
-        if self.to_floor is None:
-            return p0
-        return p0 + (time - self.t0) / (self.t1 - self.t0) * (floor_pressure(self.to_floor) - p0)
 
 
 def _expand_drift(spec: WalkSegmentSpec, rng: np.random.Generator) -> list[float]:
@@ -307,13 +301,14 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
     # --- timeline: intervals end to end from t = 0 ---------------------------
     intervals: list[_Interval] = []
 
-    def append(kind: str, seconds: float, floor: int, **kw) -> None:
+    def append(kind: str, seconds: float, floor: int, to_floor: int | None = None, **kw) -> None:
         t0 = intervals[-1].t1 if intervals else 0.0
-        intervals.append(_Interval(kind, t0, t0 + seconds, floor, **kw))
+        intervals.append(_Interval(kind, t0, t0 + seconds, floor, floor if to_floor is None else to_floor, **kw))
 
     first = script.segments[0]
     append("quiet", LEAD_SECONDS, first.floor)
     corner_indices: list[int] = []  # steps taken before each same-floor corner
+    steps_taken = 0
     prev_heading = first.heading_rad
     stair_hz = GAIT_PROFILES[STAIR_GAIT].frequency_hz
     for seg in script.segments:
@@ -321,22 +316,25 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
         floor = intervals[-1].floor
         turned = abs(wrap_angle(seg.heading_rad - prev_heading)) > 1e-12
         if turned and seg.floor == floor:
-            corner_indices.append(sum(len(iv.headings) for iv in intervals if iv.headings))
+            corner_indices.append(steps_taken)
         if turned and script.turn_seconds > 0:
             append("turn", script.turn_seconds, floor)
         if seg.floor != floor:
             n_stair = max(1, round(script.stair_seconds * stair_hz))
             append("stair", n_stair / stair_hz, floor, to_floor=seg.floor, gait=STAIR_GAIT,
                    headings=[seg.heading_rad] * n_stair)
+            steps_taken += n_stair
         append("walk", seg.steps / GAIT_PROFILES[seg.gait].frequency_hz, seg.floor,
                gait=seg.gait, headings=headings)
+        steps_taken += len(headings)
         prev_heading = headings[-1]
     append("quiet", LEAD_SECONDS, intervals[-1].floor)
     total_t = intervals[-1].t1
+    starts, ends = np.array([(iv.t0, iv.t1) for iv in intervals]).T
 
-    def interval_at(time: float) -> _Interval:
-        """The interval holding ``time``; the lead-out from its end on."""
-        return next((iv for iv in intervals if iv.t0 <= time < iv.t1), intervals[-1])
+    def held_by(ts) -> np.ndarray:
+        """Index of the interval holding each time, past the zero-length ones; the lead-out from its end on."""
+        return np.minimum(np.searchsorted(ends, ts, side="right"), len(intervals) - 1)
 
     # --- steps: truth, yaw knots and accel bursts ----------------------------
     dt = 1.0 / script.imu_rate_hz
@@ -365,10 +363,10 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
             step_headings.append(heading)
             step_floors.append(None if iv.kind == "stair" else iv.floor)
             yaw_knots.append(yaw_knots[-1] + wrap_angle(heading - yaw_knots[-1]))
-        mask = (times >= iv.t0) & (times < iv.t1)
-        phase = 2.0 * math.pi * profile.frequency_hz * (times[mask] - iv.t0)
-        accel[mask, 1] += profile.horizontal_amp * np.sin(phase)
-        accel[mask, 2] += profile.vertical_amp * np.sin(phase)
+        burst = slice(*np.searchsorted(times, (iv.t0, iv.t1)))  # the samples in [t0, t1)
+        phase = 2.0 * math.pi * profile.frequency_hz * (times[burst] - iv.t0)
+        accel[burst, 1] += profile.horizontal_amp * np.sin(phase)
+        accel[burst, 2] += profile.vertical_amp * np.sin(phase)
 
     # --- sensor rendering ----------------------------------------------------
     yaw = np.interp(times, [0.0, *step_times], yaw_knots)
@@ -380,9 +378,14 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
     magn[:, 1] = FIELD_HORIZONTAL_UT * np.cos(yaw)
     magn[:, 2] = FIELD_VERTICAL_UT
 
+    # the floor's plateau pressure, a linear ramp along a stair; a plateau
+    # ramps to itself, and p0 + x * 0.0 keeps p0's bits
     n_baro = int(round(total_t * script.baro_rate_hz)) + 1
     baro_times = np.arange(n_baro) / script.baro_rate_hz
-    baro = np.array([[interval_at(bt).pressure(bt)] for bt in baro_times]) + script.baro_bias_hpa
+    at = held_by(baro_times)
+    p0 = floor_pressure(np.array([iv.floor for iv in intervals]))[at]
+    p1 = floor_pressure(np.array([iv.to_floor for iv in intervals]))[at]
+    baro = (p0 + (baro_times - starts[at]) / (ends[at] - starts[at]) * (p1 - p0))[:, None] + script.baro_bias_hpa
 
     # without noise, += 0.0 still maps -0.0 to 0.0, so no log prints -0.0
     for key, values in (("accel", accel), ("gyro", gyro), ("magn", magn), ("baro", baro)):
@@ -396,18 +399,12 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
         pool = pools[f]
         return pool[: max(1, len(pool) // 4)]
 
-    def leak_candidates(f: int) -> list[str]:
-        out: list[str] = []
-        for g in sorted(pools):
-            if abs(g - f) == 1:
-                out.extend(leak_subset(g))
-        return out
-
+    leaks_of = {f: [b for g in (f - 1, f + 1) if g in pools for b in leak_subset(g)] for f in floors}
     wifi_obs: list[WifiObservation] = []
-    burst_t = 0.5
     aps_per_burst = min(WIFI_PER_BURST, script.aps_per_floor)
-    while burst_t < total_t:
-        iv = interval_at(burst_t)
+    bursts = list(takewhile(lambda t: t < total_t, accumulate(repeat(script.wifi_period_s), initial=0.5)))
+    for burst_t, j in zip(bursts, held_by(bursts)):
+        iv = intervals[j]
         if iv.kind == "stair":
             candidates = sorted(set(leak_subset(iv.floor) + leak_subset(iv.to_floor)))
             chosen_bssids = [
@@ -416,7 +413,7 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
             ]
         else:
             pool = pools[iv.floor]
-            leaks = leak_candidates(iv.floor)
+            leaks = leaks_of[iv.floor]
             chosen_bssids = []
             for i in rng.choice(len(pool), size=min(aps_per_burst, len(pool)), replace=False):
                 bssid = pool[int(i)]
@@ -429,7 +426,6 @@ def generate(script: WalkScript) -> tuple[SensorLog, GroundTruth]:
             wifi_obs.append(
                 WifiObservation(ts, ts, f"ap-{bssid[-5:].replace(':', '')}", bssid, 2412, rssi)
             )
-        burst_t += script.wifi_period_s
 
     imu_acc = np.full(n_imu, 3)
     log = SensorLog(

@@ -111,6 +111,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("entry, message", [
+        ("step.pace_init = 5.0", "step.pace_init must lie in"),
+        ("step.pace_init = 0.1", "step.pace_init must lie in"),
+        ("step.jerk_init = 0.5", "step.jerk_init must not be below"),
+    ], ids=["pace-above-ceiling", "pace-below-floor", "jerk-below-floor"])
+    def test_init_thresholds_within_their_bounds(self, entry, message, straight_corpus, tmp_path, caplog):
+        # a pace threshold above its ceiling accepted no step: "0 steps" and exit 0
+        config = tmp_path / "tf.conf"
+        config.write_text(entry + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(straight_corpus), "--output", str(out), "--config", str(config)]) == 2
+        assert f"config: {message}" in caplog.text
+        assert not out.exists()
+        # the floors themselves are valid starting thresholds, and a flag may
+        # move a threshold into the bounds a file set
+        load_config(overrides={"step.jerk_init": "0.6", "step.pace_init": "0.2"})
+        config.write_text("step.jerk_floor = 1.5\nstep.pace_floor = 0.3\n")
+        cfg = load_config(config, {"step.jerk_init": "2.0", "step.pace_init": "0.3"})
+        assert (cfg.step.jerk_init, cfg.step.pace_init) == (2.0, 0.3)
+
     @pytest.mark.parametrize("raw", ["inf", "1e400", "nan"])
     def test_non_finite_float_rejected(self, raw):
         # each value is in range for pca_min_ratio (>= 1) once it is a float

@@ -6,8 +6,10 @@ and the run of the corpus as rendered. Graphs are compared as the bytes
 ``run`` writes.
 """
 
+import cmath
 import dataclasses
 import json
+import math
 import shutil
 
 import pytest
@@ -15,10 +17,11 @@ import pytest
 from trackforge import synth
 from trackforge.config import PipelineConfig
 from trackforge.evalkit import score_floors, segment_truth_floor
-from trackforge.heading import wrap_angle
+from trackforge.heading import GRAVITY, wrap_angle
 from trackforge.logio import SensorStream, parse_log_file
 from trackforge.pipeline import process_corpus, process_log, run_pipeline
 from trackforge.stride import default_gait_model
+from trackforge.synth import FIELD_HORIZONTAL_UT, FIELD_VERTICAL_UT
 
 
 def _run(corpus, out):
@@ -163,3 +166,55 @@ def test_a_time_shift_keeps_steps_strides_and_headings(phone_a, seconds):
     assert [s.peak_index for s in steps] == [s.peak_index for s in expected]
     assert [s.stride_m for s in steps] == [s.stride_m for s in expected]
     assert max(abs(wrap_angle(s.heading_rad - e.heading_rad)) for s, e in zip(steps, expected)) <= 1e-9
+
+
+def _graphs(corpus, name):
+    """``process_corpus``'s graphs of log ``name`` in ``corpus``."""
+    report, processed = process_corpus(sorted(corpus.glob("*.tsl")), PipelineConfig())
+    assert report.error is None and all(f.error is None for f in report.files)
+    return processed[name].graphs
+
+
+@pytest.fixture(scope="module")
+def phone_a_graphs(corpus_dir):
+    return _graphs(corpus_dir, "phone-a.tsl")
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, -2.0])
+def test_a_rotated_walk_rotates_the_graphs(corpus_dir, phone_a_graphs, tmp_path, theta):
+    """Adding ``theta`` to every heading of phone-a's script rotates its graphs
+    about the origin by ``theta + delta``, one ``delta`` for the whole log, with
+    the same vertex indices, times, WiFi features and floors; each vertex and
+    edge within 1e-9 m, the rounding of 70 m paths with headings that agree
+    to about 1e-13 rad.
+
+    ``delta`` is the compass's share. The synthetic field stays put while the
+    walk turns, and the gate trusts the compass only at the start of the
+    lead-in (its first 2 samples as rendered, its first 4 at pi/2), so yaw is
+    anchored once, by a fix whose gravity is tilted by the accelerometer
+    noise: 0.2 m/s^2, about sigma = 0.02 rad per axis. Tilt across the field
+    becomes yaw error 1.6 times as large, the vertical-to-horizontal field
+    ratio. Rotating the walk by ``theta`` turns that axis, so ``delta`` has a
+    sigma of about 1.6 * sigma * 2|sin(theta / 2)|; the bound is 4 of those."""
+    script = synth.default_corpus_scripts()[0]
+    rotated = dataclasses.replace(script, segments=[
+        dataclasses.replace(seg, heading_rad=seg.heading_rad + theta) for seg in script.segments])
+    corpus = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    synth.write_corpus([rotated], corpus)
+    graphs = _graphs(corpus, "phone-a.tsl")
+
+    def shape(gs):
+        return [(g.floor, [(v.origin_index, v.t, v.rss) for v in g.vertices]) for g in gs]
+
+    assert shape(graphs) == shape(phone_a_graphs) and len(phone_a_graphs) >= 2
+    before = [complex(v.x, v.y) for g in phone_a_graphs for v in g.vertices]
+    after = [complex(v.x, v.y) for g in graphs for v in g.vertices]
+    turn = cmath.exp(1j * cmath.phase(sum(b.conjugate() * a for b, a in zip(before, after))))
+    delta = wrap_angle(cmath.phase(turn) - theta)
+    tilt_sigma = script.noise["accel"] / GRAVITY
+    bound = 4 * FIELD_VERTICAL_UT / FIELD_HORIZONTAL_UT * tilt_sigma * 2 * abs(math.sin(theta / 2))
+    assert abs(delta) <= bound, (delta, bound)
+    assert max(abs(a - b * turn) for b, a in zip(before, after)) <= 1e-9
+    edges = [(complex(e.dx, e.dy), complex(f.dx, f.dy)) for g, h in zip(phone_a_graphs, graphs)
+             for e, f in zip(g.edges, h.edges)]
+    assert max(abs(f - e * turn) for e, f in edges) <= 1e-9

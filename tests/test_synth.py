@@ -8,6 +8,8 @@ import pytest
 from trackforge.logio import parse_log, serialize_log
 from trackforge.stride import Gait
 from trackforge.synth import (
+    GAIT_PROFILES,
+    LEAD_SECONDS,
     MAX_RENDER_SIZE,
     GroundTruth,
     WalkScript,
@@ -134,6 +136,76 @@ class TestGenerate:
         replace(phone_a, segments=phone_a.segments * 4).validate()
         with pytest.raises(ValueError, match=f"more than {MAX_RENDER_SIZE}"):
             replace(phone_a, segments=phone_a.segments * 8, imu_rate_hz=1000.0).validate()
+
+
+class TestTimelineLookup:
+    """Each barometer sample and WiFi burst takes the interval that holds it,
+    checked against a scan of the timeline per time. Every interval ends on a
+    sample time: the 1.0 s lead-in and the 5.0 s corridors and stair at 2 Hz
+    barometer and a 0.5 s WiFi period."""
+
+    WALK = 9 / GAIT_PROFILES[Gait.NORMAL].frequency_hz  # 5.0 s, as is the stair's 9 steps
+
+    @pytest.fixture(scope="class")
+    def render(self):
+        script = WalkScript(
+            source_id="boundaries", seed=5, wifi_period_s=0.5, wifi_leakage=0.0, turn_seconds=0.0, stair_seconds=5.0,
+            segments=[WalkSegmentSpec(floor=f, gait=Gait.NORMAL, heading_rad=h, steps=9)
+                      for f, h in ((1, 0.0), (1, 1.5), (2, 1.5), (2, 0.0))],
+        )
+        return generate(script)
+
+    def timeline(self):
+        """(kind, t0, t1, floor it leaves, floor it reaches), end to end as the
+        generator lays them out; the turns take no time."""
+        kinds = [("quiet", 1, 1), ("walk", 1, 1), ("turn", 1, 1), ("walk", 1, 1), ("stair", 1, 2),
+                 ("walk", 2, 2), ("turn", 2, 2), ("walk", 2, 2), ("quiet", 2, 2)]
+        seconds = [LEAD_SECONDS, self.WALK, 0.0, self.WALK, self.WALK, self.WALK, 0.0, self.WALK, LEAD_SECONDS]
+        ends = np.cumsum(seconds).tolist()
+        assert ends == [1.0, 6.0, 6.0, 11.0, 16.0, 21.0, 21.0, 26.0, 27.0]
+        return [(kind, t1 - dt, t1, f0, f1) for (kind, f0, f1), dt, t1 in zip(kinds, seconds, ends)]
+
+    def scan(self, time):
+        """The interval holding ``time`` by a scan; the lead-out from its end on."""
+        timeline = self.timeline()
+        return next((iv for iv in timeline if iv[1] <= time < iv[2]), timeline[-1])
+
+    def test_barometer_matches_the_scan(self, render):
+        log, _ = render
+        times, values = log.baro.app_timestamp, log.baro.values[:, 0]
+        expected = []
+        for t in times:
+            kind, t0, t1, f0, f1 = self.scan(t)
+            p0 = floor_pressure(f0)
+            expected.append(p0 + (t - t0) / (t1 - t0) * (floor_pressure(f1) - p0) if kind == "stair" else p0)
+        assert values.tolist() == expected
+        assert {1.0, 6.0, 11.0, 16.0, 21.0} <= set(times.tolist())
+        # along the stair, the ramp from floor 1's plateau down to floor 2's
+        ramp = values[(times >= 11.0) & (times <= 16.0)]
+        assert ramp[0] == floor_pressure(1) and ramp[-1] == floor_pressure(2)
+        assert np.all(np.diff(ramp) < 0)
+        assert np.allclose(ramp, floor_pressure(1) + (np.arange(11) / 10) * (floor_pressure(2) - floor_pressure(1)))
+
+    def test_wifi_burst_on_a_boundary_takes_the_later_interval(self, render):
+        log, _ = render
+        floor_aps = {f: {f"02:00:00:00:{f:02x}:{k:02x}" for k in range(20)} for f in (1, 2)}
+        stair_aps = {b for f in (1, 2) for b in sorted(floor_aps[f])[:5]}
+        bursts: dict[float, set[str]] = {}
+        for obs in log.wifi:
+            bursts.setdefault(math.floor(obs.app_timestamp / 0.5) * 0.5, set()).add(obs.bssid)
+        assert sorted(bursts) == [0.5 * k for k in range(1, 54)]
+        for t, bssids in bursts.items():
+            kind, _, _, floor, _ = self.scan(t)
+            assert bssids <= (stair_aps if kind == "stair" else floor_aps[floor]), t
+        # the stair starts at 11.0 and ends at 16.0: 8 of its 10 APs include floor 2's and floor 1's
+        assert bursts[11.0] & floor_aps[2] and bursts[15.5] & floor_aps[1]
+        assert bursts[16.0] <= floor_aps[2]
+
+    def test_corner_indices_count_the_steps_before_each_turn(self, render):
+        _, truth = render
+        # the corners at 6.0 s (floor 1) and 21.0 s (floor 2), the stair's 9 steps in between
+        assert truth.corner_indices == [sum(t < corner for t in truth.step_times) for corner in (6.0, 21.0)]
+        assert truth.corner_indices == [9, 36]
 
 
 class TestScriptIO:
