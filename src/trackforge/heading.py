@@ -13,12 +13,15 @@ the half-axis at an acute angle to the phone yaw. All angles are wrapped to
 [-pi, pi]; headings share one magnetic-frame convention: yaw 0 when the
 horizontal field lies along phone +y, +pi/2 when along phone +x.
 
-Gravity and yaw depend on the previous sample, so they loop per sample on
-Python floats. Everything else runs over columns: which samples snap, the
-gyro rotation angle and axis of the samples that rotate, the horizontal
-plane, compass yaw, gyro yaw turns and step projection; the gravity loop only
-takes a snapped row or rotates, one block of ``_GRAVITY_BLOCK`` samples at a
-time, so its Python floats never cover the whole log. The trust gate
+Gravity and yaw depend on the previous sample. Yaw loops per sample on
+Python floats. Gravity splits into chains, each starting at a snap to the
+accelerometer, and ``_gravity_chains`` applies the k-th rotation of every
+chain at once as columns, then finishes the few long chains one rotation at a
+time on Python floats, ``_GRAVITY_BLOCK`` rotations at a time, so its Python
+floats never cover the whole log. Everything else runs over columns too:
+which samples snap, the gyro rotation angle and axis of the samples that
+rotate, the horizontal plane, compass yaw, gyro yaw turns and step
+projection. The trust gate
 decides every compass fix's window before the yaw loop. A filter
 (``_gate_filter``) decides each window whose correlation an error bound on
 per-block prefix sums places strictly on one side of the gate, and each
@@ -105,8 +108,10 @@ def _gyro_rotations(omega: np.ndarray, dt: np.ndarray | float) -> tuple[np.ndarr
 def _rotate(v: Sequence[float], axis: Sequence[float], angle: float) -> tuple[float, float, float]:
     """Rodrigues rotation of the 3-vector v by -angle about the unit axis,
     renormalized, on Python floats: ``fixed_dot`` and ``_cross`` written
-    out, as it runs once per sample. A result too short to square (v zero
-    or below about 1e-154) has no direction: NaN."""
+    out, as it runs once per rotation of a chain's per-value tail;
+    ``_gravity_chains`` runs the same operations in the same order on
+    columns. A result too short to square (v zero or below about 1e-154)
+    has no direction: NaN."""
     c, s = math.cos(-angle), math.sin(-angle)
     (v0, v1, v2), (a0, a1, a2) = v, axis
     d = a0 * v0 + a1 * v1 + a2 * v2
@@ -187,7 +192,12 @@ def _increment_correlation(w: np.ndarray) -> float:
 
 
 _GATE_BLOCK = 1 << 12  # windows per block of the gate filter's prefix sums
-_GRAVITY_BLOCK = 1 << 12  # samples per block of the gravity loop
+_GRAVITY_BLOCK = 1 << 12  # rotations per block of the per-value gravity tail
+# fewest chains that a lockstep round of _gravity_chains takes. A round
+# costs about 20 us plus 0.3 us per chain, a per-value rotation about 1.2 us:
+# on one 2-vCPU host, best of 15, chains of 40 rotations cost the same
+# either way at 24 chains, and 20 % less in rounds at 32
+_LOCKSTEP_CHAINS = 32
 _U = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -960  # absolute slack of every filter bound, for underflow
 
@@ -313,6 +323,70 @@ def _trust_gate(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: f
     return passed
 
 
+def _gravity_chains(start: np.ndarray, rotate: np.ndarray, seeds: np.ndarray, angle: np.ndarray,
+                    axis: np.ndarray) -> np.ndarray:
+    """Gravity (n, 3) of n samples: a chain begins at each ``start`` sample
+    with its row of ``seeds``, and each ``rotate`` sample after it applies
+    ``_rotate`` by its ``angle`` and ``axis`` to the chain's last value; any
+    other sample keeps that value. Sample 0 starts a chain.
+
+    Chains are independent, so round k applies the k-th rotation of every
+    chain that has one at once, as columns, with ``_rotate``'s operations in
+    its order: the same bits. Cosine and sine come from ``math`` per value,
+    read from and written to NumPy columns one float at a time. Once fewer
+    than ``_LOCKSTEP_CHAINS`` chains are left, a round costs more than it
+    saves, and the rest of each chain goes through ``_rotate`` one value at a
+    time, ``_GRAVITY_BLOCK`` rotations at a time. So no Python object per
+    sample of the whole log exists at once.
+    """
+    events = np.flatnonzero(start | rotate)  # the samples where a chain takes a value
+    heads = np.flatnonzero(start[events])  # each chain's first event
+    lengths = np.diff(heads, append=len(events)) - 1  # its rotations
+    rank = np.arange(len(events)) - np.repeat(heads, lengths + 1)  # 0 at a start, k at the k-th rotation
+    angles, axes = angle[events], axis[events]
+    value = np.empty((len(events), 3))
+    value[heads] = seeds
+
+    # lockstep: round k's rotations in one slice of the columns, chains
+    # longest first, so the chains of round k + 1 are a prefix of round k's
+    heads = heads[np.argsort(-lengths, kind="stable")]
+    active = np.cumsum(np.bincount(lengths)[::-1])[::-1]  # active[k]: chains with k or more rotations
+    rounds = int(np.count_nonzero(active[1:] >= _LOCKSTEP_CHAINS))
+    sizes = active[1:rounds + 1]
+    at = heads[window_rows(np.zeros_like(sizes), sizes)] + np.repeat(np.arange(1, rounds + 1), sizes)
+    neg = memoryview(-angles[at])
+    cos = np.fromiter(map(math.cos, neg), float, len(at))
+    sin = np.fromiter(map(math.sin, neg), float, len(at))
+    a, out = axes[at].T, np.empty((3, len(at)))
+    a120, a201, k = a[[1, 2, 0]], a[[2, 0, 1]], 1.0 - cos  # _cross's factors, rows rolled
+    v, lo = value[heads].T, 0
+    with np.errstate(all="ignore"):  # Python floats raise no warning on NaN
+        for m in sizes.tolist():  # each line _rotate's, term for term, over (3, m) columns
+            here, v = slice(lo, lo + m), v[:, :m]
+            d = a[:, here] * v
+            cross = a120[:, here] * v[[2, 0, 1]] - a201[:, here] * v[[1, 2, 0]]
+            r = v * cos[here] + cross * sin[here] + a[:, here] * (d[0] + d[1] + d[2]) * k[here]
+            squares = r * r
+            norm = np.sqrt(squares[0] + squares[1] + squares[2])
+            norm[norm == 0.0] = math.nan
+            v = np.divide(r, norm, out=out[:, here])
+            lo += m
+    value[at] = out.T
+
+    # the rest of each chain, one value at a time
+    tail = np.flatnonzero(rank > rounds)  # in sample order, each chain's rest back to back
+    for lo in range(0, len(tail), _GRAVITY_BLOCK):
+        part = tail[lo:lo + _GRAVITY_BLOCK]
+        fresh = rank[part] == rounds + 1
+        chain_values = iter(value[part[fresh] - 1].tolist())
+        rows = []
+        for new_chain, turn, ax in zip(fresh.tolist(), angles[part].tolist(), axes[part].tolist()):
+            g = _rotate(next(chain_values) if new_chain else g, ax, turn)
+            rows.append(g)
+        value[part] = rows
+    return value[np.cumsum(start | rotate) - 1]
+
+
 def track_attitude(
     accel: SensorStream,
     gyro: SensorStream,
@@ -343,22 +417,13 @@ def track_attitude(
     snap = (np.abs(norms - GRAVITY) <= cfg.g_tol) & (norms > 1e-9)
     angle, spins, axis = _gyro_rotations(omega, dts)
     rotate = spins & (dts > 0) & has_gyro & ~snap
-    g = (accel_v[0] / norms[0]).tolist() if norms[0] > 1e-9 else [0.0, 0.0, 1.0]
-    gravity = np.empty((n, 3))
-    for lo in range(0, n, _GRAVITY_BLOCK):  # Python floats for one block's rows at a time
-        block = slice(lo, lo + _GRAVITY_BLOCK)
-        snaps, rotates = snap[block], rotate[block]
-        snapped = iter((accel_v[block][snaps] / norms[block][snaps, None]).tolist())
-        rotations = zip(angle[block][rotates].tolist(), axis[block][rotates].tolist())
-        rows = []
-        for takes_snap, takes_rotation in zip(snaps.tolist(), rotates.tolist()):
-            if takes_snap:
-                g = next(snapped)
-            elif takes_rotation:
-                a, ax = next(rotations)
-                g = _rotate(g, ax, a)
-            rows.append(g)
-        gravity[block] = rows
+    start = snap.copy()
+    start[0] = True  # sample 0 starts the first chain, snapped or not
+    seeds = accel_v[snap] / norms[snap, None]
+    if not snap[0]:
+        first = accel_v[0] / norms[0] if norms[0] > 1e-9 else (0.0, 0.0, 1.0)
+        seeds = np.concatenate(([first], seeds))
+    gravity = _gravity_chains(start, rotate, seeds, angle, axis)
 
     turns = fixed_dot(omega.T, gravity.T) * dts
     mag_yaws = _compass_yaws(gravity, magn.values[nearest_index(magn.app_timestamp, times)]) if has_magn else [None] * n
@@ -372,16 +437,21 @@ def track_attitude(
     fix_yaws = [mag_yaws[k] for k in fix.tolist()]
     incs = np.zeros((2, len(fix)))
     incs[0] = turns[fix]
-    incs[1, 1:] = [wrap_angle(b - a) for a, b in zip(fix_yaws, fix_yaws[1:])]
+    steps = memoryview(np.diff(np.array(fix_yaws, dtype=float)))
+    incs[1, 1:] = np.fromiter(map(math.atan2, map(math.sin, steps), map(math.cos, steps)), float)  # wrap_angle
     starts = np.searchsorted(times[fix], times[fix] - cfg.corr_window_s)
     stops = np.arange(1, len(fix) + 1)
     decides = stops - starts >= 3
     passed = _trust_gate(incs, starts[decides], stops[decides], cfg.corr_gate)
     trusts = np.concatenate(([True], passed))[np.searchsorted(fix[decides], np.arange(n), side="right")]
 
-    yaw, yaws = 0.0, []
+    yaw, yaws, atan2, sin, cos = 0.0, [], math.atan2, math.sin, math.cos
     for turn, mag_yaw, trusted in zip(turns.tolist(), mag_yaws, trusts.tolist()):
-        yaw = mag_yaw if trusted and mag_yaw is not None else wrap_angle(yaw + turn)
+        if trusted and mag_yaw is not None:
+            yaw = mag_yaw
+        else:
+            yaw += turn
+            yaw = atan2(sin(yaw), cos(yaw))  # wrap_angle, inlined
         yaws.append(yaw)
 
     att = np.recarray(n, dtype=ATTITUDE_DTYPE)

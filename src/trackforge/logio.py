@@ -18,11 +18,12 @@ parse(serialize(log)) bit-exact.
 Both directions work a bounded piece at a time, so their transient memory
 follows the piece, not the log: ``parse_log_file`` reads the file, and
 ``parse_log`` its bytes, in pieces of about ``_CHUNK`` that end at a
-newline. Each piece is converted in bulk, by the ``float`` and ``int`` that
-the line loop calls on each field, or, when it holds a malformed record,
-line by line on its own; only input that is not UTF-8 is read again whole,
-for the error's position. ``serialize_log`` formats ``_SERIALIZE_RUN``
-records at a time.
+newline. Each piece's sample records are converted in bulk by NumPy's C
+text reader, or, when the piece holds a record that the reader rejects or
+would read otherwise than ``float`` and ``int`` do in the line loop, line by
+line on its own; only input that is not UTF-8 is read again whole, for the
+error's position. One byte-order mark at the start of the input is dropped.
+``serialize_log`` formats ``_SERIALIZE_RUN`` records at a time.
 
 Chain graphs are written as a JSON document: ``{"graphs": [...]}`` where each
 graph carries ``floor``, ``vertices`` (``origin_index``, ``x``, ``y``, ``t``,
@@ -38,6 +39,7 @@ import io
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -52,6 +54,7 @@ _SAMPLE_TAGS = {"ACCE": ("accel", 3), "GYRO": ("gyro", 3), "MAGN": ("magn", 3), 
 _FIELD_COUNTS = {"WIFI": 7, **{tag: width + 4 for tag, (_, width) in _SAMPLE_TAGS.items()}}
 _COLUMNS = ("app_timestamp", "sensor_timestamp", "values", "accuracy")
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max  # np.iinfo computes these per read
+_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"  # np.loadtxt strips these as whitespace; float() and int() do not
 _CHUNK = 1 << 18  # bytes of input the bulk parse reads and converts at a time
 _SERIALIZE_RUN = 1 << 12  # records serialize_log formats at a time
 
@@ -215,8 +218,10 @@ def _chunks(stream: BinaryIO) -> Iterator[str]:
     first after it. The unfinished line after that newline is carried into the
     next piece, and the last piece ends where the stream does. Each piece is
     decoded on its own, as a newline byte is never part of a multibyte UTF-8
-    sequence."""
-    carry = b""
+    sequence. One byte-order mark (U+FEFF) at the start of the stream is
+    dropped, as Windows editors write one; it holds no newline, so line
+    numbers do not move."""
+    carry, codec = b"", "utf-8-sig"
     while piece := carry + stream.read(_CHUNK - len(carry)):
         parts, cut = [piece], piece.rfind(b"\n") + 1
         while not cut and (block := stream.read(_CHUNK)):  # a line longer than _CHUNK
@@ -224,17 +229,23 @@ def _chunks(stream: BinaryIO) -> Iterator[str]:
             cut = block.find(b"\n") + 1
         cut = cut or len(parts[-1])  # at the end of the stream
         parts[-1], carry = parts[-1][:cut], parts[-1][cut:]
-        yield b"".join(parts).decode("utf-8")
+        yield b"".join(parts).decode(codec)
+        codec = "utf-8"
 
 
 def _parse_bulk(text: str):
     """``_parse_lines`` of ``text``, one piece from ``_chunks``: each sample
-    tag's fields are converted at once, by the ``float`` and ``int`` that the
-    line loop calls on each; other lines go through ``_parse_lines``. Raises
-    ValueError or OverflowError on any record that would not give the line
-    loop's row: a wrong field count, a token ``float`` or ``int`` rejects, a
-    value that is not finite, a negative app timestamp, or an accuracy code
-    outside int64."""
+    tag's records are converted at once, by NumPy's C text reader
+    (``np.loadtxt``); other lines go through ``_parse_lines``. Raises
+    ValueError, or a Warning that the reader gives, on any record that would
+    not give the line loop's row: a wrong field count, a token the reader
+    rejects, a value that is not finite, a negative app timestamp, or an
+    accuracy code outside int64. Where the reader would take a token that
+    ``float`` or ``int`` rejects (it strips ``\\x1c``-``\\x1f`` as
+    whitespace and reads some non-ASCII characters as digits), the records
+    are left to the line loop too."""
+    if any(map(text.__contains__, _READER_ONLY_SPACE)):
+        raise TslParseError(0, "the piece needs the line-by-line parse")
     tails: dict[str, list[str]] = {tag: [] for tag in _SAMPLE_TAGS}
     rest: list[str] = []
     lines = text.split("\n")
@@ -248,19 +259,21 @@ def _parse_bulk(text: str):
     del lines  # the line strings are freed before the tables are built
     tables, wifi, skipped, _ = _parse_lines("\n".join(rest), 1)
     for tag, (name, width) in _SAMPLE_TAGS.items():
-        block, k = tails.pop(tag), width + 3  # k fields after the tag, accuracy code last
+        block = tails.pop(tag)
         if not block:
             continue
-        if set(map(str.count, block, repeat(";"))) != {k - 1}:
+        if not (text.isascii() or all(map(str.isascii, block))):
             raise TslParseError(0, f"{tag} records need the line-by-line parse")
-        tokens = ";".join(block).split(";")
-        codes = np.fromiter(map(int, tokens[k - 1::k]), np.int64, len(block))
-        del tokens[k - 1::k]
-        table = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, k - 1)
-        if not np.isfinite(table).all() or (table[:, 0] < 0).any():
+        with warnings.catch_warnings():  # "input contained no data", or an int read via a float (NumPy < 2)
+            warnings.simplefilter("error")
+            rows = np.loadtxt(block, delimiter=";", comments=None, ndmin=1,
+                              dtype=[("fields", float, (width + 2,)), ("accuracy", np.int64)])
+        table = rows["fields"]
+        # the reader skips blank lines, so an empty tail (``ACCE;``) gives no row
+        if len(rows) != len(block) or not np.isfinite(table).all() or (table[:, 0] < 0).any():
             raise TslParseError(0, f"{tag} records need the line-by-line parse")
-        tables[name] = table, codes
-        del block, tokens  # frees this tag's strings before the next tag's are made
+        tables[name] = table, rows["accuracy"]
+        del block, rows  # frees this tag's strings before the next tag's are made
     return tables, wifi, skipped, newlines
 
 
@@ -278,7 +291,7 @@ def _parse_stream(stream: BinaryIO, source_id: str) -> SensorLog:
             for text in pieces:
                 try:
                     results.append(_parse_bulk(text))
-                except (ValueError, OverflowError):  # TslParseError is a ValueError
+                except (ValueError, Warning):  # TslParseError is a ValueError
                     results.append(_parse_lines(text, first_line))
                 first_line += results[-1][3]
         except TslParseError:

@@ -591,8 +591,8 @@ class TestAttitudeReference:
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("mode", ["gyro+magn", "no-gyro", "all-snap", "no-snap"])
     def test_gravity_blocks_give_the_same_bits(self, block, mode, monkeypatch):
-        # the gravity loop walks _GRAVITY_BLOCK samples at a time; a block of
-        # 1 or 7 samples splits runs of snaps and of rotations at every place
+        # with every chain per value, the gravity tail walks _GRAVITY_BLOCK
+        # rotations at a time; a block of 1 or 7 splits chains at every place
         accel, gyro, magn = _turning_phone(9)
         unit = accel.values / np.linalg.norm(accel.values, axis=1, keepdims=True)
         if mode == "no-gyro":
@@ -600,15 +600,54 @@ class TestAttitudeReference:
         elif mode != "gyro+magn":
             accel = stream(accel.app_timestamp, unit * (GRAVITY + (mode == "no-snap")))
         expected = track_attitude(accel, gyro, magn)
+        monkeypatch.setattr(heading, "_LOCKSTEP_CHAINS", math.inf)
         monkeypatch.setattr(heading, "_GRAVITY_BLOCK", block)
         assert track_attitude(accel, gyro, magn).tobytes() == expected.tobytes()
 
     def test_default_corpus_log_in_blocks_equals_one_block(self, default_corpus, monkeypatch):
+        # per value throughout, blocks of _GRAVITY_BLOCK rotations or one
+        # block of the whole log; both equal the default lockstep rounds
         _, log, _ = default_corpus[0]
         assert len(log.accel) > 3 * heading._GRAVITY_BLOCK
-        blocks = track_attitude(log.accel, log.gyro, log.magn)
+        expected = track_attitude(log.accel, log.gyro, log.magn)
+        monkeypatch.setattr(heading, "_LOCKSTEP_CHAINS", math.inf)
+        assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
         monkeypatch.setattr(heading, "_GRAVITY_BLOCK", len(log.accel))
-        assert blocks.tobytes() == track_attitude(log.accel, log.gyro, log.magn).tobytes()
+        assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cutover", [1, math.inf], ids=["lockstep", "per-value"])
+    @pytest.mark.parametrize("case", ["gyro+magn", "no-snap", "all-snap", "snap-at-0", "no-snap-at-0",
+                                      "zero-norm", "repeated-times"])
+    def test_gravity_chains_equal_reference(self, case, cutover, monkeypatch):
+        """Every chain in lockstep rounds, or every chain per value: the
+        reference's bits. no-snap is one chain from sample 0; all-snap has
+        no rotation; snap-at-0 starts the first chain at a snap of sample 0;
+        zero-norm starts it at a zero vector (an overflowing first sample),
+        so each of its rotations is NaN; repeated-times writes each record
+        twice (dt = 0)."""
+        accel, gyro, magn = _turning_phone(6)
+        t, a = accel.app_timestamp, accel.values.copy()
+        unit = a / np.linalg.norm(a, axis=1, keepdims=True)
+        if case == "no-snap":
+            a = unit * (GRAVITY + 1.0)
+        elif case == "all-snap":
+            a = unit * GRAVITY
+        elif case in ("snap-at-0", "no-snap-at-0"):
+            a[:40] = unit[:40] * (GRAVITY + 1.0)
+            a[0] = unit[0] * (GRAVITY if case == "snap-at-0" else GRAVITY + 1.0)
+        elif case == "zero-norm":
+            a[:40] = unit[:40] * (GRAVITY + 1.0)
+            a[0] = (1e200, 1e200, 0.0)  # its norm overflows to inf, so it normalizes to (0, 0, 0)
+        elif case == "repeated-times":
+            t, a = np.repeat(t, 2), np.repeat(a, 2, axis=0)
+        accel = stream(t, a)
+        monkeypatch.setattr(heading, "_LOCKSTEP_CHAINS", cutover)
+        with np.errstate(over="ignore"):  # the zero-norm case's squares
+            att = track_attitude(accel, gyro, magn)
+            _assert_columns_equal(att, _ref_track_attitude(accel, gyro, magn))
+        if case == "zero-norm":
+            assert att.gravity[0].tolist() == [0.0, 0.0, 0.0]
+            assert np.isnan(att.gravity[1:40]).all() and not np.isnan(att.gravity[-1]).any()
 
     @pytest.mark.parametrize("window", [0.05, 1.0, 30.0])
     def test_default_corpus_slice_equals_reference(self, window, default_corpus):

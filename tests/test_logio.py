@@ -1,6 +1,7 @@
 import io
 import pickle
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
@@ -232,17 +233,80 @@ class TestBulkParse:
                 continue
             assert newlines == text.count("\n")
 
-    @pytest.mark.parametrize("token, value", [("1_000", 1000), (" 1 ", 1), ("٣", 3), ("１", 1)])
-    def test_tokens_float_and_int_take_parse_in_bulk(self, token, value):
-        """float() and int() take these, so the line loop does; the bulk pass
-        converts with the same functions, so it takes them too, without a
-        fallback, and gives the line loop's columns."""
+    @pytest.mark.parametrize("token, value", [(" 1 ", 1), ("+3", 3), ("-0", 0), ("0003", 3)])
+    def test_tokens_the_reader_takes_convert_in_bulk(self, token, value):
+        """NumPy's text reader takes these as float() and int() do, so the
+        bulk pass converts them without a fallback and gives the line loop's
+        columns."""
         text = f"ACCE;1.0;1.0;{token};0;9.8;{token}\n"
         rows, codes = logio._parse_bulk(text)[0]["accel"]  # raises where it would fall back
         assert rows[0, 2] == value and codes[0] == value
         log = parse_log(text.encode())
         assert log.accel.values[0, 0] == value and log.accel.accuracy[0] == value
         assert _outcome(text.encode()) == _outcome(text.encode(), line_loop=True)
+
+    @pytest.mark.parametrize("token, value", [("1_000", 1000), ("٣", 3), ("１", 1)])
+    def test_tokens_only_python_takes_go_to_the_line_loop(self, token, value):
+        """float() and int() take these and the reader does not, so the piece
+        goes through the line loop, which gives the same columns."""
+        text = f"ACCE;1.0;1.0;{token};0;9.8;{token}\n"
+        with pytest.raises(ValueError):
+            logio._parse_bulk(text)
+        log = parse_log(text.encode())
+        assert log.accel.values[0, 0] == value and log.accel.accuracy[0] == value
+        assert _outcome(text.encode()) == _outcome(text.encode(), line_loop=True)
+
+    @pytest.mark.parametrize("text", [
+        "ACCE;\nACCE;1.0;1.0;0;0;9.8;3\n",  # an empty tail, a blank line to the reader
+        "ACCE;1.0;1.0;0;0;9.8;3\nACCE;\nACCE;2.0;2.0;0;0;9.8;3\n",
+        "ACCE;1.0;1.0;0;0;9.8;3\nACCE\n",
+        "ACCE;1.0;1.0;0#;0;9.8;3\n",  # a comment character to a reader with comments
+        "ACCE;1.0;1.0;0;0;9.8;3#4\n",
+        "ACCE;1.0;1.0;0;0;9.8;3.0\n",  # NumPy < 2 reads an int via a float, with a DeprecationWarning
+        "ACCE;1.0;1.0;0;0;9.8;1e3\n",
+        "ACCE;1.0;1.0;0;0;9.8;9223372036854775807\nACCE;2.0;2.0;0;0;9.8;-9223372036854775808\n",
+        "ACCE;1.0;1.0;0;0;9.8;9223372036854775808\n",
+        "ACCE;1.0;1.0;0;0;9.8;-9223372036854775809\n",
+    ], ids=["empty-tail-first", "empty-tail-middle", "no-separator", "hash-in-value", "hash-in-code",
+            "float-code", "exponent-code", "int64-limits", "code-2**63", "code--2**63-1"])
+    def test_records_the_reader_must_not_take_alone(self, text):
+        """Each case that a text reader could take where the line loop does
+        not, or drop: the parse gives the line loop's columns or error, and no
+        warning escapes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_parse_matches_line_loop(text.encode())
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    @pytest.mark.parametrize("field", [3, 6])
+    def test_separators_the_reader_strips_go_to_the_line_loop(self, char, field):
+        """NumPy's reader strips the ASCII separators \\x1c-\\x1f around a
+        number as whitespace; float() and int() do not, so the record is
+        malformed."""
+        data = _token_log("1" + char, field)
+        with pytest.raises(ValueError):
+            logio._parse_bulk(data.decode())
+        assert _outcome(data)[0] is TslParseError
+        _assert_parse_matches_line_loop(data)
+
+    @pytest.mark.parametrize("token", ["ユ", "1ユ", "ॐ", "1\u30ed"])
+    def test_non_ascii_code_goes_to_the_line_loop(self, token):
+        """NumPy's int64 reader takes some non-ASCII characters as digits
+        (``ユ`` reads 12470 on NumPy 2.4); int() rejects them."""
+        data = _token_log(token, 6)
+        assert _outcome(data)[0] is TslParseError
+        _assert_parse_matches_line_loop(data)
+
+    def test_all_blank_block_in_a_piece_of_its_own(self, monkeypatch):
+        """At a chunk of one byte, ``ACCE;`` is a piece whose one ACCE tail is
+        empty: the reader warns that the input holds no data, and the warning,
+        raised as an error, must send the piece to the line loop."""
+        monkeypatch.setattr(logio, "_CHUNK", 1)
+        data = b"ACCE;1.0;1.0;0;0;9.8;3\nACCE;\n"
+        with pytest.raises(Warning):
+            logio._parse_bulk("ACCE;\n")
+        assert _outcome(data) == (TslParseError, "line 2: ACCE expects 7 fields, got 2")
+        _assert_parse_matches_line_loop(data)
 
     def test_bad_line_after_many_good_ones_keeps_its_line_number(self):
         _assert_bad_line_keeps_its_number()
@@ -295,6 +359,54 @@ class TestChunkedParse:
         assert parse_log(crlf, source_id="unit") == parse_log_file(path, source_id="unit") == _small_log()
         with open(path, "rb") as fh:
             _bulk_parse_pieces(fh)  # no fallback
+
+
+_BOM = "\ufeff".encode()
+_TWO_RECORDS = b"ACCE;0.0;0.0;0;0;9.8;3\nACCE;1.0;1.0;0;0;9.8;3\n"
+
+
+class TestByteOrderMark:
+    """One U+FEFF at the very start of the input, as Windows editors write,
+    is dropped; line numbers do not move, and a U+FEFF anywhere else stays
+    an ordinary character."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 40, None])
+    @pytest.mark.parametrize("line_loop", [False, True], ids=["bulk", "line-loop"])
+    def test_leading_mark_is_dropped(self, chunk, line_loop, monkeypatch, tmp_path):
+        if chunk is not None:
+            monkeypatch.setattr(logio, "_CHUNK", chunk)
+        path = tmp_path / "log.tsl"
+        path.write_bytes(_BOM + _TWO_RECORDS)
+        expected = _outcome(_TWO_RECORDS)
+        assert expected[2] == 0 and len(expected[0][0][2]) == 2 * 8  # two accel samples, none skipped
+        if line_loop:
+            assert _outcome(_BOM + _TWO_RECORDS, line_loop=True) == expected
+        else:
+            _bulk_parse_pieces(io.BytesIO(_BOM + _TWO_RECORDS))  # no fallback
+            assert _outcome(_BOM + _TWO_RECORDS) == _outcome(path) == expected
+
+    @pytest.mark.parametrize("line_loop", [False, True], ids=["bulk", "line-loop"])
+    def test_line_numbers_do_not_move(self, line_loop, tmp_path):
+        data = _BOM + b"ACCE;0.0;0.0;0;0;9.8;3\nACCE;1.0;1.0;0;x;9.8;3\n"
+        path = tmp_path / "log.tsl"
+        path.write_bytes(data)
+        expected = (TslParseError, "line 2: unparsable ACCE component: 'x'")
+        assert _outcome(data, line_loop=line_loop) == expected
+        assert _outcome(path) == expected
+
+    @pytest.mark.parametrize("data", [
+        _BOM + _BOM + _TWO_RECORDS,
+        b"ACCE;0.0;0.0;0;0;9.8;3\n" + _BOM + b"ACCE;1.0;1.0;0;0;9.8;3\n",
+    ], ids=["second-mark", "mark-on-line-2"])
+    def test_any_other_mark_is_an_ordinary_character(self, data):
+        log = parse_log(data)
+        assert len(log.accel) == 1 and log.skipped_records == 1  # its record's tag is not ACCE
+        _assert_parse_matches_line_loop(data)
+
+    def test_mark_in_a_field_is_malformed(self):
+        data = b"ACCE;0.0;0.0;0;0;9.8;3\nACCE;1.0;1.0;0;" + _BOM + b"0;9.8;3\n"
+        assert _outcome(data)[0] is TslParseError
+        _assert_parse_matches_line_loop(data)
 
 
 @pytest.mark.parametrize("template", [
