@@ -13,22 +13,27 @@ the half-axis at an acute angle to the phone yaw. All angles are wrapped to
 [-pi, pi]; headings share one magnetic-frame convention: yaw 0 when the
 horizontal field lies along phone +y, +pi/2 when along phone +x.
 
-Gravity and yaw depend on the previous sample. Yaw loops per sample on
-Python floats. Gravity splits into chains, each starting at a snap to the
-accelerometer, and ``_gravity_chains`` applies the k-th rotation of every
-chain at once as columns, then finishes the few long chains one rotation at a
-time on Python floats, ``_GRAVITY_BLOCK`` rotations at a time, so its Python
-floats never cover the whole log. Everything else runs over columns too:
-which samples snap, the gyro rotation angle and axis of the samples that
-rotate, the horizontal plane, compass yaw, gyro yaw turns and step
-projection. The trust gate
-decides every compass fix's window before the yaw loop. A filter
-(``_gate_filter``) decides each window whose correlation an error bound on
-per-block prefix sums places strictly on one side of the gate, and each
-window whose rows the bound proves flat or moving as the kernel's flatness
-test finds them; the exact kernel (``_increment_correlation``) correlates
-the others one window at a time, so every decision is the kernel's. The
-PCA of every step's window runs at once too.
+Gravity and yaw depend on the previous sample. ``track_attitude`` and
+``step_headings`` take the log ``_BLOCK`` accelerometer samples at a time,
+and carry from one block to the next only what their recurrences need, so
+their temporaries follow the block, not the log; only the attitude records
+and a few columns of one value per step or sample span the whole log. Yaw
+loops per sample on Python floats. Gravity splits into chains, each
+starting at a snap to the accelerometer (a block's first chain starts at the
+carried gravity of the sample before it), and ``_gravity_chains`` applies
+the k-th rotation of every chain of the block at once as columns, then
+finishes the few long chains one rotation at a time on Python floats.
+Everything else runs over a block's columns too: which samples snap, the
+gyro rotation angle and axis of the samples that rotate, the horizontal
+plane, compass yaw, gyro yaw turns and step projection. The trust gate
+decides every compass fix's window of the block before its yaw loop, with
+the fixes of the last window carried over. A filter (``_gate_filter``)
+decides each window whose correlation an error bound on per-block prefix
+sums places strictly on one side of the gate, and each window whose rows
+the bound proves flat or moving as the kernel's flatness test finds them;
+the exact kernel (``_increment_correlation``) correlates the others one
+window at a time, so every decision is the kernel's. The PCA of the steps
+whose windows end in a block runs at once too.
 
 No value goes through BLAS, whose kernel is picked at run time from the CPU
 and rounds differently from one kernel to the next. Every dot product, cross
@@ -51,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .logio import SensorLog, SensorStream, nearest_index
-from .stepdetect import Step, fixed_dot, moving_average, window_rows
+from .stepdetect import Step, fixed_dot, window_rows
 
 logger = logging.getLogger(__name__)
 
@@ -100,8 +105,7 @@ def _gyro_rotations(omega: np.ndarray, dt: np.ndarray | float) -> tuple[np.ndarr
     rate = np.sqrt(fixed_dot(omega.T, omega.T))
     angle = rate * dt
     spins = ~(angle < 1e-15)
-    axis = np.zeros(np.shape(omega))
-    axis[spins] = omega[spins] / rate[spins, None]
+    axis = np.divide(omega, rate[:, None], out=np.zeros(np.shape(omega)), where=spins[:, None])
     return angle, spins, axis
 
 
@@ -142,17 +146,26 @@ def _horizontal_basis(gravity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return e1, np.column_stack(_cross(e1.T, g.T)), defined
 
 
-def _compass_yaws(gravity: np.ndarray, mag: np.ndarray) -> list[float | None]:
-    """``tilt_compensated_yaw`` of each row of (n, 3) gravity and field rows.
+def _compass_yaws(gravity: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of (n, 3) gravity and field rows that have a
+    ``tilt_compensated_yaw``, and their yaws.
 
-    The last steps run per row on Python floats, because ``np.arctan2``
-    rounds differently from ``math.atan2`` on some inputs.
+    A row whose larger horizontal field component is 2e-12 or more has a
+    hypot above 1e-12; only the other rows call ``math.hypot``. The
+    arctangents run per row on Python floats, because ``np.arctan2`` rounds
+    differently from ``math.atan2`` on some inputs.
     """
     mag = np.asarray(mag, dtype=float)
     e1, e2, defined = _horizontal_basis(gravity)
     usable = defined & ~(np.sqrt(fixed_dot(mag.T, mag.T)) < 1e-12)
-    rows = zip(usable.tolist(), fixed_dot(mag.T, e1.T).tolist(), fixed_dot(mag.T, e2.T).tolist())
-    return [math.atan2(s, c) if ok and not math.hypot(c, s) < 1e-12 else None for ok, c, s in rows]
+    c, s = fixed_dot(mag.T, e1.T), fixed_dot(mag.T, e2.T)
+    with np.errstate(invalid="ignore"):  # a NaN component goes to math.hypot
+        long = np.maximum(np.abs(c), np.abs(s)) >= 2e-12
+    ok = usable & long
+    short = np.flatnonzero(usable & ~long)
+    ok[short] = [not math.hypot(cs, sn) < 1e-12 for cs, sn in zip(c[short].tolist(), s[short].tolist())]
+    rows = np.flatnonzero(ok)
+    return rows, np.fromiter(map(math.atan2, s[rows].tolist(), c[rows].tolist()), float, len(rows))
 
 
 def tilt_compensated_yaw(gravity: np.ndarray, mag: np.ndarray) -> float | None:
@@ -161,7 +174,8 @@ def tilt_compensated_yaw(gravity: np.ndarray, mag: np.ndarray) -> float | None:
     Returns None for a zero/vertical field or a gimbal-locked pose (caller
     retains the previous yaw). The one-row case of ``_compass_yaws``.
     """
-    return _compass_yaws(np.reshape(gravity, (1, 3)), np.reshape(mag, (1, 3)))[0]
+    rows, yaws = _compass_yaws(np.reshape(gravity, (1, 3)), np.reshape(mag, (1, 3)))
+    return float(yaws[0]) if len(rows) else None
 
 
 def _increment_correlation(w: np.ndarray) -> float:
@@ -191,12 +205,12 @@ def _increment_correlation(w: np.ndarray) -> float:
     return float(np.clip(cov / np.sqrt(var[0]) / np.sqrt(var[1]), -1.0, 1.0))
 
 
-_GATE_BLOCK = 1 << 12  # windows per block of the gate filter's prefix sums
-_GRAVITY_BLOCK = 1 << 12  # rotations per block of the per-value gravity tail
+_BLOCK = 1 << 12  # accelerometer samples per block of track_attitude and step_headings
 # fewest chains that a lockstep round of _gravity_chains takes. A round
-# costs about 20 us plus 0.3 us per chain, a per-value rotation about 1.2 us:
-# on one 2-vCPU host, best of 15, chains of 40 rotations cost the same
-# either way at 24 chains, and 20 % less in rounds at 32
+# costs about 15 us plus 0.04 us per chain, a per-value rotation about
+# 0.9 us: on one 2-vCPU host, best of 15 over the 12 blocks of the default
+# corpus, cutovers of 16, 24 and 32 chains cost the same, 48 and 64 cost 3 %
+# and 8 % more, and every chain per value 2.8 times as much
 _LOCKSTEP_CHAINS = 32
 _U = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -960  # absolute slack of every filter bound, for underflow
@@ -208,6 +222,25 @@ def _centred(spq, sp, sq, e_spq, e_sp, e_sq, n):
     h = sp * sq / n
     err = e_spq + _U * np.abs(spq) + 4 * _U * np.abs(h)
     return spq - h, err + (e_sp * np.abs(sq) + e_sq * np.abs(sp) + e_sp * e_sq) / n + _TINY
+
+
+def _centred_sums(x: np.ndarray, first: np.ndarray, end: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_gate_filter``'s window sums from prefix sums over the columns of
+    the (2, k) increments ``x``, for the windows ``x[:, first[i]:end[i]]`` of
+    ``n[i]`` columns: the centred sums C_pp (2, w) and C_ab (w,) with their
+    bounds E(C), the bounds s_pp + E_pp on the sums of squares, and whether
+    the prefix sums up to each window's end are small enough to certify."""
+    prefix = np.zeros((5, x.shape[1] + 1))
+    np.cumsum(np.concatenate((x, x * x, x[:1] * x[1:])), axis=1, out=prefix[:, 1:])
+    sums = prefix[:, end] - prefix[:, first]
+    s, ss, sab, m = sums[:2], sums[2:4], sums[4], prefix[2:4, end]
+    m_up = m * (1 + 2.0 ** -20) + _TINY
+    c = (2 * end + 4) * _U
+    e_s = c * np.sqrt(end * m_up)
+    e_ss = c * m_up + _TINY
+    var, e_var = _centred(ss, s, s, e_ss, e_s, e_s, n)
+    cov, e_cov = _centred(sab, s[0], s[1], c * np.sqrt(m_up[0] * m_up[1]) + _TINY, e_s[0], e_s[1], n)
+    return var, e_var, cov, e_cov, ss + e_ss, (m <= 2.0 ** 960).all(axis=0) & (end <= 1 << 25)
 
 
 def _gate_filter(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -275,21 +308,10 @@ def _gate_filter(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: 
     Every comparison is false on NaN, so a non-finite value certifies nothing.
     """
     lo = int(starts.min())
-    x = incs[:, lo:int(stops.max())]
     first, end = starts - lo, stops - lo
     n = end - first
-    prefix = np.zeros((5, x.shape[1] + 1))
     with np.errstate(all="ignore"):  # a NaN, inf or overflow only certifies nothing
-        np.cumsum(np.concatenate((x, x * x, x[:1] * x[1:])), axis=1, out=prefix[:, 1:])
-        sums = prefix[:, end] - prefix[:, first]
-        s, ss, sab, m = sums[:2], sums[2:4], sums[4], prefix[2:4, end]
-        m_up = m * (1 + 2.0 ** -20) + _TINY
-        c = (2 * end + 4) * _U
-        e_s = c * np.sqrt(end * m_up)
-        e_ss = c * m_up + _TINY
-        var, e_var = _centred(ss, s, s, e_ss, e_s, e_s, n)
-        cov, e_cov = _centred(sab, s[0], s[1], c * np.sqrt(m_up[0] * m_up[1]) + _TINY, e_s[0], e_s[1], n)
-        bound = ss + e_ss
+        var, e_var, cov, e_cov, bound, finite = _centred_sums(incs[:, lo:int(stops.max())], first, end, n)
         f_var = e_var + (n + 3) * _U * bound + _TINY
         f_cov = e_cov + (n + 3) * _U * np.sqrt(bound[0] * bound[1]) + _TINY
         roots = np.sqrt(var)
@@ -297,7 +319,6 @@ def _gate_filter(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: 
         margin = 1.5 * (np.abs(r) * (f_var / var).max(axis=0) + f_cov / (roots[0] * roots[1]))
         margin += 16 * _U * np.abs(r) + _TINY
         over = r - gate
-        finite = (m <= 2.0 ** 960).all(axis=0) & (end <= 1 << 25)
         flat = var + f_var <= n * _FLAT_STD ** 2 / 2
         moving = (var >= 8 * n * _FLAT_STD ** 2) & (f_var <= var / 4)
         both_flat = flat.all(axis=0)
@@ -311,12 +332,12 @@ def _gate_filter(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: 
 def _trust_gate(incs: np.ndarray, starts: np.ndarray, stops: np.ndarray, gate: float) -> np.ndarray:
     """Whether ``_increment_correlation(incs[:, a:b]) > gate``, for each window
     [a, b) of ``starts`` and ``stops``: ``_gate_filter`` decides the windows
-    it can certify, ``_GATE_BLOCK`` windows at a time, and the kernel the
+    it can certify, ``_BLOCK`` windows at a time, and the kernel the
     others, one at a time."""
     certain = np.zeros(len(starts), dtype=bool)
     passed = np.zeros(len(starts), dtype=bool)
-    for lo in range(0, len(starts), _GATE_BLOCK):
-        block = slice(lo, lo + _GATE_BLOCK)
+    for lo in range(0, len(starts), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
         certain[block], passed[block] = _gate_filter(incs, starts[block], stops[block], gate)
     for i in np.flatnonzero(~certain).tolist():
         passed[i] = _increment_correlation(incs[:, starts[i]:stops[i]]) > gate
@@ -336,8 +357,8 @@ def _gravity_chains(start: np.ndarray, rotate: np.ndarray, seeds: np.ndarray, an
     read from and written to NumPy columns one float at a time. Once fewer
     than ``_LOCKSTEP_CHAINS`` chains are left, a round costs more than it
     saves, and the rest of each chain goes through ``_rotate`` one value at a
-    time, ``_GRAVITY_BLOCK`` rotations at a time. So no Python object per
-    sample of the whole log exists at once.
+    time. ``track_attitude`` calls it on one block of samples at a time, so
+    no Python object per sample of the whole log exists at once.
     """
     events = np.flatnonzero(start | rotate)  # the samples where a chain takes a value
     heads = np.flatnonzero(start[events])  # each chain's first event
@@ -357,34 +378,108 @@ def _gravity_chains(start: np.ndarray, rotate: np.ndarray, seeds: np.ndarray, an
     neg = memoryview(-angles[at])
     cos = np.fromiter(map(math.cos, neg), float, len(at))
     sin = np.fromiter(map(math.sin, neg), float, len(at))
-    a, out = axes[at].T, np.empty((3, len(at)))
-    a120, a201, k = a[[1, 2, 0]], a[[2, 0, 1]], 1.0 - cos  # _cross's factors, rows rolled
-    v, lo = value[heads].T, 0
+    # axes and values as rows x0, x1, x2, x0, x1: rows 1-3 and 2-4 are
+    # the vector's rows rolled, _cross's factors
+    a, out, k = axes[at].T[[0, 1, 2, 0, 1]], np.empty((5, len(at))), 1.0 - cos
+    v, lo = value[heads].T[[0, 1, 2, 0, 1]], 0
     with np.errstate(all="ignore"):  # Python floats raise no warning on NaN
         for m in sizes.tolist():  # each line _rotate's, term for term, over (3, m) columns
-            here, v = slice(lo, lo + m), v[:, :m]
-            d = a[:, here] * v
-            cross = a120[:, here] * v[[2, 0, 1]] - a201[:, here] * v[[1, 2, 0]]
-            r = v * cos[here] + cross * sin[here] + a[:, here] * (d[0] + d[1] + d[2]) * k[here]
+            hi = lo + m
+            ah, v = a[:, lo:hi], v[:, :m]
+            d = ah[:3] * v[:3]
+            r = v[:3] * cos[lo:hi]
+            r += (ah[1:4] * v[2:5] - ah[2:5] * v[1:4]) * sin[lo:hi]
+            r += ah[:3] * (d[0] + d[1] + d[2]) * k[lo:hi]
             squares = r * r
             norm = np.sqrt(squares[0] + squares[1] + squares[2])
-            norm[norm == 0.0] = math.nan
-            v = np.divide(r, norm, out=out[:, here])
-            lo += m
-    value[at] = out.T
+            if not norm.all():
+                norm[norm == 0.0] = math.nan
+            v = out[:, lo:hi]
+            np.divide(r, norm, out=v[:3])
+            v[3:] = v[:2]
+            lo = hi
+    value[at] = out[:3].T
 
     # the rest of each chain, one value at a time
     tail = np.flatnonzero(rank > rounds)  # in sample order, each chain's rest back to back
-    for lo in range(0, len(tail), _GRAVITY_BLOCK):
-        part = tail[lo:lo + _GRAVITY_BLOCK]
-        fresh = rank[part] == rounds + 1
-        chain_values = iter(value[part[fresh] - 1].tolist())
-        rows = []
-        for new_chain, turn, ax in zip(fresh.tolist(), angles[part].tolist(), axes[part].tolist()):
-            g = _rotate(next(chain_values) if new_chain else g, ax, turn)
-            rows.append(g)
-        value[part] = rows
+    fresh = rank[tail] == rounds + 1
+    chain_values = iter(value[tail[fresh] - 1].tolist())
+    rows = []
+    for new_chain, turn, ax in zip(fresh.tolist(), angles[tail].tolist(), axes[tail].tolist()):
+        g = _rotate(next(chain_values) if new_chain else g, ax, turn)
+        rows.append(g)
+    value[tail] = np.reshape(rows, (len(tail), 3))
     return value[np.cumsum(start | rotate) - 1]
+
+
+def _gravity_turns(t: np.ndarray, accel_v: np.ndarray, gyro: SensorStream, first: np.ndarray | None,
+                   g_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gravity (n, 3) of the n consecutive samples at times ``t``, and the
+    gyro turn about it of each: ``omega . gravity`` times the time since the
+    sample before (0 for sample 0).
+
+    Gravity depends on neither yaw nor trust: gyro rotation plus snaps. A
+    sample that snaps overwrites its rotation, so only the others rotate.
+    Sample 0 starts a chain at ``first``, the gravity of the sample before
+    these when there is one, or else at its own normalized accel, (0, 0, 1)
+    when that is zero.
+    """
+    has_gyro = bool(gyro)
+    omega = gyro.values[nearest_index(gyro.app_timestamp, t)] if has_gyro else np.zeros((len(t), 3))
+    dts = np.diff(t, prepend=t[0])
+    norms = np.sqrt(fixed_dot(accel_v.T, accel_v.T))
+    snap = (np.abs(norms - GRAVITY) <= g_tol) & (norms > 1e-9)
+    angle, spins, axis = _gyro_rotations(omega, dts)
+    rotate = spins & (dts > 0) & has_gyro & ~snap
+    start = snap.copy()
+    start[0] = True
+    if first is None:
+        first = accel_v[0] / norms[0] if norms[0] > 1e-9 else (0.0, 0.0, 1.0)
+    seeds = np.concatenate(([first], accel_v[1:][snap[1:]] / norms[1:, None][snap[1:]]))
+    gravity = _gravity_chains(start, rotate, seeds, angle, axis)
+    return gravity, fixed_dot(omega.T, gravity.T) * dts
+
+
+class _TrustGate:
+    """``track_attitude``'s trust gate over compass fixes, a block of samples
+    at a time. Row 0 of the increments is the gyro turn at each fix, row 1
+    the compass change since the previous fix. A fix's window holds the
+    fixes within ``corr_window_s``; one of 3 or more decides, one of fewer
+    keeps the previous decision. So a sample takes the decision of the last
+    deciding fix at or before it (True before the first).
+
+    From block to block it carries the fixes of the last ``corr_window_s``
+    (their times and increments), the last fix's yaw and the last decision.
+    """
+
+    def __init__(self, cfg: HeadingConfig):
+        self.window, self.gate = cfg.corr_window_s, cfg.corr_gate
+        self.times, self.incs = np.empty(0), np.empty((2, 0))
+        self.last_yaw: float | None = None
+        self.trusted = True
+
+    def decide(self, t: np.ndarray, turns: np.ndarray, fix: np.ndarray, fix_yaws: np.ndarray) -> np.ndarray:
+        """Whether each sample of a block trusts the compass: the block's
+        times ``t`` and gyro turns, and the samples ``fix`` with a compass
+        yaw, ``fix_yaws``."""
+        new = np.zeros((2, len(fix)))
+        new[0] = turns[fix]
+        prev = fix_yaws[:0] if self.last_yaw is None else self.last_yaw
+        steps = memoryview(np.diff(fix_yaws, prepend=prev))
+        new[1, len(fix) - len(steps):] = np.fromiter(map(math.atan2, map(math.sin, steps), map(math.cos, steps)),
+                                                     float, len(steps))  # wrap_angle
+        keep = np.searchsorted(self.times, t[0] - self.window)  # the carried fixes a window of this block holds
+        self.times = np.concatenate((self.times[keep:], t[fix]))
+        self.incs = np.concatenate((self.incs[:, keep:], new), axis=1)
+        starts = np.searchsorted(self.times, t[fix] - self.window)
+        stops = np.arange(len(self.times) - len(fix), len(self.times)) + 1
+        decides = stops - starts >= 3
+        passed = _trust_gate(self.incs, starts[decides], stops[decides], self.gate)
+        trusts = np.concatenate(([self.trusted], passed))[np.searchsorted(fix[decides], np.arange(len(t)), side="right")]
+        self.trusted = bool(trusts[-1])
+        if len(fix):
+            self.last_yaw = float(fix_yaws[-1])
+        return trusts
 
 
 def track_attitude(
@@ -399,6 +494,11 @@ def track_attitude(
 
     Without a gyro stream, gravity updates only at quasi-static opportunities
     and yaw is held between trusted magnetometer fixes (degraded mode).
+
+    The samples go ``_BLOCK`` at a time. A block carries over from the one
+    before only what the recurrences need: the gravity chain's last value,
+    as a chain start at the sample just before the block, the yaw, and the
+    trust gate's state (``_TrustGate``).
     """
     if not accel:
         raise ValueError("accel stream is empty")
@@ -407,55 +507,34 @@ def track_attitude(
         logger.warning("no gyro stream: attitude tracking degraded to quasi-static updates")
 
     times, accel_v = accel.app_timestamp, accel.values
-    n = len(times)
-    omega = gyro.values[nearest_index(gyro.app_timestamp, times)] if has_gyro else np.zeros((n, 3))
-    dts = np.diff(times, prepend=times[0])
-
-    # gravity depends on neither yaw nor trust: gyro rotation plus snaps. A
-    # sample that snaps overwrites its rotation, so only the others rotate.
-    norms = np.sqrt(fixed_dot(accel_v.T, accel_v.T))
-    snap = (np.abs(norms - GRAVITY) <= cfg.g_tol) & (norms > 1e-9)
-    angle, spins, axis = _gyro_rotations(omega, dts)
-    rotate = spins & (dts > 0) & has_gyro & ~snap
-    start = snap.copy()
-    start[0] = True  # sample 0 starts the first chain, snapped or not
-    seeds = accel_v[snap] / norms[snap, None]
-    if not snap[0]:
-        first = accel_v[0] / norms[0] if norms[0] > 1e-9 else (0.0, 0.0, 1.0)
-        seeds = np.concatenate(([first], seeds))
-    gravity = _gravity_chains(start, rotate, seeds, angle, axis)
-
-    turns = fixed_dot(omega.T, gravity.T) * dts
-    mag_yaws = _compass_yaws(gravity, magn.values[nearest_index(magn.app_timestamp, times)]) if has_magn else [None] * n
-
-    # trust gate over compass fixes: row 0 of incs is the gyro turn at each
-    # fix, row 1 the compass change since the previous fix. A fix's window
-    # holds the fixes within corr_window_s; one of 3 or more decides, one of
-    # fewer keeps the previous decision. So a sample takes the decision of the
-    # last deciding fix at or before it (True before the first).
-    fix = np.flatnonzero([mag_yaw is not None for mag_yaw in mag_yaws])
-    fix_yaws = [mag_yaws[k] for k in fix.tolist()]
-    incs = np.zeros((2, len(fix)))
-    incs[0] = turns[fix]
-    steps = memoryview(np.diff(np.array(fix_yaws, dtype=float)))
-    incs[1, 1:] = np.fromiter(map(math.atan2, map(math.sin, steps), map(math.cos, steps)), float)  # wrap_angle
-    starts = np.searchsorted(times[fix], times[fix] - cfg.corr_window_s)
-    stops = np.arange(1, len(fix) + 1)
-    decides = stops - starts >= 3
-    passed = _trust_gate(incs, starts[decides], stops[decides], cfg.corr_gate)
-    trusts = np.concatenate(([True], passed))[np.searchsorted(fix[decides], np.arange(n), side="right")]
-
-    yaw, yaws, atan2, sin, cos = 0.0, [], math.atan2, math.sin, math.cos
-    for turn, mag_yaw, trusted in zip(turns.tolist(), mag_yaws, trusts.tolist()):
-        if trusted and mag_yaw is not None:
-            yaw = mag_yaw
+    att = np.recarray(len(times), dtype=ATTITUDE_DTYPE)
+    gate, yaw, atan2, sin, cos = _TrustGate(cfg), 0.0, math.atan2, math.sin, math.cos
+    for b0 in range(0, len(times), _BLOCK):
+        b1 = min(b0 + _BLOCK, len(times))
+        lo = max(b0 - 1, 0)  # the block's first chain starts here
+        gravity, turns = _gravity_turns(times[lo:b1], accel_v[lo:b1], gyro, att.gravity[lo] if b0 else None, cfg.g_tol)
+        t, gravity, turns = times[b0:b1], gravity[b0 - lo:], turns[b0 - lo:]
+        if has_magn:
+            fix, fix_yaws = _compass_yaws(gravity, magn.values[nearest_index(magn.app_timestamp, t)])
         else:
-            yaw += turn
-            yaw = atan2(sin(yaw), cos(yaw))  # wrap_angle, inlined
-        yaws.append(yaw)
+            fix, fix_yaws = np.empty(0, dtype=int), np.empty(0)
+        trusts = gate.decide(t, turns, fix, fix_yaws)
 
-    att = np.recarray(n, dtype=ATTITUDE_DTYPE)
-    att.gravity, att.yaw, att.mag_trust = gravity, yaws, trusts
+        # a trusted fix sets the yaw; every other sample turns it by the gyro
+        resets = [None] * len(t)
+        for k, mag_yaw in zip(fix[trusts[fix]].tolist(), fix_yaws[trusts[fix]].tolist()):
+            resets[k] = mag_yaw
+        yaws = []
+        for turn, mag_yaw in zip(turns.tolist(), resets):
+            if mag_yaw is not None:
+                yaw = mag_yaw
+            else:
+                yaw += turn
+                yaw = atan2(sin(yaw), cos(yaw))  # wrap_angle, inlined
+            yaws.append(yaw)
+
+        block = att[b0:b1]
+        block.gravity, block.yaw, block.mag_trust = gravity, yaws, trusts
     return att
 
 
@@ -471,7 +550,7 @@ def earth_horizontal(vec: np.ndarray, gravity: np.ndarray, yaw: np.ndarray) -> t
     # cos and sin from libm, per row: NumPy ships AVX-512 (SVML) kernels for
     # them, which may round differently
     yaw = np.asarray(yaw, dtype=float).tolist()
-    cy, sy = np.array([math.cos(y) for y in yaw]), np.array([math.sin(y) for y in yaw])
+    cy, sy = np.fromiter(map(math.cos, yaw), float, len(yaw)), np.fromiter(map(math.sin, yaw), float, len(yaw))
     return np.column_stack((cy * c - sy * s, sy * c + cy * s)), defined
 
 
@@ -548,8 +627,9 @@ def _median(values: np.ndarray) -> float:
     return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _smoothed_gravity(grav: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Low-passed tracked gravity for linear-acceleration extraction.
+def _smoothing_window(times: np.ndarray) -> int:
+    """Odd window of the moving average that low-passes tracked gravity for
+    linear-acceleration extraction; 1 leaves it as it is.
 
     Individual quasi-static snaps carry the accel noise of one sample; a
     half-second average keeps the tilt error small so the (much larger)
@@ -561,19 +641,42 @@ def _smoothed_gravity(grav: np.ndarray, times: np.ndarray) -> np.ndarray:
     longer one (from a tiny spacing) is capped there.
     """
     if len(times) < 3:
-        return grav
+        return 1
     dt = _median(np.diff(times))
     if dt <= 0:
         dt = float(times[-1] - times[0]) / (len(times) - 1)
         if dt <= 0:
-            return grav
-    win = max(1, int(round(min(0.5 / dt, 2 * len(times)))) | 1)
-    if win <= 1:
-        return grav
-    smoothed = moving_average(grav, win)
-    norms = np.linalg.norm(smoothed, axis=1, keepdims=True)
-    norms[norms < 1e-12] = 1.0
-    return smoothed / norms
+            return 1
+    return max(1, int(round(min(0.5 / dt, 2 * len(times)))) | 1)
+
+
+def _smoothed_gravity(grav: np.ndarray, window: int):
+    """Yield, ``_BLOCK`` rows at a time, (n, 3) ``grav`` low-passed by
+    ``stepdetect.moving_average(grav, window)`` and normalized (a row too
+    short to normalize is kept as it is), or unchanged for a window of 1.
+
+    A block's prefix sums reach half a window beyond it on each side and
+    continue ``np.cumsum``, which adds left to right, from the prefix row
+    carried over from the block before: the whole log's sums, bit for bit.
+    """
+    n, half = len(grav), window // 2
+    for b0 in range(0, n, _BLOCK):
+        b1 = min(b0 + _BLOCK, n)
+        if window <= 1:
+            yield grav[b0:b1]
+            continue
+        lo, hi = max(b0 - half, 0), min(b1 + half, n)
+        if lo:
+            prefix = np.cumsum(np.concatenate((carry, grav[lo:hi])), axis=0)
+        else:  # moving_average's leading zero row
+            prefix = np.concatenate((np.zeros((1, 3)), np.cumsum(grav[:hi], axis=0)))
+        carry = prefix[max(b1 - half, 0) - lo, None]
+        rows = np.arange(b0, b1)
+        first, last = np.maximum(rows - half, 0) - lo, np.minimum(rows + half + 1, n) - lo
+        smoothed = (prefix[last] - prefix[first]) / (last - first)[:, None]
+        norms = np.linalg.norm(smoothed, axis=1, keepdims=True)
+        norms[norms < 1e-12] = 1.0
+        yield smoothed / norms
 
 
 def step_headings(
@@ -586,22 +689,44 @@ def step_headings(
     the step does not drag the previous corridor into the window.
     Low-confidence windows reuse the previous step's heading (the phone yaw
     for the first).
+
+    After ``track_attitude``, the samples go ``_BLOCK`` at a time: each
+    block's rows are smoothed and projected, and the steps whose windows end
+    in it take their PCA, with the projected rows of earlier blocks that a
+    later window still reaches back to.
     """
     att = track_attitude(log.accel, log.gyro, log.magn, cfg)
-    times = log.accel.app_timestamp
-    grav = _smoothed_gravity(att.gravity, times)
-    horizontal, defined = earth_horizontal(log.accel.values - GRAVITY * grav, grav, att.yaw)
+    times, accel_v = log.accel.app_timestamp, log.accel.values
 
-    # the defined rows of every step's window [lo, hi), the windows back to back
+    # each step's window [lo, hi), and the steps in the order of the blocks
+    # where their windows end
     lookbacks = [min(step.pace, 2.5 * max(step.valley_time - step.peak_time, 1e-3)) for step in steps]
     lo = np.searchsorted(times, np.array([step.peak_time for step in steps]) - lookbacks, side="right")
     hi = np.maximum(np.searchsorted(times, [step.valley_time for step in steps], side="right"), lo)
-    rows = window_rows(lo, hi)
-    defined_before = np.concatenate(([0], np.cumsum(defined)))
     phone_yaws = att.yaw[[step.peak_index for step in steps]].tolist()
-    estimates = _motion_directions(
-        horizontal[rows[defined[rows]]], defined_before[hi] - defined_before[lo], phone_yaws, cfg
-    )
+    ends = np.maximum(hi - 1, 0) // _BLOCK
+    order = np.argsort(ends, kind="stable")
+    cuts = np.searchsorted(ends[order], np.arange(-(-len(times) // _BLOCK)), side="right")
+    needed = np.minimum.accumulate(lo[order][::-1])[::-1]  # the first row of the windows from each on
+
+    estimates: list[HeadingEstimate | None] = [None] * len(steps)
+    xy, defined, first, done = np.empty((0, 2)), np.empty(0, dtype=bool), 0, 0
+    for k, grav in enumerate(_smoothed_gravity(att.gravity, _smoothing_window(times))):
+        b0 = k * _BLOCK
+        b1 = b0 + len(grav)
+        rows_xy, rows_defined = earth_horizontal(accel_v[b0:b1] - GRAVITY * grav, grav, att.yaw[b0:b1])
+        xy, defined = np.concatenate((xy, rows_xy)), np.concatenate((defined, rows_defined))
+        due, done = order[done:cuts[k]], cuts[k]
+        if len(due):
+            # the defined rows of each window, the windows back to back
+            rows = window_rows(lo[due] - first, hi[due] - first)
+            defined_before = np.concatenate(([0], np.cumsum(defined)))
+            counts = defined_before[hi[due] - first] - defined_before[lo[due] - first]
+            found = _motion_directions(xy[rows[defined[rows]]], counts, [phone_yaws[i] for i in due.tolist()], cfg)
+            for i, est in zip(due.tolist(), found):
+                estimates[i] = est
+        keep = min(int(needed[done]), b1) if done < len(steps) else b1
+        xy, defined, first = xy[keep - first:], defined[keep - first:], keep
 
     prev_heading: float | None = None
     for step, est in zip(steps, estimates):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +25,11 @@ from trackforge.heading import (
     track_attitude,
     wrap_angle,
 )
-from trackforge.logio import SensorLog, nearest_index
-from trackforge.stepdetect import Step, fixed_dot, moving_average
-from trackforge.stride import Gait
+from trackforge.config import PipelineConfig
+from trackforge.logio import SensorLog, SensorStream, nearest_index
+from trackforge.pipeline import process_log
+from trackforge.stepdetect import Step, detect_steps, fixed_dot, magnitude_series, moving_average
+from trackforge.stride import Gait, default_gait_model
 from trackforge.synth import WalkScript, WalkSegmentSpec, generate
 from streams import stream
 
@@ -197,42 +201,60 @@ class TestGravityRotation:
 
 # -- reference: the per-sample NumPy attitude loop that track_attitude replaced --
 
+def _normalized(v):
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _ref_smoothed_gravity(grav, times):
+    """The whole log's low-passed gravity in one pass: ``moving_average`` at
+    ``_smoothing_window``, normalized, or the rows themselves at a window of
+    1. A row too short to normalize is kept as it is."""
+    window = heading._smoothing_window(times)
+    if window <= 1:
+        return np.asarray(grav, dtype=float)
+    smoothed = moving_average(grav, window)
+    norms = np.linalg.norm(smoothed, axis=1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    return smoothed / norms
+
+
+def _smoothed(grav, times):
+    """``_smoothed_gravity``'s blocks, back to back."""
+    blocks = list(heading._smoothed_gravity(grav, heading._smoothing_window(times)))
+    assert [len(b) for b in blocks[:-1]] == [heading._BLOCK] * (len(blocks) - 1)
+    return np.concatenate(blocks)
+
+
 class TestSmoothedGravity:
     """The half-second window behind linear-acceleration extraction."""
 
     @staticmethod
     def _gravity(n, seed=0):
-        g = np.random.default_rng(seed).normal(0, 0.1, (n, 3)) + FLAT
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-    @staticmethod
-    def _normalized(v):
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
+        return _normalized(np.random.default_rng(seed).normal(0, 0.1, (n, 3)) + FLAT)
 
     def test_window_from_median_spacing(self):
         grav = self._gravity(300)
         times = np.arange(300) * 0.01
-        expected = self._normalized(moving_average(grav, 51))
-        assert heading._smoothed_gravity(grav, times).tobytes() == expected.tobytes()
+        assert heading._smoothing_window(times) == 51
+        assert _smoothed(grav, times).tobytes() == _normalized(moving_average(grav, 51)).tobytes()
 
     def test_attitude_column_smooths_like_a_contiguous_copy(self):
         # track_attitude's gravity column is a strided view into its records
         accel, gyro, magn = _turning_phone(2)
         att = track_attitude(accel, gyro, magn)
         times = accel.app_timestamp
-        smoothed = heading._smoothed_gravity(att.gravity, times)
-        assert smoothed.tobytes() == heading._smoothed_gravity(att.gravity.copy(), times).tobytes()
+        assert _smoothed(att.gravity, times).tobytes() == _smoothed(att.gravity.copy(), times).tobytes()
 
     def test_duplicated_records_use_the_mean_spacing(self):
         grav = self._gravity(600)
         times = np.repeat(np.arange(300) * 0.01, 2)  # median spacing 0
         window = int(round(0.5 / (times[-1] / 599))) | 1
-        expected = self._normalized(moving_average(grav, window))
-        assert heading._smoothed_gravity(grav, times).tobytes() == expected.tobytes()
+        assert heading._smoothing_window(times) == window
+        assert _smoothed(grav, times).tobytes() == _normalized(moving_average(grav, window)).tobytes()
 
     def test_one_shared_time_is_not_smoothed(self):
         grav = self._gravity(20)
-        assert heading._smoothed_gravity(grav, np.full(20, 4.0)).tobytes() == grav.tobytes()
+        assert _smoothed(grav, np.full(20, 4.0)).tobytes() == grav.tobytes()
 
     @given(st.lists(
         st.one_of(st.sampled_from([0.0, -0.0, 0.01, -0.01, 0.02, math.nan]), st.floats(width=64)),
@@ -242,7 +264,7 @@ class TestSmoothedGravity:
     def test_median_is_numpys(self, gaps):
         # odd and even counts, ties, zero and negative gaps, NaN and the float
         # range; the sign of a zero median follows where sort or partition puts
-        # tied zeros, and _smoothed_gravity takes any zero spacing alike
+        # tied zeros, and _smoothing_window takes any zero spacing alike
         gaps = np.array(gaps)
         with np.errstate(invalid="ignore", over="ignore"):  # -inf + inf, or two huge middle values
             ours, numpys = heading._median(gaps), np.median(gaps)
@@ -254,8 +276,25 @@ class TestSmoothedGravity:
     def test_tiny_spacing_averages_the_whole_log(self):
         grav = self._gravity(20)
         times = np.arange(20) * 5e-324  # 0.5 / spacing overflows to inf
-        smoothed = heading._smoothed_gravity(grav, times)
-        assert np.allclose(smoothed, self._normalized(grav.mean(axis=0, keepdims=True)), atol=1e-15)
+        assert heading._smoothing_window(times) == 41
+        assert np.allclose(_smoothed(grav, times), _normalized(grav.mean(axis=0, keepdims=True)), atol=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 7, 997, 4096])
+    @pytest.mark.parametrize("spacing", [0.01, 0.0004, 1e-6], ids=["100-hz", "window-past-a-block", "whole-log"])
+    def test_blocks_continue_the_whole_log_prefix_sums(self, block, spacing, monkeypatch):
+        """Each block's prefix sums continue np.cumsum from the row carried
+        over from the block before, and have the whole log's bits, also
+        when the window (51, 1251 or, capped, 2n + 1 rows) reaches past
+        neighbouring blocks. At 100 Hz the first smoothed rows average only
+        the leading rows of -0.0, and stay -0.0: moving_average's leading
+        zero row must not turn them into +0.0."""
+        grav = self._gravity(3000, seed=block)
+        grav[:60] = -0.0
+        grav[1500] = 0.0  # a row too short to normalize
+        times = np.arange(3000) * spacing
+        expected = _ref_smoothed_gravity(grav, times)
+        monkeypatch.setattr(heading, "_BLOCK", block)
+        assert _smoothed(grav, times).tobytes() == expected.tobytes()
 
 
 # The oracles below compute per sample on Python floats. Every dot product,
@@ -338,7 +377,7 @@ def _ref_step_headings(steps, log, cfg=HeadingConfig(), windows=None):
     windows that share it."""
     att = _ref_track_attitude(log.accel, log.gyro, log.magn, cfg)
     times, accel_v = log.accel.app_timestamp, log.accel.values
-    grav = heading._smoothed_gravity(att["gravity"], times)
+    grav = _ref_smoothed_gravity(att["gravity"], times)
     yaw = att["yaw"].tolist()
     projected = {}
     prev_heading = None
@@ -591,28 +630,34 @@ class TestAttitudeReference:
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("mode", ["gyro+magn", "no-gyro", "all-snap", "no-snap"])
     def test_gravity_blocks_give_the_same_bits(self, block, mode, monkeypatch):
-        # with every chain per value, the gravity tail walks _GRAVITY_BLOCK
-        # rotations at a time; a block of 1 or 7 splits chains at every place
+        # blocks of 1 or 7 samples split the gravity chains at every place;
+        # each block's first chain continues from the gravity carried over,
+        # in lockstep rounds or per value
         accel, gyro, magn = _turning_phone(9)
         unit = accel.values / np.linalg.norm(accel.values, axis=1, keepdims=True)
         if mode == "no-gyro":
             gyro = NO_SAMPLES
         elif mode != "gyro+magn":
             accel = stream(accel.app_timestamp, unit * (GRAVITY + (mode == "no-snap")))
-        expected = track_attitude(accel, gyro, magn)
-        monkeypatch.setattr(heading, "_LOCKSTEP_CHAINS", math.inf)
-        monkeypatch.setattr(heading, "_GRAVITY_BLOCK", block)
-        assert track_attitude(accel, gyro, magn).tobytes() == expected.tobytes()
+        monkeypatch.setattr(heading, "_BLOCK", len(accel))
+        expected = track_attitude(accel, gyro, magn).tobytes()
+        monkeypatch.setattr(heading, "_BLOCK", block)
+        for cutover in (1, math.inf):
+            monkeypatch.setattr(heading, "_LOCKSTEP_CHAINS", cutover)
+            assert track_attitude(accel, gyro, magn).tobytes() == expected
 
     def test_default_corpus_log_in_blocks_equals_one_block(self, default_corpus, monkeypatch):
-        # per value throughout, blocks of _GRAVITY_BLOCK rotations or one
-        # block of the whole log; both equal the default lockstep rounds
+        # blocks of _BLOCK samples or one block of the whole log, the gravity
+        # chains in lockstep rounds or per value throughout: the same bits
         _, log, _ = default_corpus[0]
-        assert len(log.accel) > 3 * heading._GRAVITY_BLOCK
+        assert len(log.accel) > 3 * heading._BLOCK
         expected = track_attitude(log.accel, log.gyro, log.magn)
+        monkeypatch.setattr(heading, "_BLOCK", len(log.accel))
+        assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
         monkeypatch.setattr(heading, "_LOCKSTEP_CHAINS", math.inf)
         assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
-        monkeypatch.setattr(heading, "_GRAVITY_BLOCK", len(log.accel))
+        monkeypatch.undo()
+        monkeypatch.setattr(heading, "_LOCKSTEP_CHAINS", math.inf)
         assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("cutover", [1, math.inf], ids=["lockstep", "per-value"])
@@ -762,7 +807,10 @@ class TestHorizontalPlane:
         yaw = np.array([r[2] for r in rows])
         e1, e2, defined = heading._horizontal_basis(gravity)
         xy, xy_defined = earth_horizontal(field, gravity, yaw)
-        yaws = heading._compass_yaws(gravity, field)
+        fixes, fix_yaws = heading._compass_yaws(gravity, field)
+        yaws = [None] * len(rows)
+        for k, y in zip(fixes.tolist(), fix_yaws.tolist()):
+            yaws[k] = y
         assert xy_defined.tolist() == defined.tolist()
         for k in range(len(rows)):
             basis = _ref_horizontal_basis(gravity[k])
@@ -772,6 +820,21 @@ class TestHorizontalPlane:
                 ref_xy = _ref_earth_horizontal(field[k], gravity[k], yaw[k])
                 assert repr(xy[k].tolist()) == repr(ref_xy.tolist())
             assert repr(yaws[k]) == repr(_ref_tilt_compensated_yaw(gravity[k], field[k]))
+
+
+    def test_short_horizontal_fields_take_the_exact_hypot(self):
+        # flat phone: the field's horizontal components are its x and y. A
+        # larger component of 2e-12 or more passes without math.hypot; the
+        # rest, around the 1e-12 cut, NaN and inf included, go through it
+        field = np.array([(2e-12, 0.0), (1.999e-12, 0.0), (1e-12, 0.0), (9.999e-13, 0.0), (7.1e-13, 7.1e-13),
+                          (7.07e-13, 7.07e-13), (0.0, -1e-12), (math.nan, 0.0), (math.inf, math.nan), (0.0, 0.0)])
+        field = np.column_stack((field, np.full(len(field), 40.0)))
+        gravity = np.tile(FLAT, (len(field), 1))
+        with np.errstate(invalid="ignore"):  # inf times a zero component
+            rows, yaws = heading._compass_yaws(gravity, field)
+        expected = [_ref_tilt_compensated_yaw(g, m) for g, m in zip(gravity, field)]
+        assert rows.tolist() == [k for k, y in enumerate(expected) if y is not None] == [0, 1, 2, 4, 6, 7, 8]
+        assert repr(yaws.tolist()) == repr([y for y in expected if y is not None])
 
 
 _WINDOW_KINDS = ["flat", "one-flat", "near-flat", "near-gate"]
@@ -904,7 +967,7 @@ class TestGateFilter:
         st.integers(3, 80),
         st.integers(0, 2**32 - 1),
         _GATES,
-        st.sampled_from([1, 7, heading._GATE_BLOCK]),
+        st.sampled_from([1, 7, heading._BLOCK]),
     )
     @settings(max_examples=300, deadline=None)
     def test_decisions_equal_the_kernels(self, pieces, longest, seed, gate, block):
@@ -916,7 +979,7 @@ class TestGateFilter:
         starts = np.maximum(0, stops - rng.integers(3, longest + 1, len(stops)))
         expected = _kernel_decisions(incs, starts, stops, gate)
         with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heading, "_GATE_BLOCK", block)
+            mp.setattr(heading, "_BLOCK", block)
             assert heading._trust_gate(incs, starts, stops, gate).tolist() == expected
 
     def test_only_at_gate_windows_reach_the_kernel(self, monkeypatch):
@@ -941,20 +1004,23 @@ class TestGateFilter:
             return correlation(w)
 
         monkeypatch.setattr(heading, "_increment_correlation", recording)
-        monkeypatch.setattr(heading, "_GATE_BLOCK", 1)
+        monkeypatch.setattr(heading, "_BLOCK", 1)
         passed = heading._trust_gate(incs, starts, stops, 0.8)
         assert calls == [incs[:, a:b].tobytes() for a, b in zip(starts[:unsure], stops[:unsure])]
         assert passed.tolist() == _kernel_decisions(incs, starts, stops, 0.8)
         assert passed[unsure:].tolist() == [False] * 6 + [True] * 3 + [False] * 4 + [True] * 2
 
-    @pytest.mark.parametrize("block", [1, 7, heading._GATE_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, heading._BLOCK])
     def test_default_corpus_log_in_blocks_equals_the_kernel(self, block, default_corpus, monkeypatch):
-        # the kernel alone decides every window when the filter certifies none
-        _, log, _ = default_corpus[0]
+        # the kernel alone decides every window when the filter certifies
+        # none; the filter's prefix sums start afresh in every block, over
+        # the fixes carried into it. A block costs about half a millisecond
+        # however short it is, so blocks of 1 take the log's first 20 s.
+        log = default_corpus[0][1] if block > 1 else _first_seconds(default_corpus[0][1], 20.0)
         monkeypatch.setattr(heading, "_gate_filter", _certify_nothing)
         expected = track_attitude(log.accel, log.gyro, log.magn)
         monkeypatch.undo()
-        monkeypatch.setattr(heading, "_GATE_BLOCK", block)
+        monkeypatch.setattr(heading, "_BLOCK", block)
         assert track_attitude(log.accel, log.gyro, log.magn).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("has_gyro", [True, False])
@@ -1083,3 +1149,191 @@ class TestLibraryForms:
         assert not est.low_confidence
         assert wrap_angle(est.motion_heading - heading_ref) == pytest.approx(0.0, abs=1e-12)
         assert est.pca_confidence == pytest.approx(ratio_ref, rel=1e-12)
+
+
+def _walk_20hz():
+    """A 20 Hz walk of four 40-step corridors, where the gate trusts the
+    compass about half the time."""
+    log, _ = generate(WalkScript(source_id="w", seed=5, imu_rate_hz=20.0, segments=[
+        WalkSegmentSpec(floor=1, gait=Gait.NORMAL, heading_rad=0.7 * k, steps=40) for k in range(4)]))
+    return log
+
+
+def _first_seconds(log, seconds):
+    """The log's accel, gyro and magnetometer samples of its first ``seconds``."""
+    end = log.accel.app_timestamp[0] + seconds
+
+    def cut(s):
+        k = int(np.searchsorted(s.app_timestamp, end))
+        return SensorStream(s.app_timestamp[:k], s.sensor_timestamp[:k], s.values[:k], s.accuracy[:k])
+
+    return dataclasses.replace(log, accel=cut(log.accel), gyro=cut(log.gyro), magn=cut(log.magn))
+
+
+def _detected_steps(log):
+    cfg = PipelineConfig()
+    times, mags = magnitude_series(log.accel, cfg.step.smooth_window)
+    return detect_steps(times, mags, cfg.step)
+
+
+def _headings_in_blocks(log, steps, block, monkeypatch):
+    """step_headings of ``steps`` with ``_BLOCK`` samples per block: the
+    steps' headings, and the attitude records it tracked."""
+    tracked = []
+    track = heading.track_attitude
+    with monkeypatch.context() as mp:
+        mp.setattr(heading, "_BLOCK", block)
+        mp.setattr(heading, "track_attitude", lambda *args: tracked.append(track(*args)) or tracked[-1])
+        step_headings(steps, log)
+    return repr([s.heading_rad for s in steps]), tracked[0].tobytes()
+
+
+_SENSORS = {"gyro+magn": {}, "no-gyro": {"gyro": NO_SAMPLES}, "no-magn": {"magn": NO_SAMPLES},
+            "accel-only": {"gyro": NO_SAMPLES, "magn": NO_SAMPLES}}
+
+
+@pytest.fixture(scope="module")
+def walk_20hz():
+    return _walk_20hz()
+
+
+class TestBlocks:
+    """``track_attitude`` and ``step_headings`` work ``_BLOCK`` samples at a
+    time and give the bits of one block spanning the whole log."""
+
+    @pytest.mark.parametrize("block", [1, 7, 997, 4096])
+    @pytest.mark.parametrize("sensors", list(_SENSORS))
+    @pytest.mark.parametrize("source", ["phone-a", "walk-20hz"])
+    def test_equal_one_block(self, source, sensors, block, default_corpus, walk_20hz, monkeypatch):
+        log = default_corpus[0][1] if source == "phone-a" else walk_20hz
+        if block < 8:
+            # a block costs about half a millisecond however short it is
+            log = _first_seconds(log, 10.0 if block == 1 else 60.0)
+        log = dataclasses.replace(log, **_SENSORS[sensors])
+        steps = _detected_steps(log)
+        assert len(steps) >= 10 and len(log.accel) > min(block, 997)  # the walk is one block of 4096
+        expected = _headings_in_blocks(log, steps, len(log.accel), monkeypatch)
+        assert _headings_in_blocks(log, steps, block, monkeypatch) == expected
+
+    @pytest.mark.parametrize("cutover", [1, math.inf], ids=["lockstep", "per-value"])
+    def test_gravity_chain_across_an_edge_and_a_snap_on_a_first_sample(self, cutover, monkeypatch):
+        # blocks of 100: no sample from 80 to 119 snaps, so the chain of
+        # sample 79 or before rotates across the edge at 100; sample 200, the
+        # first of the third block, snaps between samples that do not
+        accel, gyro, magn = _turning_phone(6)
+        t, a = accel.app_timestamp, accel.values.copy()
+        unit = a / np.linalg.norm(a, axis=1, keepdims=True)
+        a[80:120] = unit[80:120] * (GRAVITY + 1.0)
+        a[195:206] = unit[195:206] * (GRAVITY + 1.0)
+        a[200] = unit[200] * GRAVITY
+        accel = stream(t, a)
+        monkeypatch.setattr(heading, "_LOCKSTEP_CHAINS", cutover)
+        monkeypatch.setattr(heading, "_BLOCK", 100)
+        att = track_attitude(accel, gyro, magn)
+        _assert_columns_equal(att, _ref_track_attitude(accel, gyro, magn))
+        snapped = a[200].tolist()
+        assert att.gravity[200].tolist() == (a[200] / math.sqrt(fixed_dot(snapped, snapped))).tolist()
+        assert len({tuple(g) for g in att.gravity[95:105].tolist()}) == 10  # rotating at every sample
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_trust_gate_windows_across_edges(self, dyadic, monkeypatch):
+        # blocks of 50 samples, windows of about 100 fixes: each window
+        # reaches back over one or two edges, into fixes carried over
+        accel, gyro, magn = _turning_phone(4, n=900, dyadic=dyadic)
+        windows = []
+        trust_gate = heading._trust_gate
+
+        def recording(incs, starts, stops, gate):
+            windows.extend((incs[0, a:b].tobytes(), incs[1, a:b].tobytes()) for a, b in zip(starts, stops))
+            return trust_gate(incs, starts, stops, gate)
+
+        monkeypatch.setattr(heading, "_trust_gate", recording)
+        monkeypatch.setattr(heading, "_BLOCK", 50)
+        att = track_attitude(accel, gyro, magn)
+        expected = []
+        ref = _ref_track_attitude(accel, gyro, magn, windows=expected)
+        assert windows == expected
+        assert max(len(a) for a, _ in windows) // 8 > 2 * heading._BLOCK
+        _assert_columns_equal(att, ref)
+        assert 0 < att.mag_trust.sum() < len(att)
+
+    @pytest.mark.parametrize("block", [7, 50])
+    def test_step_windows_across_edges(self, block, monkeypatch):
+        # PCA windows of about 52 rows and a smoothing window of 51 rows:
+        # in blocks of 50 each window crosses an edge or reaches close to
+        # one, in blocks of 7 each spans several blocks
+        accel, gyro, magn = _turning_phone(5)
+        log = SensorLog(accel=accel, gyro=gyro, magn=magn)
+        times = accel.app_timestamp
+        assert heading._smoothing_window(times) == 51
+        seen = []
+        motion_directions = heading._motion_directions
+
+        def recording(xy, counts, phone_yaws, cfg):
+            seen.extend((w.shape, w.tobytes()) for w in np.split(xy, np.cumsum(counts)[:-1]))
+            return motion_directions(xy, counts, phone_yaws, cfg)
+
+        monkeypatch.setattr(heading, "_motion_directions", recording)
+        monkeypatch.setattr(heading, "_BLOCK", block)
+        new, ref = _steps(times), _steps(times)
+        step_headings(new, log)
+        monkeypatch.undo()
+        expected = []
+        _ref_step_headings(ref, log, windows=expected)
+        assert seen == expected
+        assert repr([s.heading_rad for s in new]) == repr([s.heading_rad for s in ref])
+        lo = np.searchsorted(times, [s.peak_time - 0.375 for s in new], side="right")
+        hi = np.searchsorted(times, [s.valley_time for s in new], side="right")
+        assert (lo // block < (hi - 1) // block).sum() >= len(new) // 2  # windows that cross an edge
+
+    def test_duplicate_timestamps_at_an_edge(self, monkeypatch):
+        # samples 99-102 share one time across the edge at 100, and samples
+        # 199-200 repeat one record across the edge at 200: a block starts
+        # with a dt of 0, and with compass fixes at the time of fixes in the
+        # block before, which the magnetometer, read at the accel's times,
+        # also repeats
+        accel, gyro, magn = _turning_phone(7)
+        t, a = accel.app_timestamp.copy(), accel.values.copy()
+        t[100:103] = t[99]
+        t[200], a[200] = t[199], a[199]
+        accel = stream(t, a)
+        magn = stream(t, magn.values[nearest_index(magn.app_timestamp, t)])
+        log = SensorLog(accel=accel, gyro=gyro, magn=magn)
+        monkeypatch.setattr(heading, "_BLOCK", 100)
+        _assert_columns_equal(track_attitude(accel, gyro, magn), _ref_track_attitude(accel, gyro, magn))
+        new, ref = _steps(t), _steps(t)
+        step_headings(new, log)
+        monkeypatch.undo()
+        _ref_step_headings(ref, log)
+        assert repr([s.heading_rad for s in new]) == repr([s.heading_rad for s in ref])
+
+
+class TestBoundedMemory:
+    """Traced (tracemalloc) peaks of the heading stage: its transient memory
+    follows the block, not the log."""
+
+    @staticmethod
+    def _traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_process_log_peak_on_phone_a(self, default_corpus):
+        # measured: 2.5 MiB, against 4.75 MiB when the heading stage took
+        # the whole log at once
+        _, log, _ = default_corpus[0]
+        assert len(log.accel) > 3 * heading._BLOCK
+        assert self._traced_peak(process_log, log, PipelineConfig(), default_gait_model()) <= 3 * 2**20
+
+    def test_step_headings_peak_grows_only_by_the_records(self, default_corpus):
+        # phone-a's segments twice over: about 15 600 more samples, 0.5 MiB
+        # more attitude records; whole-log temporaries grew the peak by
+        # about 4.5 MiB more
+        script, log, _ = default_corpus[0]
+        twice, _ = generate(dataclasses.replace(script, segments=script.segments * 2))
+        peaks = [self._traced_peak(step_headings, _detected_steps(x), x) for x in (log, twice)]
+        records = (len(twice.accel) - len(log.accel)) * ATTITUDE_DTYPE.itemsize
+        assert peaks[1] - peaks[0] <= records + 2**19

@@ -15,7 +15,7 @@ from trackforge import forked, heading, pipeline
 from trackforge.config import PipelineConfig
 from trackforge.logio import parse_log_file, serialize_log
 from trackforge.pipeline import RunReport, process_corpus, run_pipeline
-from trackforge.stepdetect import detect_steps, magnitude_series
+from trackforge.stepdetect import detect_steps, magnitude_series, moving_average
 from trackforge.stride import Gait, classify_gait, default_gait_model, extract_features, stride_length
 from trackforge.synth import WalkScript, WalkSegmentSpec, generate
 
@@ -64,7 +64,8 @@ def _one_window_steps(log, cfg, model):
 
     att = heading.track_attitude(log.accel, log.gyro, log.magn, cfg.heading)
     times = log.accel.app_timestamp
-    grav = heading._smoothed_gravity(att.gravity, times)
+    grav = moving_average(att.gravity, heading._smoothing_window(times))  # the whole log's, at once
+    grav /= np.linalg.norm(grav, axis=1, keepdims=True)
     horizontal, defined = heading.earth_horizontal(log.accel.values - heading.GRAVITY * grav, grav, att.yaw)
     prev_heading = None
     for step in steps:
